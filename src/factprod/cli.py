@@ -63,11 +63,19 @@ def _print_doc(meta: dict, result: dict) -> None:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
+    if args.workers is not None:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.workers
     env = os.environ.get("FACTPROD_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"FACTPROD_WORKERS must be an integer, got {env!r}") from None
+        if workers < 1:
+            raise ValueError(f"FACTPROD_WORKERS must be >= 1, got {workers}")
+        return workers
     return os.cpu_count() or 1
 
 
@@ -132,16 +140,17 @@ def cmd_search(args) -> int:
         max_nodes=args.max_nodes,
         max_seconds=args.max_seconds,
     )
+    workers = _workers(args)
     config = {
         "n1_max": spec.n1_max,
         "t_max": spec.t_max,
         "s_max": spec.s_max,
         "c": spec.c,
         "nontrivial_only": spec.nontrivial_only,
-        "workers": _workers(args),
+        "workers": workers,
     }
     meta = _meta("search", config)
-    records = search_factorial_products(spec, guards=guards, workers=_workers(args))
+    records = search_factorial_products(spec, guards=guards, workers=workers)
     payload = record_jsonl(records)
     if args.out:
         with open(args.out, "w") as fh:
@@ -395,7 +404,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ResourceGuardError as exc:
-        print(f"resource guard: {exc.reason} ({exc.completed_units} units completed)", file=sys.stderr)
+        print(
+            f"resource guard: {exc.reason} ({exc.completed_units} of {exc.total_units} "
+            f"units completed, {exc.nodes} nodes)",
+            file=sys.stderr,
+        )
         return EXIT_GUARD
     except (EquationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

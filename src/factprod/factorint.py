@@ -3,7 +3,9 @@
 Prime sieves, Legendre exponents of factorials, radicals and largest prime
 factors, products of consecutive integers, and the Chebyshev/Mertens prefix
 sums used by the inequality audits.  Everything here is pure and immutable
-after construction, so values can be shared freely across worker threads.
+after construction, so values can be shared freely: the density's worker
+threads read them concurrently, and the census's forked worker processes
+inherit them.
 """
 
 from __future__ import annotations

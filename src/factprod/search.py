@@ -9,16 +9,25 @@ a! with a >= p* can supply p*), and (c) depth is capped by t_max.  Orientation
 emission so the same engine can optionally report cancelling identities for
 diagnostics.
 
+The residual is dense: a list of exponents indexed by prime rank, with
+running counts of its negative and of its nonzero entries, so prune (a) and
+the zero test are O(1).  One descent level subtracts ub! once and then walks
+a = ub, ub-1, ..., p*; since a! = a * (a-1)!, each step only adds back the
+exponents of factorize(a) (at most three primes for a <= 100), and the level
+ends by adding lo! back.  One node is one value of a tried at one level, and
+the node budget is polled every _POLL nodes.
+
 Enumeration is structurally duplicate-free (both sides are generated
 non-increasing) and the merged output is sorted on (n1, rhs, lhs), so results
-are identical for any worker count.
+are identical for any worker count.  Work units (one per right-hand side, or
+per x vector in the fixed-gap search) fan out over forked processes that
+share one node counter.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 
 from .equations import (
@@ -31,7 +40,7 @@ from .equations import (
     to_delta_form,
     verify,
 )
-from .factorint import factorial_expvec
+from .factorint import factorial_expvec, factorize, table
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,11 +110,23 @@ class DeltaSolution:
 
 
 class ResourceGuardError(RuntimeError):
-    def __init__(self, reason: str, records: list, completed_units: int) -> None:
+    """A guard tripped.  ``records`` holds the results of the work units in
+    ``completed`` (in unit order), out of ``total_units``; ``nodes`` is the
+    number of descent nodes spent."""
+
+    def __init__(
+        self, reason: str, records: list, completed=(), total_units: int = 0, nodes: int = 0
+    ) -> None:
         super().__init__(reason)
         self.reason = reason
         self.records = records
-        self.completed_units = completed_units
+        self.completed = tuple(completed)
+        self.total_units = total_units
+        self.nodes = nodes
+
+    @property
+    def completed_units(self) -> int:
+        return len(self.completed)
 
 
 class _GuardTrip(Exception):
@@ -113,88 +134,141 @@ class _GuardTrip(Exception):
 
 
 class _Budget:
-    """Shared node/time budget polled by workers in batches."""
+    """Node/time budget polled by the descent in batches.  ``shared`` is a
+    multiprocessing integer Value when forked workers draw on one budget."""
 
-    __slots__ = ("max_nodes", "deadline", "nodes", "lock", "tripped", "reason")
+    __slots__ = ("max_nodes", "deadline", "nodes", "shared", "reason")
 
-    def __init__(self, guards: SearchGuards) -> None:
+    def __init__(self, guards: SearchGuards, shared=None) -> None:
         self.max_nodes = guards.max_nodes
         self.deadline = (
             time.monotonic() + guards.max_seconds if guards.max_seconds else None
         )
         self.nodes = 0
-        self.lock = threading.Lock()
-        self.tripped = False
+        self.shared = shared
         self.reason = ""
 
     def spend(self, n: int) -> None:
-        with self.lock:
+        if self.shared is None:
             self.nodes += n
-            if self.tripped:
-                raise _GuardTrip()
-            if self.nodes > self.max_nodes:
-                self.tripped = True
-                self.reason = f"node budget exceeded ({self.nodes} > {self.max_nodes})"
-            elif self.deadline is not None and time.monotonic() > self.deadline:
-                self.tripped = True
-                self.reason = "wall-time budget exceeded"
-            if self.tripped:
-                raise _GuardTrip()
+            total = self.nodes
+        else:
+            with self.shared.get_lock():
+                self.shared.value += n
+                total = self.shared.value
+        # Node counts and the clock only grow, so once one worker trips,
+        # every other worker trips at its next poll.
+        if total > self.max_nodes:
+            self.reason = f"node budget exceeded ({total} > {self.max_nodes})"
+        elif self.deadline is not None and time.monotonic() > self.deadline:
+            self.reason = "wall-time budget exceeded"
+        else:
+            return
+        raise _GuardTrip()
+
+    def spent(self) -> int:
+        return self.nodes if self.shared is None else self.shared.value
 
 
 _POLL = 2048  # budget poll granularity, in descent nodes
 
 
-def _fact_entries(n: int) -> tuple[tuple[int, int], ...]:
-    return factorial_expvec(n).entries
+class _Tables:
+    """Dense-residual lookup tables, built once per search.
+
+    ``primes`` lists the primes up to ``prime_max`` (the largest factorial in
+    any target) by rank; ``step[a]`` and ``fact[a]`` are the (rank, exponent)
+    pairs of factorize(a) and of a!, for the entries a <= ``n_max`` the
+    descent can place."""
+
+    __slots__ = ("primes", "rank", "step", "fact")
+
+    def __init__(self, n_max: int, prime_max: int) -> None:
+        self.primes = [int(p) for p in table(prime_max).primes_upto(prime_max)]
+        self.rank = {p: i for i, p in enumerate(self.primes)}
+        self.step = [()] * 2 + [self._ranked(factorize(a)) for a in range(2, n_max + 1)]
+        self.fact = [self._ranked(factorial_expvec(a).entries) for a in range(n_max + 1)]
+
+    def _ranked(self, entries) -> tuple[tuple[int, int], ...]:
+        return tuple((self.rank[p], e) for p, e in entries)
+
+    def add_factorial(self, R: list[int], n: int, sign: int) -> None:
+        for p, e in factorial_expvec(n).entries:
+            R[self.rank[p]] += sign * e
 
 
-def _sub_entries(R: dict[int, int], entries) -> bool:
-    """Subtract factorial exponents from the residual; True when no exponent
-    went negative.  Zero entries are deleted so max(R) is the top outstanding
-    prime.  Always fully applied; undo with _add_entries."""
-    clean = True
-    for p, e in entries:
-        v = R.get(p, 0) - e
-        if v:
-            R[p] = v
-            if v < 0:
-                clean = False
-        else:
-            R.pop(p, None)
-    return clean
+class _Walk:
+    """What one work unit's descent reads but never changes."""
+
+    __slots__ = ("primes", "step", "fact", "t_max", "budget", "emit")
+
+    def __init__(self, tables: _Tables, t_max: int, budget: _Budget, emit) -> None:
+        self.primes = tables.primes
+        self.step = tables.step
+        self.fact = tables.fact
+        self.t_max = t_max
+        self.budget = budget
+        self.emit = emit
+
+    def run(self, R: list[int], ub: int) -> None:
+        """Descend from a nonnegative residual; the budget is settled at the
+        end, so a unit's nodes are all counted before it completes."""
+        nz = sum(1 for v in R if v)
+        if nz:
+            self.budget.spend(_descend(self, R, nz, len(R) - 1, [], ub, 0))
 
 
-def _add_entries(R: dict[int, int], entries) -> None:
-    for p, e in entries:
-        v = R.get(p, 0) + e
-        if v:
-            R[p] = v
-        else:
-            R.pop(p, None)
-
-
-def _descend(R, lhs, ub, t_max, budget, pending, emit) -> None:
-    if len(lhs) >= t_max:
-        return
-    p_star = max(R)
-    if p_star > ub:
-        return
-    lo = max(p_star, 2)
-    for a in range(ub, lo - 1, -1):
-        pending[0] += 1
-        if pending[0] >= _POLL:
-            budget.spend(pending[0])
-            pending[0] = 0
-        entries = _fact_entries(a)
-        if _sub_entries(R, entries):
+def _descend(w: _Walk, R, nz, top, lhs, ub, pending) -> int:
+    """One level of the descent over a residual with no negative entry and
+    ``nz`` nonzero ones, none above rank ``top``.  Leaves R as it found it;
+    returns the count of nodes not yet charged to the budget."""
+    while not R[top]:
+        top -= 1
+    lo = w.primes[top]  # p*: only a! with a >= p* supplies it
+    if lo > ub:
+        return pending
+    step = w.step
+    budget = w.budget
+    deeper = len(lhs) + 1 < w.t_max
+    neg = 0
+    for r, e in w.fact[ub]:
+        v = R[r]
+        R[r] = v - e
+        if v < e:
+            neg += 1
+            if not v:
+                nz += 1
+        elif v == e:
+            nz -= 1
+    a = ub
+    while True:
+        pending += 1
+        if pending >= _POLL:
+            budget.spend(pending)
+            pending = 0
+        if not neg:
             lhs.append(a)
-            if not R:
-                emit(tuple(lhs))
-            else:
-                _descend(R, lhs, a, t_max, budget, pending, emit)
+            if not nz:
+                w.emit(tuple(lhs))
+            elif deeper:
+                pending = _descend(w, R, nz, top, lhs, a, pending)
             lhs.pop()
-        _add_entries(R, entries)
+        if a == lo:
+            break
+        for r, e in step[a]:  # R - a! becomes R - (a-1)!
+            v = R[r]
+            R[r] = v + e
+            if v < 0:
+                if v >= -e:
+                    neg -= 1
+                    if v == -e:
+                        nz -= 1
+            elif not v:
+                nz += 1
+        a -= 1
+    for r, e in w.fact[lo]:
+        R[r] += e
+    return pending
 
 
 def _rhs_units(spec: SearchSpec) -> list[tuple[int, ...]]:
@@ -234,21 +308,20 @@ def _attach_delta_form(rec: SolutionRecord) -> SolutionRecord:
 def _census_unit(
     rhs: tuple[int, ...],
     spec: SearchSpec,
+    tables: _Tables,
     budget: _Budget,
-    cancelling_sink: list | None,
-) -> list[SolutionRecord]:
-    target: dict[int, int] = {}
-    for n in rhs:
-        _add_entries(target, _fact_entries(n))
-    if not target:
-        return []
+    keep_cancelling: bool,
+) -> tuple[list[SolutionRecord], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The records of one right-hand side, and its cancelling (lhs, rhs)
+    pairs when ``keep_cancelling``."""
     records: list[SolutionRecord] = []
+    cancelling: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     rhs_set = set(rhs)
 
     def emit(lhs: tuple[int, ...]) -> None:
-        if set(lhs) & rhs_set:
-            if cancelling_sink is not None:
-                cancelling_sink.append((lhs, rhs))
+        if rhs_set.intersection(lhs):
+            if keep_cancelling:
+                cancelling.append((lhs, rhs))
             return
         rec = _attach_delta_form(verify(FactorialEquation(lhs, rhs)))
         if spec.nontrivial_only and rec.classification != NONTRIVIAL:
@@ -257,32 +330,92 @@ def _census_unit(
             return
         records.append(rec)
 
-    pending = [0]
-    _descend(target, [], rhs[0] - 1, spec.t_max, budget, pending, emit)
-    budget.spend(pending[0])
-    return records
+    R = [0] * len(tables.primes)
+    for n in rhs:
+        tables.add_factorial(R, n, 1)
+    _Walk(tables, spec.t_max, budget, emit).run(R, rhs[0] - 1)
+    return records, cancelling
 
 
-def _run_units(units, worker, workers: int, budget: _Budget):
-    """Run independent work units, tolerating a budget trip; returns
-    (per-unit results for completed units, number completed)."""
-    done: dict[int, list] = {}
+def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
+    """Run the units at ``indices`` in order until the budget trips; returns
+    ({index: result} for the completed units, trip reason or "")."""
+    done = {}
+    for i in indices:
+        try:
+            done[i] = work(units[i], budget)
+        except _GuardTrip:
+            return done, budget.reason
+    return done, ""
+
+
+def _forked_slice(conn, units, indices, work, budget: _Budget) -> None:
+    try:
+        conn.send(("ok", _run_slice(units, indices, work, budget)))
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+def _run_units(units, work, workers: int, guards: SearchGuards) -> tuple[dict, str, int]:
+    """Run independent work units ``work(unit, budget)`` under one node/time
+    budget; returns ({index: result} for the completed units, trip reason or
+    "", nodes spent).
+
+    With ``workers > 1`` the units are dealt round-robin (unit i to worker
+    i mod workers, since unit cost grows with n1) to forked processes that
+    share one node counter, so max_nodes stays a global ceiling.  Fork, not
+    spawn: the children inherit the search tables and run only the
+    pure-Python descent, and a spawned worker would re-import numpy and the
+    package on every call.  Without fork the units run in-process.
+    """
+    workers = min(workers, len(units))
     if workers <= 1:
-        for i, u in enumerate(units):
+        budget = _Budget(guards)
+        done, reason = _run_slice(units, range(len(units)), work, budget)
+        return done, reason, budget.spent()
+    import multiprocessing
+
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        return _run_units(units, work, 1, guards)
+    budget = _Budget(guards, ctx.Value("q", 0))
+    procs = []
+    done: dict = {}
+    reasons = []
+    try:
+        for k in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_forked_slice,
+                args=(send, units, range(k, len(units), workers), work, budget),
+                daemon=True,
+            )
+            proc.start()
+            send.close()
+            procs.append((proc, recv))
+        for proc, recv in procs:
             try:
-                done[i] = worker(u)
-            except _GuardTrip:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(worker, u): i for i, u in enumerate(units)}
-            for fut, i in futures.items():
-                try:
-                    done[i] = fut.result()
-                except _GuardTrip:
-                    pass
-    results = [done[i] for i in sorted(done)]
-    return results, len(results)
+                status, payload = recv.recv()
+            except EOFError:
+                raise RuntimeError("search worker exited without a result") from None
+            if status != "ok":
+                raise RuntimeError(f"search worker failed:\n{payload}")
+            part, reason = payload
+            done.update(part)
+            if reason:
+                reasons.append(reason)
+    except BaseException:
+        for proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in procs:
+            recv.close()
+            proc.join()
+    return done, (reasons[0] if reasons else ""), budget.spent()
 
 
 def search_factorial_products(
@@ -294,26 +427,32 @@ def search_factorial_products(
 ) -> list[SolutionRecord]:
     """All identities within the requested bounds, canonically ordered.
 
-    Raises ResourceGuardError (with partial results from completed right-hand
-    units) when a guard ceiling is exceeded.
+    ``cancelling_sink``, when given, is extended with the (lhs, rhs) pairs
+    whose sides share an entry, in unit order.  Raises ResourceGuardError
+    (with partial results from completed right-hand units) when a guard
+    ceiling is exceeded.
     """
     guards = guards or SearchGuards()
     if spec.n1_max > guards.n1_ceiling:
         raise ResourceGuardError(
-            f"n1_max = {spec.n1_max} exceeds ceiling {guards.n1_ceiling}", [], 0
+            f"n1_max = {spec.n1_max} exceeds ceiling {guards.n1_ceiling}", []
         )
-    budget = _Budget(guards)
+    tables = _Tables(spec.n1_max, spec.n1_max)
+    keep_cancelling = cancelling_sink is not None
     units = _rhs_units(spec)
-    per_unit, completed = _run_units(
+    done, reason, nodes = _run_units(
         units,
-        lambda rhs: _census_unit(rhs, spec, budget, cancelling_sink),
+        lambda rhs, budget: _census_unit(rhs, spec, tables, budget, keep_cancelling),
         workers,
-        budget,
+        guards,
     )
-    records = [rec for chunk in per_unit for rec in chunk]
+    order = sorted(done)
+    records = [rec for i in order for rec in done[i][0]]
     records.sort(key=lambda r: (r.eq.rhs[0], r.eq.rhs, r.eq.lhs))
-    if budget.tripped:
-        raise ResourceGuardError(budget.reason, records, completed)
+    if keep_cancelling:
+        cancelling_sink.extend(pair for i in order for pair in done[i][1])
+    if reason:
+        raise ResourceGuardError(reason, records, [units[i] for i in order], len(units), nodes)
     return records
 
 
@@ -336,26 +475,16 @@ def _x_units(spec: DeltaSearchSpec) -> list[tuple[int, ...]]:
 
 
 def _delta_unit(
-    xs: tuple[int, ...], spec: DeltaSearchSpec, budget: _Budget
+    xs: tuple[int, ...], spec: DeltaSearchSpec, tables: _Tables, budget: _Budget
 ) -> list[DeltaSolution]:
-    target: dict[int, int] = {}
+    R = [0] * len(tables.primes)
     for x, k in zip(xs, spec.k_list):
-        _add_entries(target, _fact_entries(x + k - 1))
-        _sub_entries(target, _fact_entries(x - 1))
-    if not target:
-        return []
+        tables.add_factorial(R, x + k - 1, 1)
+        tables.add_factorial(R, x - 1, -1)
     sols: list[DeltaSolution] = []
-    pending = [0]
-    _descend(
-        target,
-        [],
-        xs[0] - 1,
-        spec.t_max,
-        budget,
-        pending,
-        lambda lhs: sols.append(DeltaSolution(xs, lhs)),
+    _Walk(tables, spec.t_max, budget, lambda lhs: sols.append(DeltaSolution(xs, lhs))).run(
+        R, xs[0] - 1
     )
-    budget.spend(pending[0])
     return sols
 
 
@@ -370,19 +499,21 @@ def search_delta(
     guards = guards or SearchGuards()
     if spec.x_max > guards.n1_ceiling:
         raise ResourceGuardError(
-            f"x_max = {spec.x_max} exceeds ceiling {guards.n1_ceiling}", [], 0
+            f"x_max = {spec.x_max} exceeds ceiling {guards.n1_ceiling}", []
         )
     if not spec.ratio_ok():
         return []
-    budget = _Budget(guards)
+    # the largest factorial in any target is x + k - 1 <= x_max + max(k) - 1
+    tables = _Tables(spec.x_max, spec.x_max + max(spec.k_list) - 1)
     units = _x_units(spec)
-    per_unit, completed = _run_units(
-        units, lambda xs: _delta_unit(xs, spec, budget), workers, budget
+    done, reason, nodes = _run_units(
+        units, lambda xs, budget: _delta_unit(xs, spec, tables, budget), workers, guards
     )
-    sols = [s for chunk in per_unit for s in chunk]
+    order = sorted(done)
+    sols = [s for i in order for s in done[i]]
     sols.sort(key=lambda r: (r.x[0], r.x, r.a))
-    if budget.tripped:
-        raise ResourceGuardError(budget.reason, sols, completed)
+    if reason:
+        raise ResourceGuardError(reason, sols, [units[i] for i in order], len(units), nodes)
     return sols
 
 

@@ -1,12 +1,17 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Everything here decides questions by literal big-integer arithmetic (or raw
-trial division of the literal value), deliberately avoiding the package's
-exponent-vector machinery so the two routes can check each other.
+The brute-force oracles decide questions by literal big-integer arithmetic
+(or raw trial division of the literal value), deliberately avoiding the
+package's exponent-vector machinery so the two routes can check each other.
+The full-vector descent at the end is the census engine's reference: the same
+pruned search over a dict residual that subtracts and re-adds the whole a!
+vector at every node, with the same node count.
 """
 
 import math
 from itertools import combinations_with_replacement
+
+from factprod.factorint import factorial_expvec
 
 
 def factor_literal(n: int) -> dict[int, int]:
@@ -89,3 +94,102 @@ def brute_delta_search(k_list, x_max: int, t_max: int) -> set[tuple[tuple[int, .
 
 def classify_brute(lhs, rhs) -> str:
     return "trivial" if any(abs(a - n) == 1 for a in lhs for n in rhs) else "nontrivial"
+
+
+# ---------------------------------------------------------------- full-vector descent
+
+def _sub_entries(R: dict[int, int], entries) -> bool:
+    """Subtract factorial exponents from the residual; True when no exponent
+    went negative.  Zero entries are deleted so max(R) is the top outstanding
+    prime.  Always fully applied; undo with _add_entries."""
+    clean = True
+    for p, e in entries:
+        v = R.get(p, 0) - e
+        if v:
+            R[p] = v
+            if v < 0:
+                clean = False
+        else:
+            R.pop(p, None)
+    return clean
+
+
+def _add_entries(R: dict[int, int], entries) -> None:
+    for p, e in entries:
+        v = R.get(p, 0) + e
+        if v:
+            R[p] = v
+        else:
+            R.pop(p, None)
+
+
+def _full_vector_descend(R, lhs, ub, t_max, nodes, emit) -> None:
+    if len(lhs) >= t_max:
+        return
+    p_star = max(R)
+    if p_star > ub:
+        return
+    for a in range(ub, max(p_star, 2) - 1, -1):
+        nodes[0] += 1
+        entries = factorial_expvec(a).entries
+        if _sub_entries(R, entries):
+            lhs.append(a)
+            if not R:
+                emit(tuple(lhs))
+            else:
+                _full_vector_descend(R, lhs, a, t_max, nodes, emit)
+            lhs.pop()
+        _add_entries(R, entries)
+
+
+def full_vector_census(n1_max: int, t_max: int, s_max: int):
+    """(disjoint (lhs, rhs) pairs in canonical (n1, rhs, lhs) order, nodes)."""
+    rhs_list: list[tuple[int, ...]] = []
+
+    def grow(prefix):
+        rhs_list.append(tuple(prefix))
+        if len(prefix) < s_max:
+            for v in range(prefix[-1], 1, -1):
+                grow(prefix + [v])
+
+    for n1 in range(3, n1_max + 1):
+        grow([n1])
+    sols, nodes = [], [0]
+    for rhs in rhs_list:
+        R: dict[int, int] = {}
+        for n in rhs:
+            _add_entries(R, factorial_expvec(n).entries)
+
+        def emit(lhs, rhs=rhs):
+            if not set(lhs) & set(rhs):
+                sols.append((lhs, rhs))
+
+        _full_vector_descend(R, [], rhs[0] - 1, t_max, nodes, emit)
+    sols.sort(key=lambda k: (k[1][0], k[1], k[0]))
+    return sols, nodes[0]
+
+
+def full_vector_delta(k_list, x_max: int, t_max: int):
+    """(sorted (xs, lhs) solutions of the fixed-gap search, nodes)."""
+    s = len(k_list)
+    sols, nodes = [], [0]
+
+    def xs_iter(prefix):
+        if len(prefix) == s:
+            yield tuple(prefix)
+            return
+        for v in range(prefix[-1], 0, -1):
+            yield from xs_iter(prefix + [v])
+
+    for x1 in range(3, x_max + 1):
+        for xs in xs_iter([x1]):
+            R: dict[int, int] = {}
+            for x, k in zip(xs, k_list):
+                _add_entries(R, factorial_expvec(x + k - 1).entries)
+                _sub_entries(R, factorial_expvec(x - 1).entries)
+            if R:
+                _full_vector_descend(
+                    R, [], xs[0] - 1, t_max, nodes, lambda lhs, xs=xs: sols.append((xs, lhs))
+                )
+    sols.sort(key=lambda r: (r[0][0], r[0], r[1]))
+    return sols, nodes[0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -100,6 +101,32 @@ def test_search_guard_exit_3(capsys):
         capsys, "search", "--n1-max", "1000000000", "--t-max", "4", "--s-max", "1"
     )
     assert code == 3 and "resource guard" in err
+
+
+def test_search_guard_message_counts_units_and_nodes(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "search", "--n1-max", "16", "--t-max", "5", "--s-max", "2",
+        "--workers", "1", "--max-nodes", "2000",
+    )
+    assert code == 3
+    assert re.search(r"\(\d+ of \d+ units completed, \d+ nodes\)", err), err
+
+
+@pytest.mark.parametrize("workers, needle", [("0", "--workers"), ("-3", "--workers")])
+def test_search_rejects_nonpositive_workers(capsys, workers, needle):
+    code, out, err = run_cli(
+        capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1", "--workers", workers
+    )
+    assert code == 2 and out == ""
+    assert needle in err
+
+
+def test_search_rejects_malformed_workers_env(capsys, monkeypatch):
+    monkeypatch.setenv("FACTPROD_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1")
+    assert code == 2 and out == ""
+    assert "FACTPROD_WORKERS" in err and "abc" in err
 
 
 # ---------------------------------------------------------------- density

@@ -11,7 +11,13 @@ from factprod.search import (
     search_factorial_products,
 )
 
-from oracles import brute_census, brute_delta_search, classify_brute
+from oracles import (
+    brute_census,
+    brute_delta_search,
+    classify_brute,
+    full_vector_census,
+    full_vector_delta,
+)
 
 
 def keyset(records):
@@ -100,6 +106,50 @@ def test_cancelling_diagnostics_off_by_default():
         assert set(lhs) & set(rhs)
 
 
+def test_cancelling_sink_identical_across_workers():
+    spec = SearchSpec(n1_max=12, t_max=4, s_max=2)
+    sinks = {}
+    for w in (1, 2, 3):
+        sinks[w] = []
+        search_factorial_products(spec, workers=w, cancelling_sink=sinks[w])
+    assert len(sinks[1]) == 32
+    assert sinks[1] == sinks[2] == sinks[3]
+
+
+# ---------------------------------------------------------------- full-vector oracle
+
+def assert_node_count(run, nodes):
+    """The search spends exactly ``nodes``: it fits a budget of that many
+    and trips one node below, having spent them all.  With more workers than
+    cores the shared counter must lose no update."""
+    for workers in (1, 4):
+        run(SearchGuards(max_nodes=nodes), workers)
+        with pytest.raises(ResourceGuardError) as e:
+            run(SearchGuards(max_nodes=nodes - 1), workers)
+        assert e.value.nodes == nodes
+
+
+@pytest.mark.parametrize("bounds", [(24, 6, 3), (60, 6, 2)])
+def test_census_matches_full_vector_oracle(bounds):
+    want, nodes = full_vector_census(*bounds)
+    recs = search_factorial_products(SearchSpec(*bounds))
+    assert [(r.eq.lhs, r.eq.rhs) for r in recs] == want
+    assert_node_count(
+        lambda g, w: search_factorial_products(SearchSpec(*bounds), guards=g, workers=w),
+        nodes,
+    )
+
+
+def test_search_delta_matches_full_vector_oracle():
+    # targets reach (x_max + 1)! = 61!, so the prime 61 > x_max enters the residual
+    k_list, x_max, t_max = (2, 3), 60, 5
+    want, nodes = full_vector_delta(k_list, x_max, t_max)
+    spec = DeltaSearchSpec(k_list, x_max, t_max)
+    assert [(r.x, r.a) for r in search_delta(spec)] == want
+    assert [(r.x, r.a) for r in search_delta(spec, workers=2)] == want
+    assert_node_count(lambda g, w: search_delta(spec, guards=g, workers=w), nodes)
+
+
 # ---------------------------------------------------------------- guards
 
 def test_guard_n1_ceiling():
@@ -118,6 +168,34 @@ def test_guard_node_budget_carries_partial():
         )
     assert isinstance(e.value.records, list)
     assert e.value.completed_units >= 0
+
+
+def test_guard_node_budget_serial_trip_point():
+    with pytest.raises(ResourceGuardError) as e:
+        search_factorial_products(
+            SearchSpec(n1_max=40, t_max=8, s_max=3),
+            guards=SearchGuards(max_nodes=300_000),
+        )
+    assert e.value.reason == "node budget exceeded (300297 > 300000)"
+    assert len(e.value.records) == 1886
+    assert e.value.completed_units == 3790
+    assert e.value.nodes == 300297
+
+
+def test_guard_node_budget_workers_2_keeps_completed_units():
+    spec = SearchSpec(n1_max=24, t_max=6, s_max=3)
+    full = search_factorial_products(spec)
+    with pytest.raises(ResourceGuardError) as e:
+        search_factorial_products(spec, guards=SearchGuards(max_nodes=50_000), workers=2)
+    err = e.value
+    assert err.reason.startswith("node budget exceeded")
+    assert err.nodes > 50_000
+    assert 0 < err.completed_units < err.total_units
+    done = set(err.completed)
+    assert len(done) == err.completed_units
+    assert [(r.eq.lhs, r.eq.rhs) for r in err.records] == [
+        (r.eq.lhs, r.eq.rhs) for r in full if r.eq.rhs in done
+    ]
 
 
 def test_spec_validation():
