@@ -18,12 +18,20 @@ reports the outcome with its margin; nothing here proves anything.  Checks:
                         c < N(abc)^(7/4) are recorded, never asserted
 * proof-chain audits -- the window-length/gap inequalities relating k1, m1,
                         and the largest leftover entry
+
+Every strict real-valued bound lhs < rhs (the prefix sums, the Stirling
+bounds, the abc window bound and chain inequalities 4 and 5) is built by one
+helper, ``_upper``, with the same float slack and margin rhs - lhs.  The
+chain_ineq4 bound has one definition shared by the abc report and the proof
+chain.  The smallest-radical pair is selected by one window walk,
+``_abc_rows``: ``abc_scan`` streams it over every m1, and
+``abc_window_report`` takes its single row for one window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +59,11 @@ class AuditFinding:
     margin: float
 
 
+def _upper(check_id: str, parameters: dict, lhs: float, rhs: float) -> AuditFinding:
+    """The strict real-valued bound lhs < rhs, up to SLACK; margin rhs - lhs."""
+    return AuditFinding(check_id, parameters, lhs, rhs, lhs < rhs + SLACK, rhs - lhs)
+
+
 def _kahan(values):
     """Running compensated prefix sums."""
     total = 0.0
@@ -72,13 +85,10 @@ def audit_theta(nu_max: float) -> list[AuditFinding]:
         return []
     ps = table(int(nu_max) + 1).primes_upto(nu_max)
     logs = np.log(ps.astype(np.float64))
-    findings = []
-    for p, total in zip(ps.tolist(), _kahan(logs.tolist())):
-        rhs = THETA_COEFF * p
-        findings.append(
-            AuditFinding("theta_upper", {"nu": p}, total, rhs, total < rhs + SLACK, rhs - total)
-        )
-    return findings
+    return [
+        _upper("theta_upper", {"nu": p}, total, THETA_COEFF * p)
+        for p, total in zip(ps.tolist(), _kahan(logs.tolist()))
+    ]
 
 
 def audit_mertens(nu_max: float) -> list[AuditFinding]:
@@ -94,17 +104,9 @@ def audit_mertens(nu_max: float) -> list[AuditFinding]:
     findings = []
     total = 0.0
     for p, total in zip(ps.tolist(), _kahan(terms.tolist())):
-        rhs = math.log(p)
-        findings.append(
-            AuditFinding("mertens_upper", {"nu": p}, total, rhs, total < rhs + SLACK, rhs - total)
-        )
+        findings.append(_upper("mertens_upper", {"nu": p}, total, math.log(p)))
     if float(nu_max) > float(ps[-1]):
-        rhs = math.log(nu_max)
-        findings.append(
-            AuditFinding(
-                "mertens_upper", {"nu": float(nu_max)}, total, rhs, total < rhs + SLACK, rhs - total
-            )
-        )
+        findings.append(_upper("mertens_upper", {"nu": float(nu_max)}, total, math.log(nu_max)))
     return findings
 
 
@@ -114,15 +116,10 @@ def audit_stirling_lower(n_max: int) -> list[AuditFinding]:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
-    findings = []
-    for a, logfact in zip(range(2, n_max + 1), _kahan(logs.tolist())):
-        lhs = a * math.log(a) - a
-        findings.append(
-            AuditFinding(
-                "stirling_lower", {"a": a}, lhs, logfact, lhs < logfact + SLACK, logfact - lhs
-            )
-        )
-    return findings
+    return [
+        _upper("stirling_lower", {"a": a}, a * math.log(a) - a, logfact)
+        for a, logfact in zip(range(2, n_max + 1), _kahan(logs.tolist()))
+    ]
 
 
 def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
@@ -165,16 +162,12 @@ def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
     if df.leftover:
         a = max(df.leftover)
         ksum = sum(k for _, k in df.blocks)
-        lhs = a * math.log(a) - a
-        rhs = ksum * math.log(2 * m1)
         findings.append(
-            AuditFinding(
+            _upper(
                 "window_stirling_bound",
                 {"m1": m1, "k1": k1, "a": a, "k_sum": ksum},
-                lhs,
-                rhs,
-                lhs < rhs + SLACK,
-                rhs - lhs,
+                a * math.log(a) - a,
+                ksum * math.log(2 * m1),
             )
         )
     return findings
@@ -265,45 +258,43 @@ class AbcTripleReport:
     ineq4: AuditFinding | None = None
 
 
-def _abc_from_window(m1, k1, j1, j2, rad_of) -> tuple:
-    u, v = m1 + j1, m1 + j2
-    hi, lo = (u, v) if u >= v else (v, u)
-    d = math.gcd(hi, lo)
-    cc = hi // d
-    aa = lo // d
-    bb = (hi - lo) // d
-    rad_abc = rad_of(aa) * rad_of(bb) * rad_of(cc)
-    quality = math.log(cc) / math.log(rad_abc)
-    explicit_ok = cc**4 < rad_abc**7
-    return d, aa, bb, cc, rad_abc, quality, explicit_ok
+def _abc_rows(rad, m1s, k1_min: int, k1_max: int):
+    """AbcTripleReports for every m1 in m1s and k1_min <= k1 <= k1_max.
+
+    rad is a radical table covering m1 + k1_max - 1.  The two
+    lexicographically smallest (radical, offset) pairs are kept as the window
+    grows, so each m1 costs k1_max steps.  The radical product is a Python
+    int: the product of three int64 radicals can overflow int64.
+    """
+    for m1 in m1s:
+        b0 = b1 = None
+        for k in range(1, k1_max + 1):
+            cand = (rad[m1 + k - 1], k - 1)
+            if b0 is None or cand < b0:
+                b0, b1 = cand, b0
+            elif b1 is None or cand < b1:
+                b1 = cand
+            if k < k1_min:
+                continue
+            j1, j2 = b0[1], b1[1]
+            u, v = m1 + j1, m1 + j2
+            hi, lo = (u, v) if u >= v else (v, u)
+            d = math.gcd(hi, lo)
+            cc, aa, bb = hi // d, lo // d, (hi - lo) // d
+            rad_abc = int(rad[aa]) * int(rad[bb]) * int(rad[cc])
+            yield AbcTripleReport(
+                m1, k, j1, j2, d, aa, bb, cc, rad_abc,
+                math.log(cc) / math.log(rad_abc), cc**4 < rad_abc**7,
+            )
 
 
-def _window_extras(m1, k1, a2, window_radicals):
-    log_prod = float(math.fsum(math.log(r) for r in window_radicals))
-    rhs = THETA_COEFF * a2 + k1 * math.log(k1)
-    window_bound = AuditFinding(
-        "abc_window_bound",
-        {"m1": m1, "k1": k1, "a2": a2},
-        log_prod,
-        rhs,
-        log_prod < rhs + SLACK,
-        rhs - log_prod,
-    )
-    lhs4 = k1 * math.log(m1)
-    rhs4 = 1.75 * (
+def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
+    rhs = 1.75 * (
         k1 * (2 * THETA_COEFF) * a2 / (k1 - 1)
         + 2 * k1 * k1 * math.log(k1) / (k1 - 1)
         + k1 * math.log(k1)
     )
-    ineq4 = AuditFinding(
-        "chain_ineq4",
-        {"m1": m1, "k1": k1, "a2": a2},
-        lhs4,
-        rhs4,
-        lhs4 < rhs4 + SLACK,
-        rhs4 - lhs4,
-    )
-    return window_bound, ineq4
+    return _upper("chain_ineq4", {"m1": m1, "k1": k1, "a2": a2}, k1 * math.log(m1), rhs)
 
 
 def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleReport:
@@ -318,33 +309,30 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         raise ValueError("m1 must be >= 1")
     if k1 < 3:
         raise ValueError("k1 must be >= 3 so two distinct minimal-radical terms exist")
+    if a2 is not None and a2 < 2:
+        raise ValueError("a2 must be >= 2")
     rad = radical_table(m1 + k1)
-    window = [int(rad[m1 + i]) for i in range(k1)]
-    order = sorted(range(k1), key=lambda i: (window[i], i))
-    j1, j2 = order[0], order[1]
+    rep = next(_abc_rows(rad, (m1,), k1, k1))
+    window = rad[m1 : m1 + k1]
     # selection invariant: the chosen radicals are <= every other in the window
-    others = [window[i] for i in range(k1) if i not in (j1, j2)]
-    assert all(window[j1] <= w and window[j2] <= w for w in others)
-    d, aa, bb, cc, rad_abc, quality, explicit_ok = _abc_from_window(
-        m1, k1, j1, j2, lambda n: int(rad[n])
+    others = np.delete(window, [rep.j1, rep.j2])
+    assert max(window[rep.j1], window[rep.j2]) <= others.min()
+    if a2 is None:
+        return rep
+    log_prod = math.fsum(math.log(r) for r in window.tolist())
+    window_bound = _upper(
+        "abc_window_bound",
+        {"m1": m1, "k1": k1, "a2": a2},
+        log_prod,
+        THETA_COEFF * a2 + k1 * math.log(k1),
     )
-    window_bound = ineq4 = None
-    if a2 is not None:
-        if a2 < 2:
-            raise ValueError("a2 must be >= 2")
-        window_bound, ineq4 = _window_extras(m1, k1, a2, window)
-    return AbcTripleReport(
-        m1, k1, j1, j2, d, aa, bb, cc, rad_abc, quality, explicit_ok, window_bound, ineq4
-    )
+    return replace(rep, window_bound=window_bound, ineq4=_chain_ineq4(m1, k1, a2))
 
 
 def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     """Stream AbcTripleReports for every window with m1 <= m1_max and
-    k1_min <= k1 <= k1_max, sharing one radical table.
-
-    The two smallest radicals are maintained incrementally as the window
-    grows, so the scan is linear in the number of (m1, k1) pairs.
-    """
+    k1_min <= k1 <= k1_max, sharing one radical table; linear in the number
+    of (m1, k1) pairs."""
     if k1_min < 3:
         raise ValueError("k1_min must be >= 3")
     if k1_max < k1_min:
@@ -352,27 +340,7 @@ def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     if m1_max < 1:
         raise ValueError("m1_max must be >= 1")
     rad = radical_table(m1_max + k1_max).tolist()
-
-    def rad_of(n: int) -> int:
-        return rad[n]
-
-    for m1 in range(1, m1_max + 1):
-        b0 = b1 = None  # two lexicographically smallest (radical, offset)
-        for k in range(1, k1_max + 1):
-            cand = (rad[m1 + k - 1], k - 1)
-            if b0 is None or cand < b0:
-                b0, b1 = cand, b0
-            elif b1 is None or cand < b1:
-                b1 = cand
-            if k < k1_min:
-                continue
-            j1, j2 = b0[1], b1[1]
-            d, aa, bb, cc, rad_abc, quality, explicit_ok = _abc_from_window(
-                m1, k, j1, j2, rad_of
-            )
-            yield AbcTripleReport(
-                m1, k, j1, j2, d, aa, bb, cc, rad_abc, quality, explicit_ok
-            )
+    yield from _abc_rows(rad, range(1, m1_max + 1), k1_min, k1_max)
 
 
 def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFinding]:
@@ -392,33 +360,14 @@ def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFindin
         raise ValueError("c must be >= 1")
     m1, k1 = df.blocks[0]
     a2 = max(df.leftover)
-    findings = []
-    lhs4 = k1 * math.log(m1)
-    rhs4 = 1.75 * (
-        k1 * (2 * THETA_COEFF) * a2 / (k1 - 1)
-        + 2 * k1 * k1 * math.log(k1) / (k1 - 1)
-        + k1 * math.log(k1)
-    )
-    findings.append(
-        AuditFinding(
-            "chain_ineq4",
-            {"m1": m1, "k1": k1, "a2": a2},
-            lhs4,
-            rhs4,
-            lhs4 < rhs4 + SLACK,
-            rhs4 - lhs4,
-        )
-    )
+    findings = [_chain_ineq4(m1, k1, a2)]
     if k1 >= kappa:
-        lhs5 = ERDOS_COEFF * k1 * math.log(k1)
         findings.append(
-            AuditFinding(
+            _upper(
                 "chain_ineq5",
                 {"k1": k1, "a2": a2, "kappa": kappa},
-                lhs5,
+                ERDOS_COEFF * k1 * math.log(k1),
                 float(a2),
-                a2 > lhs5 - SLACK,
-                a2 - lhs5,
             )
         )
     ks = [k for _, k in df.blocks]

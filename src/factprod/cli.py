@@ -31,7 +31,14 @@ from .audit import (
     audit_theta,
     findings_csv,
 )
-from .density import DensityEstimate, RegionSpec, analytic_density_t3s2, mc_density, quadrature_density
+from .density import (
+    DensityEstimate,
+    RegionSpec,
+    _quad_panels,
+    analytic_density_t3s2,
+    mc_density,
+    quadrature_density,
+)
 from .equations import EquationError, FactorialEquation, default_pairing, Pairing, to_delta_form, verify
 from .search import (
     ResourceGuardError,
@@ -46,6 +53,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+
+# AbcTripleReport fields shown by `abc` and written by `audit --check window`
+_ABC_COLUMNS = ("m1", "k1", "j1", "j2", "d", "a", "b", "c", "radical_abc", "quality", "explicit_ok")
 
 
 def _meta(command: str, config: dict) -> dict:
@@ -96,9 +106,12 @@ def record_jsonl(records) -> str:
     return "".join(json.dumps(_record_obj(r), separators=(",", ":")) + "\n" for r in records)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(flag: str, text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+    try:
+        return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+    except ValueError:
+        raise ValueError(f"{flag} must be lo:hi or one integer, got {text!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -169,6 +182,9 @@ def cmd_density(args) -> int:
     pairing = tuple(int(v) for v in args.pairing.split(",")) if args.pairing else ()
     spec = RegionSpec(t=args.t, s=args.s, c=args.c, pairing=pairing)
     workers = _workers(args)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    _quad_panels(spec, args.resolution)  # reject what the quadrature cannot run before sampling
     est = mc_density(spec, args.samples, args.seed, workers=workers)
     quad = quadrature_density(spec, args.resolution)
     analytic = None
@@ -189,6 +205,8 @@ def cmd_density(args) -> int:
 
 
 def _chain_findings(args):
+    if args.equation is None:
+        raise ValueError("--check chain requires --equation")
     eq = FactorialEquation.parse(args.equation)
     rec = verify(eq)
     if not rec.holds:
@@ -233,7 +251,7 @@ def cmd_audit(args) -> int:
         if args.out:
             findings_text = findings_csv(bad if args.violations_only else findings, None)
     elif check == "erdos":
-        scan = audit_erdos_pdelta(_parse_range(args.x), _parse_range(args.k))
+        scan = audit_erdos_pdelta(_parse_range("--x", args.x), _parse_range("--k", args.k))
         meta_cfg.update({"x": args.x, "k": args.k})
         result = {
             "eligible_windows": len(scan.findings),
@@ -267,13 +285,13 @@ def cmd_audit(args) -> int:
     elif check == "window":
         if args.m1_max is None or args.m1_max < 1:
             raise ValueError("--m1-max must be >= 1")
-        k_lo, k_hi = _parse_range(args.k1)
+        k_lo, k_hi = _parse_range("--k1", args.k1)
         meta_cfg.update({"m1_max": args.m1_max, "k1": args.k1})
         count = 0
         explicit_failures = []
         best_quality = 0.0
         best_at = None
-        rows = ["m1,k1,j1,j2,d,a,b,c,radical_abc,quality,explicit_ok"]
+        rows = [",".join(_ABC_COLUMNS)]
         keep_rows = args.out is not None
         for rep in abc_scan(args.m1_max, k_lo, k_hi):
             count += 1
@@ -284,9 +302,10 @@ def cmd_audit(args) -> int:
                 explicit_failures.append((rep.m1, rep.k1))
             if keep_rows:
                 rows.append(
-                    f"{rep.m1},{rep.k1},{rep.j1},{rep.j2},{rep.d},{rep.a},{rep.b},"
-                    f"{rep.c},{rep.radical_abc},{rep.quality!r},"
-                    f"{'true' if rep.explicit_ok else 'false'}"
+                    ",".join(
+                        ("true" if v else "false") if isinstance(v, bool) else str(v)
+                        for v in (getattr(rep, name) for name in _ABC_COLUMNS)
+                    )
                 )
         violations = len(explicit_failures)
         if violations:
@@ -316,19 +335,7 @@ def cmd_audit(args) -> int:
 
 def cmd_abc(args) -> int:
     rep = abc_window_report(args.m1, args.k1, args.a2)
-    result = {
-        "m1": rep.m1,
-        "k1": rep.k1,
-        "j1": rep.j1,
-        "j2": rep.j2,
-        "d": rep.d,
-        "a": rep.a,
-        "b": rep.b,
-        "c": rep.c,
-        "radical_abc": rep.radical_abc,
-        "quality": rep.quality,
-        "explicit_ok": rep.explicit_ok,
-    }
+    result = {name: getattr(rep, name) for name in _ABC_COLUMNS}
     for name, f in (("window_bound", rep.window_bound), ("ineq4", rep.ineq4)):
         if f is not None:
             result[name] = {"lhs": f.lhs_value, "rhs": f.rhs_value, "ok": f.ok}

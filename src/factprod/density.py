@@ -309,6 +309,17 @@ def _quad_s3(spec: RegionSpec, n: int) -> float:
 _DEFAULT_PANELS = {1: 512, 2: 48, 3: 64}
 
 
+def _quad_panels(spec: RegionSpec, resolution: int | None) -> int:
+    """Panel count for quadrature_density; rejects the shapes and
+    resolutions it does not support."""
+    if spec.s + spec.t > 6:
+        raise ValueError("dimension guard: s + t must be <= 6")
+    panels = resolution if resolution is not None else _DEFAULT_PANELS[min(spec.s, 3)]
+    if panels < 1:
+        raise ValueError("resolution must be >= 1")
+    return panels
+
+
 def quadrature_density(spec: RegionSpec, resolution: int | None = None) -> float:
     """Deterministic nested-integration estimate of the region's volume.
 
@@ -318,11 +329,7 @@ def quadrature_density(spec: RegionSpec, resolution: int | None = None) -> float
     result is exact to roundoff at any resolution; for s = 3 the outer axes
     use midpoint panels and the error decays like resolution^-2.
     """
-    if spec.s + spec.t > 6:
-        raise ValueError("dimension guard: s + t must be <= 6")
-    panels = resolution if resolution is not None else _DEFAULT_PANELS[min(spec.s, 3)]
-    if panels < 1:
-        raise ValueError("resolution must be >= 1")
+    panels = _quad_panels(spec, resolution)
     if spec.s == 1:
         return _quad_s1(spec, panels)
     if spec.s == 2:

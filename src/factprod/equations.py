@@ -303,6 +303,12 @@ def all_pairings(eq: FactorialEquation) -> Iterator[Pairing]:
             yield Pairing(indices)
 
 
+def gap_ratio_ok(ks, c) -> bool:
+    """The gap-ratio condition of N(c) on block lengths k_1..k_s:
+    max(k_2..k_s) <= c * k_1, vacuous when s = 1."""
+    return len(ks) == 1 or max(ks[1:]) <= c * ks[0]
+
+
 def in_nc(eq: FactorialEquation, pairing: Pairing, c) -> bool:
     """Membership in N(c) for this pairing: the solution must hold, be
     nontrivial, satisfy n_j > a_{i_j} for all j, and have
@@ -315,8 +321,4 @@ def in_nc(eq: FactorialEquation, pairing: Pairing, c) -> bool:
     pairing.validate_for(eq)
     if rec.classification != NONTRIVIAL:
         return False
-    df = to_delta_form(eq, pairing)
-    ks = [k for _, k in df.blocks]
-    if len(ks) == 1:
-        return True
-    return max(ks[1:]) <= c * ks[0]
+    return gap_ratio_ok([k for _, k in to_delta_form(eq, pairing).blocks], c)

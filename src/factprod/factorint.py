@@ -22,6 +22,11 @@ DEFAULT_SIEVE_LIMIT = 1_000_000
 # misuse of the toolkit, not a workload it should silently attempt.
 SIEVE_CEILING = 200_000_000
 
+# Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def _sieve_flags(limit: int) -> np.ndarray:
     flags = np.ones(limit + 1, dtype=bool)
@@ -33,7 +38,8 @@ def _sieve_flags(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """All primes up to ``limit``, from a boolean Eratosthenes sieve.
+    """All primes up to ``limit``, from a boolean Eratosthenes sieve;
+    ``is_prime`` above the limit is deterministic Miller-Rabin.
 
     Instances are immutable; ``extended`` returns a new, larger table rather
     than mutating in place, so a shared table is safe for concurrent readers.
@@ -59,15 +65,7 @@ class PrimeTable:
             return False
         if n <= self.limit:
             return bool(self.flags[n])
-        root = math.isqrt(n)
-        tbl = self if root <= self.limit else PrimeTable(root)
-        for p in tbl.primes:
-            p = int(p)
-            if p > root:
-                break
-            if n % p == 0:
-                return False
-        return True
+        return _miller_rabin(int(n))
 
     def primes_upto(self, x: float) -> np.ndarray:
         """Increasing array of all primes <= x (requires x <= limit)."""
@@ -78,6 +76,28 @@ class PrimeTable:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PrimeTable(limit={self.limit}, count={len(self.primes)})"
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic primality for 2 <= n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime({n}): n must be below {_MR_LIMIT}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 _table_lock = threading.Lock()

@@ -36,6 +36,7 @@ from .equations import (
     SolutionRecord,
     all_pairings,
     default_pairing,
+    gap_ratio_ok,
     in_nc,
     to_delta_form,
     verify,
@@ -86,11 +87,9 @@ class DeltaSearchSpec:
             raise ValueError("c must be >= 1")
 
     def ratio_ok(self) -> bool:
-        """Gap-ratio predicate max(k_2..k_s) <= c * k_1; vacuous when c unset
-        or s = 1.  The gaps are fixed inputs, so this decides the whole run."""
-        if self.c is None or len(self.k_list) == 1:
-            return True
-        return max(self.k_list[1:]) <= self.c * self.k_list[0]
+        """``gap_ratio_ok`` on k_list; vacuous when c is unset.  The gaps are
+        fixed inputs, so this decides the whole run."""
+        return self.c is None or gap_ratio_ok(self.k_list, self.c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,12 +289,10 @@ def _rhs_units(spec: SearchSpec) -> list[tuple[int, ...]]:
 def _passes_nc(rec: SolutionRecord, c: int) -> bool:
     if rec.classification != NONTRIVIAL:
         return False
-    for pairing in all_pairings(rec.eq):
-        df = to_delta_form(rec.eq, pairing)
-        ks = [k for _, k in df.blocks]
-        if len(ks) == 1 or max(ks[1:]) <= c * ks[0]:
-            return True
-    return False
+    return any(
+        gap_ratio_ok([k for _, k in to_delta_form(rec.eq, pairing).blocks], c)
+        for pairing in all_pairings(rec.eq)
+    )
 
 
 def _attach_delta_form(rec: SolutionRecord) -> SolutionRecord:

@@ -153,6 +153,24 @@ def test_density_validation_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_density_rejects_before_estimating(capsys, monkeypatch):
+    def estimate_ran(*args, **kwargs):
+        raise AssertionError("an estimate ran on rejected input")
+
+    monkeypatch.setattr("factprod.cli.mc_density", estimate_ran)
+    code, _, err = run_cli(capsys, "density", "--t", "4", "--s", "3", "--c", "1")
+    assert code == 2 and "dimension guard" in err
+    monkeypatch.setattr("factprod.cli.quadrature_density", estimate_ran)
+    code, _, err = run_cli(
+        capsys, "density", "--t", "3", "--s", "2", "--c", "1", "--samples", "0"
+    )
+    assert code == 2 and "--samples" in err
+    code, _, err = run_cli(
+        capsys, "density", "--t", "3", "--s", "2", "--c", "1", "--resolution", "0"
+    )
+    assert code == 2 and "resolution" in err
+
+
 def test_density_no_analytic_off_flagship(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -211,6 +229,23 @@ def test_audit_chain(capsys):
     _, result = parse_doc(out)
     ids = [f["check_id"] for f in result["findings"]]
     assert "chain_ineq4" in ids
+
+
+def test_audit_chain_requires_equation(capsys):
+    code, _, err = run_cli(capsys, "audit", "--check", "chain")
+    assert code == 2 and "--equation" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--check", "window", "--m1-max", "10", "--k1", "3:5:7"),
+        ("--check", "erdos", "--x", "2:abc"),
+    ],
+)
+def test_audit_bad_range_names_flag(capsys, argv):
+    code, _, err = run_cli(capsys, "audit", *argv)
+    assert code == 2 and f"error: {argv[-2]} must be" in err
 
 
 def test_audit_window_scan(capsys, tmp_path):

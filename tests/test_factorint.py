@@ -45,6 +45,20 @@ def test_is_prime_beyond_limit_uses_trial_division():
     assert not tbl.is_prime(10009 * 3)
 
 
+def test_is_prime_beyond_limit_matches_sieve():
+    small, big = PrimeTable(1000), PrimeTable(20000)
+    assert all(small.is_prime(n) == bool(big.flags[n]) for n in range(1001, 20001))
+
+
+def test_is_prime_miller_rabin_large():
+    tbl = PrimeTable(1000)
+    assert tbl.is_prime(2**61 - 1)
+    assert not tbl.is_prime(2**61 + 1)
+    assert not tbl.is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(ValueError):
+        tbl.is_prime(3_317_044_064_679_887_385_961_981)
+
+
 # ---------------------------------------------------------------- vp / factorial vectors
 
 def test_vp_factorial_examples():
