@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equations import DeltaForm, delta_form_holds
-from .factorint import is_prime, lpf_table, radical_table, table
+from .factorint import is_prime, lpf_table, radical, radical_table, table
 
 THETA_COEFF = 1.00008
 ERDOS_COEFF = 2.0 / 7.0
@@ -261,10 +261,10 @@ class AbcTripleReport:
 def _abc_rows(rad, m1s, k1_min: int, k1_max: int):
     """AbcTripleReports for every m1 in m1s and k1_min <= k1 <= k1_max.
 
-    rad is a radical table covering m1 + k1_max - 1.  The two
-    lexicographically smallest (radical, offset) pairs are kept as the window
-    grows, so each m1 costs k1_max steps.  The radical product is a Python
-    int: the product of three int64 radicals can overflow int64.
+    rad[n] is the radical of n as a Python int (so the radical product
+    cannot overflow), from a list covering m1 + k1_max - 1 or a _Radicals
+    lookup.  The two lexicographically smallest (radical, offset) pairs are
+    kept as the window grows, so each m1 costs k1_max steps.
     """
     for m1 in m1s:
         b0 = b1 = None
@@ -281,7 +281,7 @@ def _abc_rows(rad, m1s, k1_min: int, k1_max: int):
             hi, lo = (u, v) if u >= v else (v, u)
             d = math.gcd(hi, lo)
             cc, aa, bb = hi // d, lo // d, (hi - lo) // d
-            rad_abc = int(rad[aa]) * int(rad[bb]) * int(rad[cc])
+            rad_abc = rad[aa] * rad[bb] * rad[cc]
             yield AbcTripleReport(
                 m1, k, j1, j2, d, aa, bb, cc, rad_abc,
                 math.log(cc) / math.log(rad_abc), cc**4 < rad_abc**7,
@@ -295,6 +295,15 @@ def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
         + k1 * math.log(k1)
     )
     return _upper("chain_ineq4", {"m1": m1, "k1": k1, "a2": a2}, k1 * math.log(m1), rhs)
+
+
+class _Radicals(dict):
+    """rad[n] by factoring n on first use: one window needs k1 + 3 radicals,
+    not a table up to m1 + k1."""
+
+    def __missing__(self, n: int) -> int:
+        self[n] = r = radical(n)
+        return r
 
 
 def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleReport:
@@ -311,15 +320,15 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         raise ValueError("k1 must be >= 3 so two distinct minimal-radical terms exist")
     if a2 is not None and a2 < 2:
         raise ValueError("a2 must be >= 2")
-    rad = radical_table(m1 + k1)
+    rad = _Radicals()
     rep = next(_abc_rows(rad, (m1,), k1, k1))
-    window = rad[m1 : m1 + k1]
+    window = [rad[m1 + j] for j in range(k1)]
     # selection invariant: the chosen radicals are <= every other in the window
-    others = np.delete(window, [rep.j1, rep.j2])
-    assert max(window[rep.j1], window[rep.j2]) <= others.min()
+    others = [r for j, r in enumerate(window) if j not in (rep.j1, rep.j2)]
+    assert max(window[rep.j1], window[rep.j2]) <= min(others)
     if a2 is None:
         return rep
-    log_prod = math.fsum(math.log(r) for r in window.tolist())
+    log_prod = math.fsum(math.log(r) for r in window)
     window_bound = _upper(
         "abc_window_bound",
         {"m1": m1, "k1": k1, "a2": a2},

@@ -107,9 +107,9 @@ def record_jsonl(records) -> str:
 
 
 def _parse_range(flag: str, text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
+    lo, colon, hi = text.partition(":")
     try:
-        return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+        return (int(lo), int(hi)) if colon else (int(lo), int(lo))
     except ValueError:
         raise ValueError(f"{flag} must be lo:hi or one integer, got {text!r}") from None
 
@@ -286,6 +286,8 @@ def cmd_audit(args) -> int:
         if args.m1_max is None or args.m1_max < 1:
             raise ValueError("--m1-max must be >= 1")
         k_lo, k_hi = _parse_range("--k1", args.k1)
+        if not 3 <= k_lo <= k_hi:
+            raise ValueError(f"--k1 must be lo:hi with 3 <= lo <= hi, got {args.k1!r}")
         meta_cfg.update({"m1_max": args.m1_max, "k1": args.k1})
         count = 0
         explicit_failures = []

@@ -5,9 +5,8 @@ and extends the left side depth-first while maintaining the residual.  Three
 prunes keep it exact and fast: (a) any negative exponent kills the branch,
 (b) the largest outstanding prime p* forces the next entry to be >= p* (only
 a! with a >= p* can supply p*), and (c) depth is capped by t_max.  Orientation
-(rhs[0] > lhs[0]) is built into the descent bound; disjointness is enforced at
-emission so the same engine can optionally report cancelling identities for
-diagnostics.
+(rhs[0] > lhs[0]) is built into the descent bound; disjointness is a filter
+in the census unit.
 
 The residual is dense: a list of exponents indexed by prime rank, with
 running counts of its negative and of its nonzero entries, so prune (a) and
@@ -17,11 +16,15 @@ exponents of factorize(a) (at most three primes for a <= 100), and the level
 ends by adding lo! back.  One node is one value of a tried at one level, and
 the node budget is polled every _POLL nodes.
 
-Enumeration is structurally duplicate-free (both sides are generated
-non-increasing) and the merged output is sorted on (n1, rhs, lhs), so results
-are identical for any worker count.  Work units (one per right-hand side, or
-per x vector in the fixed-gap search) fan out over forked processes that
-share one node counter.
+The census and the fixed-gap search are two target builders on one driver.
+A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
+whose target is prod n_j!, or a start vector x, whose target is
+prod (x_j + k_j - 1)! / (x_j - 1)!.  ``_Tables.left_sides`` descends the
+target; the units fan out over forked processes that share one node counter,
+and their results are merged in unit order and sorted on a canonical key
+((n1, rhs, lhs) for the census), so results are identical for any worker
+count.  Enumeration is structurally duplicate-free: both sides are generated
+non-increasing.
 """
 
 from __future__ import annotations
@@ -178,59 +181,51 @@ class _Tables:
     ``primes`` lists the primes up to ``prime_max`` (the largest factorial in
     any target) by rank; ``step[a]`` and ``fact[a]`` are the (rank, exponent)
     pairs of factorize(a) and of a!, for the entries a <= ``n_max`` the
-    descent can place."""
+    descent can place; left sides have at most ``t_max`` entries."""
 
-    __slots__ = ("primes", "rank", "step", "fact")
+    __slots__ = ("primes", "rank", "step", "fact", "t_max")
 
-    def __init__(self, n_max: int, prime_max: int) -> None:
+    def __init__(self, n_max: int, prime_max: int, t_max: int) -> None:
         self.primes = [int(p) for p in table(prime_max).primes_upto(prime_max)]
         self.rank = {p: i for i, p in enumerate(self.primes)}
         self.step = [()] * 2 + [self._ranked(factorize(a)) for a in range(2, n_max + 1)]
         self.fact = [self._ranked(factorial_expvec(a).entries) for a in range(n_max + 1)]
+        self.t_max = t_max
 
     def _ranked(self, entries) -> tuple[tuple[int, int], ...]:
         return tuple((self.rank[p], e) for p, e in entries)
 
-    def add_factorial(self, R: list[int], n: int, sign: int) -> None:
-        for p, e in factorial_expvec(n).entries:
-            R[self.rank[p]] += sign * e
-
-
-class _Walk:
-    """What one work unit's descent reads but never changes."""
-
-    __slots__ = ("primes", "step", "fact", "t_max", "budget", "emit")
-
-    def __init__(self, tables: _Tables, t_max: int, budget: _Budget, emit) -> None:
-        self.primes = tables.primes
-        self.step = tables.step
-        self.fact = tables.fact
-        self.t_max = t_max
-        self.budget = budget
-        self.emit = emit
-
-    def run(self, R: list[int], ub: int) -> None:
-        """Descend from a nonnegative residual; the budget is settled at the
-        end, so a unit's nodes are all counted before it completes."""
+    def left_sides(self, target, ub: int, budget: _Budget) -> list[tuple[int, ...]]:
+        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2 and
+        t <= t_max whose factorials multiply to the target, the integer
+        prod(n! ** sign) over its (n, sign) terms.  The budget is settled
+        before returning, so a unit's nodes are all counted before it
+        completes."""
+        R = [0] * len(self.primes)
+        for n, sign in target:
+            for p, e in factorial_expvec(n).entries:
+                R[self.rank[p]] += sign * e
+        out: list[tuple[int, ...]] = []
         nz = sum(1 for v in R if v)
         if nz:
-            self.budget.spend(_descend(self, R, nz, len(R) - 1, [], ub, 0))
+            budget.spend(_descend(self, budget, out, R, nz, len(R) - 1, [], ub, 0))
+        return out
 
 
-def _descend(w: _Walk, R, nz, top, lhs, ub, pending) -> int:
+def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, pending) -> int:
     """One level of the descent over a residual with no negative entry and
-    ``nz`` nonzero ones, none above rank ``top``.  Leaves R as it found it;
-    returns the count of nodes not yet charged to the budget."""
+    ``nz`` nonzero ones, none above rank ``top``; appends every completed
+    left side to ``out``.  Leaves R as it found it; returns the count of
+    nodes not yet charged to the budget."""
     while not R[top]:
         top -= 1
-    lo = w.primes[top]  # p*: only a! with a >= p* supplies it
+    lo = t.primes[top]  # p*: only a! with a >= p* supplies it
     if lo > ub:
         return pending
-    step = w.step
-    budget = w.budget
-    deeper = len(lhs) + 1 < w.t_max
+    step = t.step
+    deeper = len(lhs) + 1 < t.t_max
     neg = 0
-    for r, e in w.fact[ub]:
+    for r, e in t.fact[ub]:
         v = R[r]
         R[r] = v - e
         if v < e:
@@ -248,9 +243,9 @@ def _descend(w: _Walk, R, nz, top, lhs, ub, pending) -> int:
         if not neg:
             lhs.append(a)
             if not nz:
-                w.emit(tuple(lhs))
+                out.append(tuple(lhs))
             elif deeper:
-                pending = _descend(w, R, nz, top, lhs, a, pending)
+                pending = _descend(t, budget, out, R, nz, top, lhs, a, pending)
             lhs.pop()
         if a == lo:
             break
@@ -265,25 +260,24 @@ def _descend(w: _Walk, R, nz, top, lhs, ub, pending) -> int:
             elif not v:
                 nz += 1
         a -= 1
-    for r, e in w.fact[lo]:
+    for r, e in t.fact[lo]:
         R[r] += e
     return pending
 
 
-def _rhs_units(spec: SearchSpec) -> list[tuple[int, ...]]:
-    units: list[tuple[int, ...]] = []
+def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
+    """Non-increasing tuples with first entry 3..first_max, later entries
+    >= least and min_len..max_len entries, each before its extensions."""
 
-    def grow(prefix: list[int]) -> None:
-        units.append(tuple(prefix))
-        if len(prefix) < spec.s_max:
-            for v in range(prefix[-1], 1, -1):
-                prefix.append(v)
-                grow(prefix)
-                prefix.pop()
+    def grow(prefix: tuple[int, ...]):
+        if len(prefix) >= min_len:
+            yield prefix
+        if len(prefix) < max_len:
+            for v in range(prefix[-1], least - 1, -1):
+                yield from grow(prefix + (v,))
 
-    for n1 in range(3, spec.n1_max + 1):
-        grow([n1])
-    return units
+    for first in range(3, first_max + 1):
+        yield from grow((first,))
 
 
 def _passes_nc(rec: SolutionRecord, c: int) -> bool:
@@ -303,35 +297,21 @@ def _attach_delta_form(rec: SolutionRecord) -> SolutionRecord:
 
 
 def _census_unit(
-    rhs: tuple[int, ...],
-    spec: SearchSpec,
-    tables: _Tables,
-    budget: _Budget,
-    keep_cancelling: bool,
-) -> tuple[list[SolutionRecord], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """The records of one right-hand side, and its cancelling (lhs, rhs)
-    pairs when ``keep_cancelling``."""
+    rhs: tuple[int, ...], spec: SearchSpec, tables: _Tables, budget: _Budget
+) -> list[SolutionRecord]:
+    """The records of one right-hand side: its left sides that share no
+    entry with it, verified and filtered."""
     records: list[SolutionRecord] = []
-    cancelling: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    rhs_set = set(rhs)
-
-    def emit(lhs: tuple[int, ...]) -> None:
-        if rhs_set.intersection(lhs):
-            if keep_cancelling:
-                cancelling.append((lhs, rhs))
-            return
+    for lhs in tables.left_sides([(n, 1) for n in rhs], rhs[0] - 1, budget):
+        if not set(rhs).isdisjoint(lhs):
+            continue
         rec = _attach_delta_form(verify(FactorialEquation(lhs, rhs)))
         if spec.nontrivial_only and rec.classification != NONTRIVIAL:
-            return
+            continue
         if spec.c is not None and not _passes_nc(rec, spec.c):
-            return
+            continue
         records.append(rec)
-
-    R = [0] * len(tables.primes)
-    for n in rhs:
-        tables.add_factorial(R, n, 1)
-    _Walk(tables, spec.t_max, budget, emit).run(R, rhs[0] - 1)
-    return records, cancelling
+    return records
 
 
 def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
@@ -355,30 +335,8 @@ def _forked_slice(conn, units, indices, work, budget: _Budget) -> None:
         conn.close()
 
 
-def _run_units(units, work, workers: int, guards: SearchGuards) -> tuple[dict, str, int]:
-    """Run independent work units ``work(unit, budget)`` under one node/time
-    budget; returns ({index: result} for the completed units, trip reason or
-    "", nodes spent).
-
-    With ``workers > 1`` the units are dealt round-robin (unit i to worker
-    i mod workers, since unit cost grows with n1) to forked processes that
-    share one node counter, so max_nodes stays a global ceiling.  Fork, not
-    spawn: the children inherit the search tables and run only the
-    pure-Python descent, and a spawned worker would re-import numpy and the
-    package on every call.  Without fork the units run in-process.
-    """
-    workers = min(workers, len(units))
-    if workers <= 1:
-        budget = _Budget(guards)
-        done, reason = _run_slice(units, range(len(units)), work, budget)
-        return done, reason, budget.spent()
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return _run_units(units, work, 1, guards)
-    budget = _Budget(guards, ctx.Value("q", 0))
+def _run_forked(ctx, units, work, workers: int, budget: _Budget) -> tuple[dict, str]:
+    """``_run_slice`` over all units, dealt round-robin to forked workers."""
     procs = []
     done: dict = {}
     reasons = []
@@ -412,7 +370,46 @@ def _run_units(units, work, workers: int, guards: SearchGuards) -> tuple[dict, s
         for proc, recv in procs:
             recv.close()
             proc.join()
-    return done, (reasons[0] if reasons else ""), budget.spent()
+    return done, (reasons[0] if reasons else "")
+
+
+def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
+    """Run independent work units ``work(unit, budget) -> list`` under one
+    node/time budget; returns their results joined in unit order and sorted
+    stably on ``key``.  A tripped guard raises ResourceGuardError carrying
+    the results of the completed units.
+
+    With ``workers > 1`` the units are dealt round-robin (unit i to worker
+    i mod workers, since unit cost grows with the first entry) to forked
+    processes that share one node counter, so max_nodes stays a global
+    ceiling.  Fork, not spawn: the children inherit the search tables and
+    run only the pure-Python descent, and a spawned worker would re-import
+    numpy and the package on every call.  Without fork the units run
+    in-process.
+    """
+    units = list(units)
+    workers = min(workers, len(units))
+    ctx = None
+    if workers > 1:
+        import multiprocessing
+
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            pass
+    if ctx is None:
+        budget = _Budget(guards)
+        done, reason = _run_slice(units, range(len(units)), work, budget)
+    else:
+        budget = _Budget(guards, ctx.Value("q", 0))
+        done, reason = _run_forked(ctx, units, work, workers, budget)
+    order = sorted(done)
+    results = sorted((r for i in order for r in done[i]), key=key)
+    if reason:
+        raise ResourceGuardError(
+            reason, results, [units[i] for i in order], len(units), budget.spent()
+        )
+    return results
 
 
 def search_factorial_products(
@@ -420,69 +417,25 @@ def search_factorial_products(
     *,
     guards: SearchGuards | None = None,
     workers: int = 1,
-    cancelling_sink: list | None = None,
 ) -> list[SolutionRecord]:
     """All identities within the requested bounds, canonically ordered.
 
-    ``cancelling_sink``, when given, is extended with the (lhs, rhs) pairs
-    whose sides share an entry, in unit order.  Raises ResourceGuardError
-    (with partial results from completed right-hand units) when a guard
-    ceiling is exceeded.
+    Raises ResourceGuardError (with partial results from completed
+    right-hand units) when a guard ceiling is exceeded.
     """
     guards = guards or SearchGuards()
     if spec.n1_max > guards.n1_ceiling:
         raise ResourceGuardError(
             f"n1_max = {spec.n1_max} exceeds ceiling {guards.n1_ceiling}", []
         )
-    tables = _Tables(spec.n1_max, spec.n1_max)
-    keep_cancelling = cancelling_sink is not None
-    units = _rhs_units(spec)
-    done, reason, nodes = _run_units(
-        units,
-        lambda rhs, budget: _census_unit(rhs, spec, tables, budget, keep_cancelling),
+    tables = _Tables(spec.n1_max, spec.n1_max, spec.t_max)
+    return _run_units(
+        _non_increasing(spec.n1_max, 2, 1, spec.s_max),
+        lambda rhs, budget: _census_unit(rhs, spec, tables, budget),
         workers,
         guards,
+        key=lambda r: (r.eq.rhs[0], r.eq.rhs, r.eq.lhs),
     )
-    order = sorted(done)
-    records = [rec for i in order for rec in done[i][0]]
-    records.sort(key=lambda r: (r.eq.rhs[0], r.eq.rhs, r.eq.lhs))
-    if keep_cancelling:
-        cancelling_sink.extend(pair for i in order for pair in done[i][1])
-    if reason:
-        raise ResourceGuardError(reason, records, [units[i] for i in order], len(units), nodes)
-    return records
-
-
-def _x_units(spec: DeltaSearchSpec) -> list[tuple[int, ...]]:
-    s = len(spec.k_list)
-    units: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int]) -> None:
-        if len(prefix) == s:
-            units.append(tuple(prefix))
-            return
-        for v in range(prefix[-1], 0, -1):
-            prefix.append(v)
-            grow(prefix)
-            prefix.pop()
-
-    for x1 in range(3, spec.x_max + 1):
-        grow([x1])
-    return units
-
-
-def _delta_unit(
-    xs: tuple[int, ...], spec: DeltaSearchSpec, tables: _Tables, budget: _Budget
-) -> list[DeltaSolution]:
-    R = [0] * len(tables.primes)
-    for x, k in zip(xs, spec.k_list):
-        tables.add_factorial(R, x + k - 1, 1)
-        tables.add_factorial(R, x - 1, -1)
-    sols: list[DeltaSolution] = []
-    _Walk(tables, spec.t_max, budget, lambda lhs: sols.append(DeltaSolution(xs, lhs))).run(
-        R, xs[0] - 1
-    )
-    return sols
 
 
 def search_delta(
@@ -501,17 +454,22 @@ def search_delta(
     if not spec.ratio_ok():
         return []
     # the largest factorial in any target is x + k - 1 <= x_max + max(k) - 1
-    tables = _Tables(spec.x_max, spec.x_max + max(spec.k_list) - 1)
-    units = _x_units(spec)
-    done, reason, nodes = _run_units(
-        units, lambda xs, budget: _delta_unit(xs, spec, tables, budget), workers, guards
+    tables = _Tables(spec.x_max, spec.x_max + max(spec.k_list) - 1, spec.t_max)
+
+    def unit(xs: tuple[int, ...], budget: _Budget) -> list[DeltaSolution]:
+        # the block x(x+1)...(x+k-1) is (x+k-1)! / (x-1)!
+        target = [(x + k - 1, 1) for x, k in zip(xs, spec.k_list)]
+        target += [(x - 1, -1) for x in xs]
+        return [DeltaSolution(xs, lhs) for lhs in tables.left_sides(target, xs[0] - 1, budget)]
+
+    s = len(spec.k_list)
+    return _run_units(
+        _non_increasing(spec.x_max, 1, s, s),
+        unit,
+        workers,
+        guards,
+        key=lambda r: (r.x[0], r.x, r.a),
     )
-    order = sorted(done)
-    sols = [s for i in order for s in done[i]]
-    sols.sort(key=lambda r: (r.x[0], r.x, r.a))
-    if reason:
-        raise ResourceGuardError(reason, sols, [units[i] for i in order], len(units), nodes)
-    return sols
 
 
 @dataclass(slots=True)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from factprod import audit
 from factprod.audit import (
     ERDOS_COEFF,
     THETA_COEFF,
@@ -214,6 +215,19 @@ def test_abc_scan_agrees_with_single_reports():
     assert {(r.m1, r.k1): (r.a, r.b, r.c) for r in scanned} == {
         (r.m1, r.k1): (r.a, r.b, r.c) for r in singles
     }
+
+
+def test_abc_window_report_builds_no_radical_table(monkeypatch):
+    def no_table(limit):
+        raise AssertionError(f"radical_table({limit}) built for one window")
+
+    monkeypatch.setattr(audit, "radical_table", no_table)
+    rep = abc_window_report(10**7, 20)
+    # N(10^7) = 10 and N(10^7 + 17) = 370371 are the two smallest radicals
+    assert (rep.j1, rep.j2, rep.d) == (0, 17, 1)
+    assert (rep.a, rep.b, rep.c) == (10**7, 17, 10**7 + 17)
+    assert rep.radical_abc == 62963070
+    assert rep.explicit_ok
 
 
 def test_abc_window_bound_and_ineq4():

@@ -240,6 +240,10 @@ def test_audit_chain_requires_equation(capsys):
     "argv",
     [
         ("--check", "window", "--m1-max", "10", "--k1", "3:5:7"),
+        ("--check", "window", "--m1-max", "10", "--k1", "5:"),
+        ("--check", "window", "--m1-max", "10", "--k1", ":5"),
+        ("--check", "window", "--m1-max", "10", "--k1", "2:5"),
+        ("--check", "window", "--m1-max", "10", "--k1", "6:5"),
         ("--check", "erdos", "--x", "2:abc"),
     ],
 )

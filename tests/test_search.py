@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factprod.equations import NONTRIVIAL, TRIVIAL, verify
 from factprod.search import (
@@ -99,21 +101,26 @@ def test_cancelling_diagnostics_off_by_default():
     spec = SearchSpec(n1_max=8, t_max=4, s_max=2)
     recs = search_factorial_products(spec)
     assert all(not (set(r.eq.lhs) & set(r.eq.rhs)) for r in recs)
-    sink = []
-    search_factorial_products(spec, cancelling_sink=sink)
-    assert sink  # e.g. lhs (5,3,...) sharing an entry with rhs
-    for lhs, rhs in sink:
-        assert set(lhs) & set(rhs)
 
 
-def test_cancelling_sink_identical_across_workers():
-    spec = SearchSpec(n1_max=12, t_max=4, s_max=2)
-    sinks = {}
-    for w in (1, 2, 3):
-        sinks[w] = []
-        search_factorial_products(spec, workers=w, cancelling_sink=sinks[w])
-    assert len(sinks[1]) == 32
-    assert sinks[1] == sinks[2] == sinks[3]
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n1_max=st.integers(12, 30),
+    t_max=st.integers(3, 6),
+    s_max=st.integers(1, 3),
+    workers=st.integers(1, 3),
+)
+def test_census_invariants_property(n1_max, t_max, s_max, workers):
+    recs = search_factorial_products(SearchSpec(n1_max, t_max, s_max), workers=workers)
+    keys = [(r.eq.rhs[0], r.eq.rhs, r.eq.lhs) for r in recs]
+    assert keys == sorted(set(keys))  # canonical order, each record once
+    for r in recs:
+        lhs, rhs = r.eq.lhs, r.eq.rhs
+        assert r.holds and verify(r.eq).holds
+        assert rhs[0] > lhs[0]  # oriented
+        assert not set(lhs) & set(rhs)  # disjoint
+        assert list(lhs) == sorted(lhs, reverse=True) and list(rhs) == sorted(rhs, reverse=True)
+        assert rhs[0] <= n1_max and len(lhs) <= t_max and len(rhs) <= s_max
 
 
 # ---------------------------------------------------------------- full-vector oracle
@@ -196,6 +203,21 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
     assert [(r.eq.lhs, r.eq.rhs) for r in err.records] == [
         (r.eq.lhs, r.eq.rhs) for r in full if r.eq.rhs in done
     ]
+
+
+def test_search_delta_guard_workers_2_keeps_completed_units():
+    spec = DeltaSearchSpec((2, 3), 60, 5)
+    full = search_delta(spec)
+    with pytest.raises(ResourceGuardError) as e:
+        search_delta(spec, guards=SearchGuards(max_nodes=3_000), workers=2)
+    err = e.value
+    assert err.reason.startswith("node budget exceeded")
+    assert err.nodes > 3_000
+    assert 0 < err.completed_units < err.total_units
+    done = set(err.completed)
+    assert len(done) == err.completed_units
+    assert [(r.x, r.a) for r in err.records] == [(r.x, r.a) for r in full if r.x in done]
+    assert 0 < len(err.records) < len(full)  # the x1 = 35 solutions lie past the trip
 
 
 def test_spec_validation():
