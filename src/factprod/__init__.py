@@ -3,6 +3,7 @@
 from .factorint import (
     ExpVec,
     PrimeTable,
+    SieveCeilingError,
     delta,
     factorial_expvec,
     largest_prime_factor,
@@ -36,8 +37,10 @@ from .search import (
     search_factorial_products,
 )
 from .audit import (
+    AbcBlock,
     AbcTripleReport,
     AuditFinding,
+    PrefixAudit,
     abc_scan,
     abc_window_report,
     audit_erdos_pdelta,

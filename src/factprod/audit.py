@@ -20,18 +20,25 @@ reports the outcome with its margin; nothing here proves anything.  Checks:
                         and the largest leftover entry
 
 Every strict real-valued bound lhs < rhs (the prefix sums, the Stirling
-bounds, the abc window bound and chain inequalities 4 and 5) is built by one
-helper, ``_upper``, with the same float slack and margin rhs - lhs.  The
-chain_ineq4 bound has one definition shared by the abc report and the proof
-chain.  The smallest-radical pair is selected by one window walk,
-``_abc_rows``: ``abc_scan`` streams it over every m1, and
-``abc_window_report`` takes its single row for one window.
+bounds, the abc window bound and chain inequalities 4 and 5) is decided by
+one helper, ``_bound``, with the same float slack and margin rhs - lhs.  The
+prefix audits return their rows as columns (``PrefixAudit``); AuditFinding
+rows are built from them only on request.  The chain_ineq4 bound has one
+definition shared by the abc report and the proof chain.
+
+The abc window scan is columnar: ``abc_scan`` yields ``AbcBlock``s of
+consecutive m1 rows, each from one numpy walk (``_smallest_pairs``) that
+keeps the two smallest (radical, offset) pairs along k for every row at
+once, and ``abc_window_report`` is the one-row view of the same code.  The
+explicit-abc test is a float prefilter on 7*log N - 4*log c plus an exact
+c**4 < N**7 on Python ints for every row near the boundary, so the decision
+is made on integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,9 +66,14 @@ class AuditFinding:
     margin: float
 
 
+def _bound(lhs, rhs):
+    """The strict real-valued bound lhs < rhs, up to SLACK: (ok, margin rhs - lhs).
+    Works on floats and on numpy columns alike."""
+    return lhs < rhs + SLACK, rhs - lhs
+
+
 def _upper(check_id: str, parameters: dict, lhs: float, rhs: float) -> AuditFinding:
-    """The strict real-valued bound lhs < rhs, up to SLACK; margin rhs - lhs."""
-    return AuditFinding(check_id, parameters, lhs, rhs, lhs < rhs + SLACK, rhs - lhs)
+    return AuditFinding(check_id, parameters, lhs, rhs, *_bound(lhs, rhs))
 
 
 def _kahan(values):
@@ -76,50 +88,96 @@ def _kahan(values):
         yield total
 
 
-def audit_theta(nu_max: float) -> list[AuditFinding]:
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    return np.fromiter(_kahan(values.tolist()), np.float64, count=len(values))
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """math.log of every entry of an int64 or Python-int array.  np.log may
+    differ from math.log in the last place; quality and the prefix-audit
+    columns keep math.log where the per-row code used it."""
+    return np.fromiter(map(math.log, values.tolist()), np.float64, count=len(values))
+
+
+@dataclass(frozen=True, slots=True)
+class PrefixAudit:
+    """One prefix-sum bound lhs < rhs (up to SLACK) evaluated at every point,
+    as columns; margin is rhs - lhs.  ``points`` holds the parameter values
+    (an object array when a float end point follows integer ones)."""
+
+    check_id: str
+    param: str
+    points: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ok: np.ndarray
+    margin: np.ndarray
+
+    @classmethod
+    def of(cls, check_id: str, param: str, points, lhs, rhs) -> "PrefixAudit":
+        return cls(check_id, param, points, lhs, rhs, *_bound(lhs, rhs))
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    @property
+    def violations(self) -> int:
+        return len(self) - int(np.count_nonzero(self.ok))
+
+    @property
+    def min_margin(self) -> float | None:
+        return float(self.margin.min()) if len(self) else None
+
+    def findings(self, violations_only: bool = False) -> list[AuditFinding]:
+        """The rows as AuditFindings (all, or only those not ok)."""
+        rows = zip(
+            self.points.tolist(), self.lhs.tolist(), self.rhs.tolist(),
+            self.ok.tolist(), self.margin.tolist(),
+        )
+        return [
+            AuditFinding(self.check_id, {self.param: p}, lhs, rhs, ok, margin)
+            for p, lhs, rhs, ok, margin in rows
+            if not (ok and violations_only)
+        ]
+
+
+def _primes(nu_max: float) -> np.ndarray:
+    if nu_max < 0:
+        raise ValueError("nu_max must be nonnegative")
+    if nu_max < 2:
+        return np.zeros(0, dtype=np.int64)
+    return table(int(nu_max) + 1).primes_upto(nu_max)
+
+
+def audit_theta(nu_max: float) -> PrefixAudit:
     """Check theta(nu) < 1.00008 * nu at every prime <= nu_max (the only
     points where the left side jumps)."""
-    if nu_max < 0:
-        raise ValueError("nu_max must be nonnegative")
-    if nu_max < 2:
-        return []
-    ps = table(int(nu_max) + 1).primes_upto(nu_max)
-    logs = np.log(ps.astype(np.float64))
-    return [
-        _upper("theta_upper", {"nu": p}, total, THETA_COEFF * p)
-        for p, total in zip(ps.tolist(), _kahan(logs.tolist()))
-    ]
+    ps = _primes(nu_max)
+    lhs = _prefix_sums(np.log(ps.astype(np.float64)))
+    return PrefixAudit.of("theta_upper", "nu", ps, lhs, THETA_COEFF * ps)
 
 
-def audit_mertens(nu_max: float) -> list[AuditFinding]:
+def audit_mertens(nu_max: float) -> PrefixAudit:
     """Check sum of (log p)/p < log(nu) at every prime <= nu_max and at
     nu = nu_max itself."""
-    if nu_max < 0:
-        raise ValueError("nu_max must be nonnegative")
-    if nu_max < 2:
-        return []
-    ps = table(int(nu_max) + 1).primes_upto(nu_max)
+    ps = _primes(nu_max)
     arr = ps.astype(np.float64)
-    terms = np.log(arr) / arr
-    findings = []
-    total = 0.0
-    for p, total in zip(ps.tolist(), _kahan(terms.tolist())):
-        findings.append(_upper("mertens_upper", {"nu": p}, total, math.log(p)))
-    if float(nu_max) > float(ps[-1]):
-        findings.append(_upper("mertens_upper", {"nu": float(nu_max)}, total, math.log(nu_max)))
-    return findings
+    points, lhs, rhs = ps, _prefix_sums(np.log(arr) / arr), _log(ps)
+    if len(ps) and float(nu_max) > float(ps[-1]):
+        points = np.array([*ps.tolist(), float(nu_max)], dtype=object)
+        lhs = np.append(lhs, lhs[-1])
+        rhs = np.append(rhs, math.log(nu_max))
+    return PrefixAudit.of("mertens_upper", "nu", points, lhs, rhs)
 
 
-def audit_stirling_lower(n_max: int) -> list[AuditFinding]:
+def audit_stirling_lower(n_max: int) -> PrefixAudit:
     """Check a*log(a) - a <= log(a!) for 2 <= a <= n_max, with log(a!)
     accumulated as a compensated sum of log i."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    logs = np.log(np.arange(2, n_max + 1, dtype=np.float64))
-    return [
-        _upper("stirling_lower", {"a": a}, a * math.log(a) - a, logfact)
-        for a, logfact in zip(range(2, n_max + 1), _kahan(logs.tolist()))
-    ]
+    a = np.arange(2, n_max + 1, dtype=np.int64)
+    af = a.astype(np.float64)
+    return PrefixAudit.of("stirling_lower", "a", a, af * _log(a) - af, _prefix_sums(np.log(af)))
 
 
 def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
@@ -231,17 +289,53 @@ def audit_erdos_pdelta(
     return ErdosScanResult(tuple(findings), min_ratio, min_at)
 
 
-@dataclass(frozen=True, slots=True)
-class AbcTripleReport:
-    """Coprime triple built from the two smallest radicals in the window
-    [m1, m1 + k1): with terms u = m1 + j1 and v = m1 + j2 and d = gcd(u, v),
-    c is the larger of u/d, v/d, a the smaller, and b = |j1 - j2| / d, so
-    a + b = c with a, b, c pairwise coprime.
+# Windows per AbcBlock of the scan: bounds the scan's memory, whatever k1 range.
+_BLOCK_WINDOWS = 1 << 16
+# Radical products below this fit int64.
+_INT64_BOUND = 2**63
+# Relative band around 4*log(c) = 7*log(N) inside which float logs cannot
+# decide c < N^(7/4); rows there are decided by c**4 < N**7 on Python ints.
+_EXACT_BAND = 1e-9
 
-    quality = log(c) / log(N(abc)); explicit_ok records c < N(abc)^(7/4)
-    (decided exactly on integers).  The explicit-abc inequality is
+
+@dataclass(frozen=True, slots=True)
+class AbcBlock:
+    """Smallest-radical abc triples of consecutive windows, as columns in
+    (m1, k1) order.  Row i is the window [m1, m1 + k1): with terms
+    u = m1 + j1 and v = m1 + j2 of the two smallest radicals (ties broken by
+    smaller offset) and d = gcd(u, v), c is the larger of u/d, v/d, a the
+    smaller and b = |j1 - j2| / d, so a + b = c with a, b, c pairwise coprime.
+
+    quality = log(c) / log(N(abc)); explicit_ok records c < N(abc)^(7/4).
+    radical_abc is int64, or an object array of Python ints where the
+    product could overflow int64.  The explicit-abc inequality is
     conjectural: a False here is a reportable event, not an error.
     """
+
+    m1: np.ndarray
+    k1: np.ndarray
+    j1: np.ndarray
+    j2: np.ndarray
+    d: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    radical_abc: np.ndarray
+    quality: np.ndarray
+    explicit_ok: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.m1)
+
+
+# The columns of an abc window row, in output order.
+ABC_COLUMNS = tuple(f.name for f in fields(AbcBlock))
+
+
+@dataclass(frozen=True, slots=True)
+class AbcTripleReport:
+    """One row of an AbcBlock as Python values (see AbcBlock), plus the
+    window radical-product bound and chained inequality when a2 is given."""
 
     m1: int
     k1: int
@@ -258,34 +352,69 @@ class AbcTripleReport:
     ineq4: AuditFinding | None = None
 
 
-def _abc_rows(rad, m1s, k1_min: int, k1_max: int):
-    """AbcTripleReports for every m1 in m1s and k1_min <= k1 <= k1_max.
+def _smallest_pairs(win: np.ndarray, k1_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (j1, j2) of the two lexicographically smallest (radical,
+    offset) pairs among the first k terms of every row of ``win`` (radicals
+    of the terms m1, m1 + 1, ...), for k1_min <= k <= win.shape[1]; each
+    result has one row per window row and one column per k."""
+    rows, k1_max = win.shape
+    r0, o0 = win[:, 0].copy(), np.zeros(rows, dtype=np.int64)
+    r1, o1 = np.full(rows, np.iinfo(np.int64).max), np.zeros(rows, dtype=np.int64)
+    j1 = np.empty((rows, k1_max - k1_min + 1), dtype=np.int64)
+    j2 = np.empty_like(j1)
+    for k in range(2, k1_max + 1):
+        r = win[:, k - 1]
+        # a later offset never wins a tie, so only a strictly smaller radical moves
+        new0, new1 = r < r0, r < r1
+        r1 = np.where(new0, r0, np.where(new1, r, r1))
+        o1 = np.where(new0, o0, np.where(new1, k - 1, o1))
+        r0 = np.where(new0, r, r0)
+        o0 = np.where(new0, k - 1, o0)
+        if k >= k1_min:
+            j1[:, k - k1_min] = o0
+            j2[:, k - k1_min] = o1
+    return j1, j2
 
-    rad[n] is the radical of n as a Python int (so the radical product
-    cannot overflow), from a list covering m1 + k1_max - 1 or a _Radicals
-    lookup.  The two lexicographically smallest (radical, offset) pairs are
-    kept as the window grows, so each m1 costs k1_max steps.
+
+def _abc_decision(c: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quality log(c) / log(n) and the explicit-abc test c < n^(7/4) per row.
+
+    The test is read off 7*log(n) - 4*log(c) outside a relative _EXACT_BAND
+    of 7*log(n), far wider than the logs' rounding; every row inside it is
+    decided exactly by c**4 < n**7 on Python ints.
     """
-    for m1 in m1s:
-        b0 = b1 = None
-        for k in range(1, k1_max + 1):
-            cand = (rad[m1 + k - 1], k - 1)
-            if b0 is None or cand < b0:
-                b0, b1 = cand, b0
-            elif b1 is None or cand < b1:
-                b1 = cand
-            if k < k1_min:
-                continue
-            j1, j2 = b0[1], b1[1]
-            u, v = m1 + j1, m1 + j2
-            hi, lo = (u, v) if u >= v else (v, u)
-            d = math.gcd(hi, lo)
-            cc, aa, bb = hi // d, lo // d, (hi - lo) // d
-            rad_abc = rad[aa] * rad[bb] * rad[cc]
-            yield AbcTripleReport(
-                m1, k, j1, j2, d, aa, bb, cc, rad_abc,
-                math.log(cc) / math.log(rad_abc), cc**4 < rad_abc**7,
-            )
+    log_c, log_n = _log(c), _log(n)
+    gap = 7 * log_n - 4 * log_c
+    ok = gap > 0
+    for i in np.flatnonzero(np.abs(gap) <= _EXACT_BAND * 7 * log_n).tolist():
+        ok[i] = int(c[i]) ** 4 < int(n[i]) ** 7
+    return log_c / log_n, ok
+
+
+def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of) -> AbcBlock:
+    """The AbcBlock of windows starting at each m1 (int64) with
+    k1_min <= k1 <= win.shape[1]; win[i, j] is the radical of m1[i] + j and
+    rad_of maps an int64 array to its radicals (int64 or Python ints)."""
+    j1, j2 = _smallest_pairs(win, k1_min)
+    # Along k the pair, and with it the triple, changes only when a new term
+    # enters the two smallest: build each distinct triple once, then expand.
+    new = np.ones(j1.shape, dtype=bool)
+    new[:, 1:] = (j1[:, 1:] != j1[:, :-1]) | (j2[:, 1:] != j2[:, :-1])
+    n_k = j1.shape[1]
+    m1 = np.repeat(m1, n_k)
+    k1 = np.tile(np.arange(k1_min, k1_min + n_k, dtype=np.int64), len(win))
+    j1, j2, new = j1.ravel(), j2.ravel(), new.ravel()
+    at = np.flatnonzero(new)
+    lo, diff = m1[at] + np.minimum(j1[at], j2[at]), np.abs(j1[at] - j2[at])
+    d = np.gcd(lo, diff)  # gcd(u, v) = gcd(lo, hi - lo)
+    a, b, c = lo // d, diff // d, (lo + diff) // d
+    radical_abc = rad_of(a) * rad_of(b) * rad_of(c)
+    quality, explicit_ok = _abc_decision(c, radical_abc)
+    row = np.cumsum(new) - 1
+    return AbcBlock(
+        m1, k1, j1, j2,
+        *(col[row] for col in (d, a, b, c, radical_abc, quality, explicit_ok)),
+    )
 
 
 def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
@@ -309,10 +438,11 @@ class _Radicals(dict):
 def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleReport:
     """Smallest-radical abc triple for the window [m1, m1 + k1).
 
-    Selects the two smallest N(m1 + i) (ties broken by smaller offset) and
-    forms the coprime triple.  With a2 given, also evaluates the window
-    radical-product bound exp(1.00008*a2 + k1*log k1) and the chained
-    inequality bounding k1*log(m1).
+    The one-row AbcBlock of the scan's selection and triple code, with the
+    radicals found by factoring and the radical product on Python ints.
+    With a2 given, also evaluates the window radical-product bound
+    exp(1.00008*a2 + k1*log k1) and the chained inequality bounding
+    k1*log(m1).
     """
     if m1 < 1:
         raise ValueError("m1 must be >= 1")
@@ -321,8 +451,14 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
     if a2 is not None and a2 < 2:
         raise ValueError("a2 must be >= 2")
     rad = _Radicals()
-    rep = next(_abc_rows(rad, (m1,), k1, k1))
     window = [rad[m1 + j] for j in range(k1)]
+    block = _abc_block(
+        np.array([m1], dtype=np.int64),
+        np.array([window], dtype=np.int64),
+        k1,
+        lambda xs: np.array([rad[x] for x in xs.tolist()], dtype=object),
+    )
+    rep = AbcTripleReport(*(getattr(block, name).tolist()[0] for name in ABC_COLUMNS))
     # selection invariant: the chosen radicals are <= every other in the window
     others = [r for j, r in enumerate(window) if j not in (rep.j1, rep.j2)]
     assert max(window[rep.j1], window[rep.j2]) <= min(others)
@@ -339,17 +475,28 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
 
 
 def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
-    """Stream AbcTripleReports for every window with m1 <= m1_max and
-    k1_min <= k1 <= k1_max, sharing one radical table; linear in the number
-    of (m1, k1) pairs."""
+    """Yield AbcBlocks covering every window with m1 <= m1_max and
+    k1_min <= k1 <= k1_max in (m1, k1) order, from one radical table;
+    linear in the number of windows.  The radical product is int64 while
+    a, c < m1_max + k1_max and b < k1_max bound it below 2^63, Python ints
+    beyond."""
     if k1_min < 3:
         raise ValueError("k1_min must be >= 3")
     if k1_max < k1_min:
         raise ValueError("k1_max must be >= k1_min")
     if m1_max < 1:
         raise ValueError("m1_max must be >= 1")
-    rad = radical_table(m1_max + k1_max).tolist()
-    yield from _abc_rows(rad, range(1, m1_max + 1), k1_min, k1_max)
+    rad = radical_table(m1_max + k1_max)
+    if (m1_max + k1_max) ** 2 * k1_max < _INT64_BOUND:
+        rad_of = rad.__getitem__
+    else:
+        def rad_of(xs):
+            return rad[xs].astype(object)
+    rows = max(1, _BLOCK_WINDOWS // (k1_max - k1_min + 1))
+    for lo in range(1, m1_max + 1, rows):
+        hi = min(lo + rows, m1_max + 1)
+        win = np.lib.stride_tricks.sliding_window_view(rad[lo : hi + k1_max - 1], k1_max)
+        yield _abc_block(np.arange(lo, hi, dtype=np.int64), win, k1_min, rad_of)
 
 
 def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFinding]:

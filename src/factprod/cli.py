@@ -21,6 +21,7 @@ import time
 
 from . import __version__
 from .audit import (
+    ABC_COLUMNS,
     abc_scan,
     abc_window_report,
     audit_erdos_pdelta,
@@ -40,6 +41,7 @@ from .density import (
     quadrature_density,
 )
 from .equations import EquationError, FactorialEquation, default_pairing, Pairing, to_delta_form, verify
+from .factorint import SieveCeilingError
 from .search import (
     ResourceGuardError,
     SearchGuards,
@@ -53,10 +55,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-# AbcTripleReport fields shown by `abc` and written by `audit --check window`
-_ABC_COLUMNS = ("m1", "k1", "j1", "j2", "d", "a", "b", "c", "radical_abc", "quality", "explicit_ok")
-
 
 def _meta(command: str, config: dict) -> dict:
     return {
@@ -106,12 +104,16 @@ def record_jsonl(records) -> str:
     return "".join(json.dumps(_record_obj(r), separators=(",", ":")) + "\n" for r in records)
 
 
-def _parse_range(flag: str, text: str) -> tuple[int, int]:
+def _parse_range(flag: str, text: str, least: int) -> tuple[int, int]:
+    """A ``lo:hi`` or single-integer flag value with least <= lo <= hi."""
     lo, colon, hi = text.partition(":")
     try:
-        return (int(lo), int(hi)) if colon else (int(lo), int(lo))
+        lo, hi = (int(lo), int(hi)) if colon else (int(lo), int(lo))
     except ValueError:
         raise ValueError(f"{flag} must be lo:hi or one integer, got {text!r}") from None
+    if not least <= lo <= hi:
+        raise ValueError(f"{flag} must be lo:hi with {least} <= lo <= hi, got {text!r}")
+    return lo, hi
 
 
 def cmd_verify(args) -> int:
@@ -232,26 +234,24 @@ def cmd_audit(args) -> int:
         if check == "stirling":
             if args.n_max is None or args.n_max < 2:
                 raise ValueError("--n-max must be >= 2")
-            findings = audit_stirling_lower(args.n_max)
+            prefix = audit_stirling_lower(args.n_max)
             meta_cfg["n_max"] = args.n_max
         else:
             if args.nu_max is None or args.nu_max < 2:
                 raise ValueError("--nu-max must be >= 2")
             fn = audit_theta if check == "theta" else audit_mertens
-            findings = fn(args.nu_max)
+            prefix = fn(args.nu_max)
             meta_cfg["nu_max"] = args.nu_max
-        bad = [f for f in findings if not f.ok]
-        violations = len(bad)
-        margins = [f.margin for f in findings]
+        violations = prefix.violations
         result = {
-            "checked": len(findings),
+            "checked": len(prefix),
             "violations": violations,
-            "min_margin": min(margins) if margins else None,
+            "min_margin": prefix.min_margin,
         }
         if args.out:
-            findings_text = findings_csv(bad if args.violations_only else findings, None)
+            findings_text = findings_csv(prefix.findings(args.violations_only), None)
     elif check == "erdos":
-        scan = audit_erdos_pdelta(_parse_range("--x", args.x), _parse_range("--k", args.k))
+        scan = audit_erdos_pdelta(_parse_range("--x", args.x, 2), _parse_range("--k", args.k, 2))
         meta_cfg.update({"x": args.x, "k": args.k})
         result = {
             "eligible_windows": len(scan.findings),
@@ -285,30 +285,26 @@ def cmd_audit(args) -> int:
     elif check == "window":
         if args.m1_max is None or args.m1_max < 1:
             raise ValueError("--m1-max must be >= 1")
-        k_lo, k_hi = _parse_range("--k1", args.k1)
-        if not 3 <= k_lo <= k_hi:
-            raise ValueError(f"--k1 must be lo:hi with 3 <= lo <= hi, got {args.k1!r}")
+        k_lo, k_hi = _parse_range("--k1", args.k1, 3)
         meta_cfg.update({"m1_max": args.m1_max, "k1": args.k1})
         count = 0
         explicit_failures = []
         best_quality = 0.0
         best_at = None
-        rows = [",".join(_ABC_COLUMNS)]
+        rows = [",".join(ABC_COLUMNS)]
         keep_rows = args.out is not None
-        for rep in abc_scan(args.m1_max, k_lo, k_hi):
-            count += 1
-            if rep.quality > best_quality:
-                best_quality = rep.quality
-                best_at = (rep.m1, rep.k1)
-            if not rep.explicit_ok:
-                explicit_failures.append((rep.m1, rep.k1))
+        for block in abc_scan(args.m1_max, k_lo, k_hi):
+            count += len(block)
+            i = int(block.quality.argmax())  # the first row of the block's maximum
+            if block.quality[i] > best_quality:
+                best_quality = float(block.quality[i])
+                best_at = (int(block.m1[i]), int(block.k1[i]))
+            bad = ~block.explicit_ok
+            explicit_failures.extend(zip(block.m1[bad].tolist(), block.k1[bad].tolist()))
             if keep_rows:
-                rows.append(
-                    ",".join(
-                        ("true" if v else "false") if isinstance(v, bool) else str(v)
-                        for v in (getattr(rep, name) for name in _ABC_COLUMNS)
-                    )
-                )
+                cols = [getattr(block, name).tolist() for name in ABC_COLUMNS]
+                cols[-1] = ["true" if ok else "false" for ok in cols[-1]]
+                rows.extend(",".join(map(str, row)) for row in zip(*cols))
         violations = len(explicit_failures)
         if violations:
             print(
@@ -337,7 +333,7 @@ def cmd_audit(args) -> int:
 
 def cmd_abc(args) -> int:
     rep = abc_window_report(args.m1, args.k1, args.a2)
-    result = {name: getattr(rep, name) for name in _ABC_COLUMNS}
+    result = {name: getattr(rep, name) for name in ABC_COLUMNS}
     for name, f in (("window_bound", rep.window_bound), ("ineq4", rep.ineq4)):
         if f is not None:
             result[name] = {"lhs": f.lhs_value, "rhs": f.rhs_value, "ok": f.ok}
@@ -418,6 +414,9 @@ def main(argv=None) -> int:
             f"units completed, {exc.nodes} nodes)",
             file=sys.stderr,
         )
+        return EXIT_GUARD
+    except SieveCeilingError as exc:
+        print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (EquationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

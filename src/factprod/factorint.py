@@ -22,6 +22,17 @@ DEFAULT_SIEVE_LIMIT = 1_000_000
 # misuse of the toolkit, not a workload it should silently attempt.
 SIEVE_CEILING = 200_000_000
 
+
+class SieveCeilingError(RuntimeError):
+    """A sieve or table above SIEVE_CEILING was asked for: a resource
+    guard, raised before anything of that size is allocated."""
+
+
+def _check_ceiling(limit: int) -> None:
+    if limit > SIEVE_CEILING:
+        raise SieveCeilingError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
+
+
 # Miller-Rabin with the first 13 prime bases is exact below _MR_LIMIT
 # (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -49,8 +60,7 @@ class PrimeTable:
 
     def __init__(self, limit: int = DEFAULT_SIEVE_LIMIT) -> None:
         limit = int(limit)
-        if limit > SIEVE_CEILING:
-            raise ValueError(f"sieve limit {limit} exceeds ceiling {SIEVE_CEILING}")
+        _check_ceiling(limit)
         self.limit = max(limit, 2)
         self.flags = _sieve_flags(self.limit)
         self.flags.setflags(write=False)
@@ -339,6 +349,7 @@ def radical_table(limit: int) -> np.ndarray:
     """rad[i] for 0 <= i <= limit by sieve; rad[0] = 0 and rad[1] = 1."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    _check_ceiling(limit)
     rad = np.ones(limit + 1, dtype=np.int64)
     rad[0] = 0
     for p in table(limit).primes_upto(limit):
@@ -351,6 +362,7 @@ def lpf_table(limit: int) -> np.ndarray:
     """Largest-prime-factor table for 0 <= i <= limit; entry 1 is 1."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    _check_ceiling(limit)
     lpf = np.zeros(limit + 1, dtype=np.int64)
     lpf[1] = 1
     for p in table(limit).primes_upto(limit):

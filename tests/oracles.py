@@ -5,13 +5,14 @@ The brute-force oracles decide questions by literal big-integer arithmetic
 package's exponent-vector machinery so the two routes can check each other.
 The full-vector descent at the end is the census engine's reference: the same
 pruned search over a dict residual that subtracts and re-adds the whole a!
-vector at every node, with the same node count.
+vector at every node, with the same node count.  The per-window Python walk at
+the very end is the reference for the columnar abc window scan.
 """
 
 import math
 from itertools import combinations_with_replacement
 
-from factprod.factorint import factorial_expvec
+from factprod.factorint import factorial_expvec, radical, radical_table
 
 
 def factor_literal(n: int) -> dict[int, int]:
@@ -193,3 +194,51 @@ def full_vector_delta(k_list, x_max: int, t_max: int):
                 )
     sols.sort(key=lambda r: (r[0][0], r[0], r[1]))
     return sols, nodes[0]
+
+
+def _abc_walk(rad, m1s, k1_min: int, k1_max: int):
+    """(m1, k1, j1, j2, d, a, b, c, radical_abc, quality, explicit_ok) for
+    every m1 in m1s and k1_min <= k1 <= k1_max, one window at a time.
+
+    rad[n] is the radical of n as a Python int.  The two lexicographically
+    smallest (radical, offset) pairs are kept as the window grows; the
+    radical product is a Python int and the explicit-abc test is decided by
+    c**4 < N**7 on it.
+    """
+    for m1 in m1s:
+        b0 = b1 = None
+        for k in range(1, k1_max + 1):
+            cand = (rad[m1 + k - 1], k - 1)
+            if b0 is None or cand < b0:
+                b0, b1 = cand, b0
+            elif b1 is None or cand < b1:
+                b1 = cand
+            if k < k1_min:
+                continue
+            j1, j2 = b0[1], b1[1]
+            u, v = m1 + j1, m1 + j2
+            hi, lo = (u, v) if u >= v else (v, u)
+            d = math.gcd(hi, lo)
+            cc, aa, bb = hi // d, lo // d, (hi - lo) // d
+            rad_abc = rad[aa] * rad[bb] * rad[cc]
+            yield (
+                m1, k, j1, j2, d, aa, bb, cc, rad_abc,
+                math.log(cc) / math.log(rad_abc), cc**4 < rad_abc**7,
+            )
+
+
+def abc_scan_rows(m1_max: int, k1_min: int, k1_max: int) -> list[tuple]:
+    """Every window row of the scan over m1 <= m1_max, from a list radical table."""
+    rad = radical_table(m1_max + k1_max).tolist()
+    return list(_abc_walk(rad, range(1, m1_max + 1), k1_min, k1_max))
+
+
+class _Radicals(dict):
+    def __missing__(self, n: int) -> int:
+        self[n] = r = radical(n)
+        return r
+
+
+def abc_window_row(m1: int, k1: int) -> tuple:
+    """The row of one window, with every radical found by factoring."""
+    return next(_abc_walk(_Radicals(), (m1,), k1, k1))

@@ -9,6 +9,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from factprod.audit import (
     abc_scan,
     audit_erdos_pdelta,
@@ -138,8 +140,8 @@ def test_criterion_4_lemma_audits():
     t0 = time.monotonic()
     th = audit_theta(1_000_000)
     me = audit_mertens(1_000_000)
-    th_bad = [f for f in th if not f.ok]
-    me_bad = [f for f in me if not f.ok]
+    th_bad = th.findings(violations_only=True)
+    me_bad = me.findings(violations_only=True)
     assert not th_bad, th_bad[:3]
     assert not me_bad, me_bad[:3]
     elapsed = time.monotonic() - t0
@@ -222,20 +224,17 @@ def test_criterion_7_abc_scan():
     structural_bad = 0
     explicit_failures = []
     spot = 0
-    for rep in abc_scan(10_000, 3, 50):
-        count += 1
-        if (
-            rep.a + rep.b != rep.c
-            or math.gcd(rep.a, rep.b) != 1
-            or math.gcd(rep.a, rep.c) != 1
-            or math.gcd(rep.b, rep.c) != 1
-        ):
-            structural_bad += 1
-        if not rep.explicit_ok:
-            explicit_failures.append((rep.m1, rep.k1))
-        if count % 653 == 0:
+    for block in abc_scan(10_000, 3, 50):
+        a, b, c = block.a, block.b, block.c
+        structural_bad += int(np.count_nonzero(
+            (a + b != c) | (np.gcd(a, b) != 1) | (np.gcd(a, c) != 1) | (np.gcd(b, c) != 1)
+        ))
+        bad = ~block.explicit_ok
+        explicit_failures.extend(zip(block.m1[bad].tolist(), block.k1[bad].tolist()))
+        # every 653rd window in scan order: rows i with (count + i + 1) % 653 == 0
+        for i in range((-count - 1) % 653, len(block), 653):
             # independent radical-product-law check by literal factorization
-            prod = rep.a * rep.b * rep.c
+            prod = int(a[i]) * int(b[i]) * int(c[i])
             rad = 1
             m = prod
             d = 2
@@ -247,10 +246,12 @@ def test_criterion_7_abc_scan():
                 d += 1
             if m > 1:
                 rad *= m
-            assert rad == rep.radical_abc, (rep.m1, rep.k1)
+            assert rad == block.radical_abc[i], (block.m1[i], block.k1[i])
             spot += 1
+        count += len(block)
     elapsed = time.monotonic() - t0
     assert count == 10_000 * 48
+    assert spot == count // 653
     assert structural_bad == 0
     # conjectural inequality: failures are reported loudly, never asserted impossible
     if explicit_failures:

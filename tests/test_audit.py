@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from factprod import audit
@@ -19,63 +20,79 @@ from factprod.audit import (
 from factprod.equations import DeltaForm, FactorialEquation, Pairing, to_delta_form
 from factprod.factorint import delta, radical
 
-from oracles import factor_literal
+from oracles import abc_scan_rows, abc_window_row, factor_literal
+
+
+def _block_rows(blocks, *names):
+    """The named columns of every AbcBlock, row by row, as Python values."""
+    for block in blocks:
+        yield from zip(*(getattr(block, name).tolist() for name in names))
 
 
 # ---------------------------------------------------------------- theta / mertens
 
 def test_audit_theta_small():
-    findings = audit_theta(10)
-    assert [f.parameters["nu"] for f in findings] == [2, 3, 5, 7]
-    assert all(f.ok for f in findings)
-    last = findings[-1]
-    assert last.lhs_value == pytest.approx(math.log(210), abs=1e-12)
-    assert last.rhs_value == pytest.approx(7 * THETA_COEFF)
+    th = audit_theta(10)
+    assert th.points.tolist() == [2, 3, 5, 7]
+    assert th.ok.all()
+    assert th.lhs[-1] == pytest.approx(math.log(210), abs=1e-12)
+    assert th.rhs[-1] == pytest.approx(7 * THETA_COEFF)
 
 
 def test_audit_theta_empty_below_two():
-    assert audit_theta(1.5) == []
+    th = audit_theta(1.5)
+    assert len(th) == 0 and th.findings() == []
+    assert th.violations == 0 and th.min_margin is None
 
 
 def test_audit_mertens_small():
-    findings = audit_mertens(10)
-    nus = [f.parameters["nu"] for f in findings]
-    assert nus == [2, 3, 5, 7, 10.0]
-    assert all(f.ok for f in findings)
-    at2 = findings[0]
-    assert at2.lhs_value == pytest.approx(math.log(2) / 2)
-    assert at2.rhs_value == pytest.approx(math.log(2))
-    at10 = findings[-1]
-    assert at10.lhs_value == pytest.approx(1.312652433140255, abs=1e-12)
-    assert at10.rhs_value == pytest.approx(math.log(10))
+    me = audit_mertens(10)
+    assert me.points.tolist() == [2, 3, 5, 7, 10.0]
+    assert me.ok.all()
+    assert me.lhs[0] == pytest.approx(math.log(2) / 2)
+    assert me.rhs[0] == pytest.approx(math.log(2))
+    assert me.lhs[-1] == pytest.approx(1.312652433140255, abs=1e-12)
+    assert me.rhs[-1] == pytest.approx(math.log(10))
 
 
 def test_theta_mertens_no_violations_to_1e4():
-    assert all(f.ok for f in audit_theta(10_000))
-    assert all(f.ok for f in audit_mertens(10_000))
+    assert audit_theta(10_000).ok.all()
+    assert audit_mertens(10_000).ok.all()
 
 
 def test_kahan_accumulation_matches_fsum():
-    findings = audit_theta(10_000)
-    tail = findings[-1]
-    exact = math.fsum(math.log(f.parameters["nu"]) for f in findings)
-    assert tail.lhs_value == pytest.approx(exact, abs=1e-9)
+    th = audit_theta(10_000)
+    exact = math.fsum(math.log(p) for p in th.points.tolist())
+    assert th.lhs[-1] == pytest.approx(exact, abs=1e-9)
+
+
+def test_prefix_findings_are_the_columns():
+    me = audit_mertens(1000.5)
+    rows = me.findings()
+    assert len(rows) == len(me) and me.violations == 0
+    assert [f.parameters["nu"] for f in rows] == me.points.tolist()
+    assert type(rows[0].parameters["nu"]) is int and rows[-1].parameters["nu"] == 1000.5
+    assert [(f.lhs_value, f.rhs_value, f.ok, f.margin) for f in rows] == list(
+        zip(me.lhs.tolist(), me.rhs.tolist(), me.ok.tolist(), me.margin.tolist())
+    )
+    assert me.min_margin == min(f.margin for f in rows)
+    assert me.findings(violations_only=True) == []
 
 
 # ---------------------------------------------------------------- stirling
 
 def test_audit_stirling_examples():
-    findings = audit_stirling_lower(10)
-    by_a = {f.parameters["a"]: f for f in findings}
-    assert by_a[2].lhs_value == pytest.approx(2 * math.log(2) - 2)
-    assert by_a[2].rhs_value == pytest.approx(math.log(2))
-    assert by_a[10].lhs_value == pytest.approx(10 * math.log(10) - 10)
-    assert by_a[10].rhs_value == pytest.approx(math.log(math.factorial(10)), abs=1e-9)
-    assert all(f.ok for f in findings)
+    st = audit_stirling_lower(10)
+    by_a = dict(zip(st.points.tolist(), zip(st.lhs.tolist(), st.rhs.tolist())))
+    assert by_a[2][0] == pytest.approx(2 * math.log(2) - 2)
+    assert by_a[2][1] == pytest.approx(math.log(2))
+    assert by_a[10][0] == pytest.approx(10 * math.log(10) - 10)
+    assert by_a[10][1] == pytest.approx(math.log(math.factorial(10)), abs=1e-9)
+    assert st.ok.all()
 
 
 def test_audit_stirling_scan():
-    assert all(f.ok for f in audit_stirling_lower(2000))
+    assert audit_stirling_lower(2000).ok.all()
 
 
 # ---------------------------------------------------------------- solution window
@@ -192,13 +209,14 @@ def test_abc_rejects_small_k1():
 
 
 def test_abc_structural_invariants_exhaustive_small():
-    for rep in abc_scan(200, 3, 12):
-        assert rep.a + rep.b == rep.c
-        assert math.gcd(rep.a, rep.b) == math.gcd(rep.a, rep.c) == math.gcd(rep.b, rep.c) == 1
+    rows = _block_rows(abc_scan(200, 3, 12), "a", "b", "c", "radical_abc", "explicit_ok")
+    for a, b, c, radical_abc, explicit_ok in rows:
+        assert a + b == c
+        assert math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
         # radical product law vs independent factorization of the literal product
-        lit = factor_literal(rep.a * rep.b * rep.c)
-        assert rep.radical_abc == math.prod(lit.keys())
-        assert rep.explicit_ok == (rep.c**4 < rep.radical_abc**7)
+        lit = factor_literal(a * b * c)
+        assert radical_abc == math.prod(lit.keys())
+        assert explicit_ok == (c**4 < radical_abc**7)
 
 
 def test_abc_selection_minimality():
@@ -211,8 +229,8 @@ def test_abc_selection_minimality():
 
 def test_abc_scan_agrees_with_single_reports():
     singles = [abc_window_report(m1, k1) for m1 in range(1, 30) for k1 in (3, 4, 5)]
-    scanned = [r for r in abc_scan(29, 3, 5)]
-    assert {(r.m1, r.k1): (r.a, r.b, r.c) for r in scanned} == {
+    scanned = _block_rows(abc_scan(29, 3, 5), "m1", "k1", "a", "b", "c")
+    assert {(m1, k1): (a, b, c) for m1, k1, a, b, c in scanned} == {
         (r.m1, r.k1): (r.a, r.b, r.c) for r in singles
     }
 
@@ -240,6 +258,57 @@ def test_abc_window_bound_and_ineq4():
     assert rep.ineq4 is not None and rep.ineq4.ok
     with pytest.raises(ValueError):
         abc_window_report(8, 3, a2=1)
+
+
+ABC_SHAPES = [
+    # ((m1_max, k1_min, k1_max), windows per block or None for the default)
+    ((3000, 3, 50), None),  # crosses two block boundaries
+    ((1500, 7, 12), 1000),  # 166 rows per block
+    ((1000, 3, 50), None),  # below one block
+    ((60, 9, 9), 1),  # k1_min == k1_max, one row per block
+    ((2000, 7, 30), None),
+]
+
+
+@pytest.mark.parametrize("shape,block_windows", ABC_SHAPES, ids=[str(s) for s, _ in ABC_SHAPES])
+def test_abc_scan_matches_python_walk(monkeypatch, shape, block_windows):
+    if block_windows is not None:
+        monkeypatch.setattr(audit, "_BLOCK_WINDOWS", block_windows)
+    scanned = list(_block_rows(abc_scan(*shape), *audit.ABC_COLUMNS))
+    expected = abc_scan_rows(*shape)
+    assert scanned == expected
+    # quality bit for bit, not merely equal as floats
+    assert [r[9].hex() for r in scanned] == [r[9].hex() for r in expected]
+
+
+def test_abc_scan_python_int_products_match_python_walk(monkeypatch):
+    # force the radical product onto Python ints, as for windows whose
+    # product bound reaches 2^63
+    monkeypatch.setattr(audit, "_INT64_BOUND", 0)
+    blocks = list(abc_scan(300, 3, 30))
+    assert all(block.radical_abc.dtype == object for block in blocks)
+    assert list(_block_rows(blocks, *audit.ABC_COLUMNS)) == abc_scan_rows(300, 3, 30)
+
+
+@pytest.mark.parametrize("m1,k1", [(10**12, 5), (8, 3), (100, 20), (10**7, 20), (1, 3)])
+def test_abc_window_report_matches_python_walk(m1, k1):
+    rep = abc_window_report(m1, k1)
+    assert tuple(getattr(rep, name) for name in audit.ABC_COLUMNS) == abc_window_row(m1, k1)
+    assert type(rep.radical_abc) is int and type(rep.explicit_ok) is bool
+
+
+def test_explicit_abc_boundary_decided_on_integers():
+    # c = 128, N = 16: c^4 = N^7 = 2^28, so c < N^(7/4) fails exactly at equality
+    assert abs(7 * math.log(16) - 4 * math.log(128)) <= audit._EXACT_BAND * 7 * math.log(16)
+    _, ok = audit._abc_decision(np.array([128]), np.array([16]))
+    assert ok.tolist() == [False]
+    # c and c + 1 round to the same float, so only integers can tell them apart
+    n = 6 * 10**10
+    c = math.isqrt(math.isqrt(n**7))
+    assert c**4 < n**7 < (c + 1) ** 4 and float(c) == float(c + 1)
+    for dtype in (np.int64, object):
+        _, ok = audit._abc_decision(np.array([c, c + 1], dtype=dtype), np.array([n, n], dtype=dtype))
+        assert ok.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------- proof chain
@@ -290,10 +359,10 @@ def test_proof_chain_rejects():
 # ---------------------------------------------------------------- CSV export
 
 def test_findings_csv_shape_and_determinism():
-    findings = audit_theta(30)
+    findings = audit_theta(30).findings()
     text = findings_csv(findings, {"seed": 0, "range": "2:30"})
     lines = text.strip().split("\n")
     assert lines[0].startswith("# range=2:30 seed=0")
     assert lines[1] == "check_id,nu,lhs,rhs,margin,ok"
     assert len(lines) == 2 + len(findings)
-    assert text == findings_csv(audit_theta(30), {"seed": 0, "range": "2:30"})
+    assert text == findings_csv(audit_theta(30).findings(), {"seed": 0, "range": "2:30"})

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from factprod import factorint
 from factprod.cli import main
 
 
@@ -245,6 +246,8 @@ def test_audit_chain_requires_equation(capsys):
         ("--check", "window", "--m1-max", "10", "--k1", "2:5"),
         ("--check", "window", "--m1-max", "10", "--k1", "6:5"),
         ("--check", "erdos", "--x", "2:abc"),
+        ("--check", "erdos", "--x", "1:5"),
+        ("--check", "erdos", "--k", "40:5"),
     ],
 )
 def test_audit_bad_range_names_flag(capsys, argv):
@@ -266,6 +269,28 @@ def test_audit_window_scan(capsys, tmp_path):
     rows = p.read_text().strip().split("\n")
     assert rows[1] == "m1,k1,j1,j2,d,a,b,c,radical_abc,quality,explicit_ok"
     assert len(rows) == 2 + 200
+
+
+def test_audit_window_scan_at_scale(capsys):
+    # 4.8M windows; the expected maximum was recorded from the per-window
+    # Python walk in tests/oracles.py over the same range
+    code, out, _ = run_cli(capsys, "audit", "--check", "window", "--m1-max", "100000", "--k1", "3:50")
+    assert code == 0
+    _, result = parse_doc(out)
+    assert result["windows"] == 4_800_000
+    assert result["explicit_abc_failures"] == []
+    assert result["max_quality"] == 1.567887264400461
+    assert result["max_quality_at"] == [4353, 23]
+
+
+def test_sieve_ceiling_is_a_resource_guard(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "abc", "--m1", str(10**18), "--k1", "20")
+    assert code == 3
+    assert err.strip() == "resource guard: sieve limit 1000000000 exceeds ceiling 200000000"
+    monkeypatch.setattr(factorint, "SIEVE_CEILING", 1000)
+    code, _, err = run_cli(capsys, "audit", "--check", "window", "--m1-max", "2000", "--k1", "3:5")
+    assert code == 3
+    assert err.strip() == "resource guard: sieve limit 2005 exceeds ceiling 1000"
 
 
 # ---------------------------------------------------------------- abc

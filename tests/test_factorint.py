@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factprod import factorint
 from factprod.factorint import (
     ExpVec,
     PrimeTable,
+    SieveCeilingError,
     delta,
     factorial_expvec,
     factorize,
@@ -132,6 +135,18 @@ def test_tables_match_pointwise():
     for n in range(1, 501):
         assert int(rad[n]) == radical(n)
         assert int(lpf[n]) == largest_prime_factor(n)
+
+
+def test_tables_check_ceiling_before_allocating(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("array allocated above the sieve ceiling")
+
+    monkeypatch.setattr(factorint, "SIEVE_CEILING", 1000)
+    monkeypatch.setattr(np, "ones", no_alloc)
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    for build in (radical_table, lpf_table, PrimeTable):
+        with pytest.raises(SieveCeilingError, match="sieve limit 1001 exceeds ceiling 1000"):
+            build(1001)
 
 
 # ---------------------------------------------------------------- delta
