@@ -52,6 +52,7 @@ from .audit import (
 )
 from .density import (
     DensityEstimate,
+    QuadratureBudgetError,
     RegionSpec,
     analytic_density_t3s2,
     indicator,

@@ -34,6 +34,7 @@ from .audit import (
 )
 from .density import (
     DensityEstimate,
+    QuadratureBudgetError,
     RegionSpec,
     _quad_panels,
     analytic_density_t3s2,
@@ -415,7 +416,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_GUARD
-    except SieveCeilingError as exc:
+    except (SieveCeilingError, QuadratureBudgetError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (EquationError, ValueError) as exc:

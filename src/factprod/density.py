@@ -15,8 +15,9 @@ Three routes to its volume:
 * quadrature_density    -- nested integration: unpaired y coordinates and the
   innermost x block are integrated in closed form, the remaining outer
   variables numerically (Gauss-Legendre panels for s <= 2, where the reduced
-  integrand is piecewise polynomial with a known breakpoint; midpoint panels
-  for s = 3).
+  integrand is piecewise polynomial with a known breakpoint; for s = 3 the
+  innermost y coordinate is integrated in closed form as well and midpoint
+  panels cover the three outer axes).
 
 The region measures the CONSTRAINT set (orderings plus gap ratio), not the
 solution set of the factorial equation, which has density zero; the indicator
@@ -32,26 +33,40 @@ from fractions import Fraction
 
 import numpy as np
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_PHI = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / (1 << 53)
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+# The sampler mixes one cache-sized chunk of counters at a time, in place.
+_CHUNK = 1 << 15
 
 
 def sample_block(seed: int, start: int, count: int, dims: int) -> np.ndarray:
     """Uniform [0,1) doubles for sample indices start..start+count-1,
-    shape (count, dims); pure function of (seed, index, dimension)."""
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    idx = np.arange(start * dims, (start + count) * dims, dtype=np.uint64)
-    z = base + (idx + np.uint64(1)) * _PHI
-    u = _mix64(z)
-    return ((u >> np.uint64(11)).astype(np.float64) * _INV53).reshape(count, dims)
+    shape (count, dims); pure function of (seed, index, dimension).
+
+    Counter k = index * dims + dimension maps to the splitmix64 output of
+    seed + (k + 1) * phi (mod 2^64), whose top 53 bits form the double."""
+    total = count * dims
+    out = np.empty(total, dtype=np.float64)
+    z = np.empty(min(_CHUNK, total), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    steps = np.arange(len(z), dtype=np.uint64)
+    steps *= np.uint64(_PHI)  # k * phi (mod 2^64) for offset k within a chunk
+    first = start * dims + 1
+    for pos in range(0, total, _CHUNK):
+        m = min(_CHUNK, total - pos)
+        zm, tm = z[:m], tmp[:m]
+        np.add(steps[:m], np.uint64((seed + (first + pos) * _PHI) & _MASK64), out=zm)
+        for shift, mul in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(zm, np.uint64(shift), out=tm)
+            zm ^= tm
+            if mul is not None:
+                zm *= mul
+        zm >>= np.uint64(11)
+        np.multiply(zm, _INV53, out=out[pos : pos + m])
+    return out.reshape(count, dims)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,43 +295,71 @@ def _quad_s2(spec: RegionSpec, panels: int) -> float:
     return total
 
 
+def _K(w: np.ndarray, G) -> np.ndarray:
+    """Double antiderivative of min(G, u) in u, vanishing at 0:
+    (w^3 - (w - G)_+^3) / 6 for w >= 0."""
+    return (w**3 - np.maximum(w - G, 0.0) ** 3) / 6.0
+
+
+def _L(w: np.ndarray, G) -> np.ndarray:
+    """Antiderivative of min(G, u) in u, vanishing at 0 (the derivative of _K)."""
+    return (w**2 - np.maximum(w - G, 0.0) ** 2) / 2.0
+
+
 def _quad_s3(spec: RegionSpec, n: int) -> float:
-    # s = 3 forces t = 3 under the dimension guard: all y's are paired.
-    i2, i3 = spec.pairing
+    # s = 3 forces t = 3 under the dimension guard: all y's are paired.  F is
+    # the (x2, x3) area integrated over y3 in [0, y2], in closed form because
+    # the x3 extent min(G, x2 - y_paired) is piecewise linear; x1, v = y1 / x1
+    # and alpha = y2 / y1 take midpoint panels with Jacobian x1 * y1.  At
+    # c = inf no gap exceeds 1, so G = 1 leaves the ratio constraint inactive.
     c = spec.c
     nodes = (np.arange(n) + 0.5) / n
-    A = nodes[None, :, None]  # y2 = y1 * alpha
-    B = nodes[None, None, :]  # y3 = y2 * beta
-    V = nodes[:, None, None]  # y1 = x1 * v
+    V = nodes[:, None]
+    A = nodes[None, :]
     total = 0.0
     for x1 in nodes:
         Y1 = x1 * V
         Y2 = Y1 * A
-        Y3 = Y2 * B
-        ys = {2: Y2, 3: Y3}
-        G = c * (x1 - Y1) if math.isfinite(c) else np.inf
-        A2 = ys[i2]
-        B2 = np.minimum(x1, A2 + G)
-        A3 = ys[i3]
-        hi = np.minimum(A3 + G, B2)
-        m = np.clip(A2, A3, hi)
-        area = (m - A3) * (B2 - A2) + 0.5 * ((B2 - m) ** 2 - (B2 - hi) ** 2)
-        area = np.where(hi > A3, area, 0.0)
-        total += float(np.sum(x1 * Y1 * Y2 * area))
-    return total / n**4
+        G = c * (x1 - Y1) if math.isfinite(c) else 1.0
+        if spec.pairing == (2, 3):
+            # x2 in [y2, min(x1, y2 + G)], x3 in [y3, y3 + min(G, x2 - y3)]
+            B2 = np.minimum(x1, Y2 + G)
+            F = _K(B2, G) - _K(Y2, G) - _K(B2 - Y2, G)
+        else:
+            # x2 in [y2, min(x1, y3 + G)], x3 in [y2, y2 + min(G, x2 - y2)]:
+            # empty for y3 below y2 - G, and x2's bound is x1 above y3 = x1 - G
+            lo = np.maximum(Y2 - G, 0.0)
+            mid = np.clip(x1 - G, 0.0, Y2)
+            F = _K(mid + G - Y2, G) - _K(lo + G - Y2, G) + _L(x1 - Y2, G) * (Y2 - mid)
+        total += float(x1 * np.sum(Y1 * F))
+    return total / n**3
 
 
 _DEFAULT_PANELS = {1: 512, 2: 48, 3: 64}
+# Largest array (float64 cells) a quadrature may build: 32 MiB.
+_QUAD_CELLS = 1 << 22
+
+
+class QuadratureBudgetError(RuntimeError):
+    """A quadrature whose largest array exceeds _QUAD_CELLS was asked for: a
+    resource guard, raised before anything of that size is allocated."""
 
 
 def _quad_panels(spec: RegionSpec, resolution: int | None) -> int:
     """Panel count for quadrature_density; rejects the shapes and
-    resolutions it does not support."""
+    resolutions it does not support or whose arrays exceed the cell budget."""
     if spec.s + spec.t > 6:
         raise ValueError("dimension guard: s + t must be <= 6")
     panels = resolution if resolution is not None else _DEFAULT_PANELS[min(spec.s, 3)]
     if panels < 1:
         raise ValueError("resolution must be >= 1")
+    # s = 1: one Gauss-Legendre axis; s = 2: two of them; s = 3: (n, n) per x1
+    cells = {1: _GL_NODES * panels, 2: (_GL_NODES * panels) ** 2, 3: panels**2}[spec.s]
+    if cells > _QUAD_CELLS:
+        raise QuadratureBudgetError(
+            f"quadrature resolution {panels} needs {cells} cells per array, "
+            f"above the budget of {_QUAD_CELLS}"
+        )
     return panels
 
 
@@ -326,8 +369,12 @@ def quadrature_density(spec: RegionSpec, resolution: int | None = None) -> float
     ``resolution`` is the panel count per numeric axis (per-path defaults).
     For s <= 2 the reduced integrand is piecewise polynomial and the panels
     are Gauss-Legendre with the pieces split at the known breakpoint, so the
-    result is exact to roundoff at any resolution; for s = 3 the outer axes
-    use midpoint panels and the error decays like resolution^-2.
+    result is exact to roundoff at any resolution.  For s = 3 the (x2, x3)
+    area and the innermost y coordinate are integrated in closed form and the
+    three outer axes (x1, y1/x1, y2/y1) use midpoint panels, so the error
+    decays like resolution^-2 (about 3e-7 at 96) and memory is
+    O(resolution^2).  A resolution whose largest array would exceed the cell
+    budget raises QuadratureBudgetError before anything is allocated.
     """
     panels = _quad_panels(spec, resolution)
     if spec.s == 1:

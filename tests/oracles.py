@@ -5,12 +5,17 @@ The brute-force oracles decide questions by literal big-integer arithmetic
 package's exponent-vector machinery so the two routes can check each other.
 The full-vector descent at the end is the census engine's reference: the same
 pruned search over a dict residual that subtracts and re-adds the whole a!
-vector at every node, with the same node count.  The per-window Python walk at
-the very end is the reference for the columnar abc window scan.
+vector at every node, with the same node count.  The per-window Python walk is
+the reference for the columnar abc window scan.  The density section at the
+end counts orderings for the c = inf region volume and keeps the Monte Carlo
+sampler in its first, one-array-per-operation form.
 """
 
 import math
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
+
+import numpy as np
 
 from factprod.factorint import factorial_expvec, radical, radical_table
 
@@ -242,3 +247,34 @@ class _Radicals(dict):
 def abc_window_row(m1: int, k1: int) -> tuple:
     """The row of one window, with every radical found by factoring."""
     return next(_abc_walk(_Radicals(), (m1,), k1, k1))
+
+
+# ---------------------------------------------------------------- densities
+
+def ordering_density(t: int, s: int, pairing: tuple[int, ...]) -> Fraction:
+    """Exact volume of the c = inf constraint region: the share of the (s+t)!
+    strict orders of x_1..x_s, y_1..y_t with x_1 > ... > x_s, y_1 > ... > y_t,
+    x_1 > y_1 and x_j > y_{i_j} (ties have measure zero)."""
+    count = 0
+    for rank in permutations(range(s + t)):
+        x, y = rank[:s], rank[s:]
+        if (
+            all(x[j] > x[j + 1] for j in range(s - 1))
+            and all(y[i] > y[i + 1] for i in range(t - 1))
+            and x[0] > y[0]
+            and all(x[j - 1] > y[i - 1] for j, i in enumerate(pairing, start=2))
+        ):
+            count += 1
+    return Fraction(count, math.factorial(s + t))
+
+
+def sample_block_reference(seed: int, start: int, count: int, dims: int) -> np.ndarray:
+    """The counter-based sampler written one whole-array expression per step."""
+    phi = np.uint64(0x9E3779B97F4A7C15)
+    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    idx = np.arange(start * dims, (start + count) * dims, dtype=np.uint64)
+    z = base + (idx + np.uint64(1)) * phi
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = z ^ (z >> np.uint64(31))
+    return ((u >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(count, dims)

@@ -172,6 +172,30 @@ def test_density_rejects_before_estimating(capsys, monkeypatch):
     assert code == 2 and "resolution" in err
 
 
+@pytest.mark.parametrize(
+    "s,resolution,cells",
+    [("3", "100000", 10**10), ("2", "1000000", 64 * 10**12), ("1", "1000000", 8 * 10**6)],
+)
+def test_density_quadrature_budget_is_a_resource_guard(capsys, monkeypatch, s, resolution, cells):
+    import numpy as np
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("an array was allocated past the quadrature guard")
+
+    for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
+        monkeypatch.setattr(np, name, allocated)
+    monkeypatch.setattr("factprod.cli.mc_density", allocated)
+    code, _, err = run_cli(
+        capsys, "density", "--t", "3", "--s", s, "--c", "1",
+        "--samples", "1", "--resolution", resolution,
+    )
+    assert code == 3
+    assert err.strip() == (
+        f"resource guard: quadrature resolution {resolution} needs {cells} cells "
+        "per array, above the budget of 4194304"
+    )
+
+
 def test_density_no_analytic_off_flagship(capsys):
     code, out, _ = run_cli(
         capsys,
