@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .audit import (
@@ -151,21 +152,9 @@ def cmd_search(args) -> int:
         c=args.c,
         nontrivial_only=args.nontrivial_only,
     )
-    guards = SearchGuards(
-        n1_ceiling=args.n1_ceiling,
-        max_nodes=args.max_nodes,
-        max_seconds=args.max_seconds,
-    )
+    guards = SearchGuards(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     workers = _workers(args)
-    config = {
-        "n1_max": spec.n1_max,
-        "t_max": spec.t_max,
-        "s_max": spec.s_max,
-        "c": spec.c,
-        "nontrivial_only": spec.nontrivial_only,
-        "workers": workers,
-    }
-    meta = _meta("search", config)
+    meta = _meta("search", {**asdict(spec), "workers": workers})
     records = search_factorial_products(spec, guards=guards, workers=workers)
     payload = record_jsonl(records)
     if args.out:
@@ -194,15 +183,7 @@ def cmd_density(args) -> int:
     if (spec.t, spec.s, spec.pairing) == (3, 2, (2,)) and float(spec.c).is_integer():
         analytic = analytic_density_t3s2(int(spec.c))
     est = DensityEstimate(analytic, est.mc_mean, est.mc_stderr, est.samples, est.seed, quad)
-    config = {
-        "t": spec.t,
-        "s": spec.s,
-        "c": spec.c,
-        "pairing": list(spec.pairing),
-        "samples": args.samples,
-        "seed": args.seed,
-        "workers": workers,
-    }
+    config = {**asdict(spec), "samples": args.samples, "seed": args.seed, "workers": workers}
     _print_doc(_meta("density", config), est.to_json_obj())
     return EXIT_OK
 
@@ -360,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="JSON-lines census file")
     s.add_argument("--census-csv", dest="census_csv", help="summary CSV file")
     s.add_argument("--workers", type=int, default=None)
-    s.add_argument("--n1-ceiling", type=int, default=100, dest="n1_ceiling")
     s.add_argument("--max-nodes", type=int, default=50_000_000, dest="max_nodes")
     s.add_argument("--max-seconds", type=float, default=None, dest="max_seconds")
     s.set_defaults(fn=cmd_search)
@@ -409,14 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceGuardError as exc:
-        print(
-            f"resource guard: {exc.reason} ({exc.completed_units} of {exc.total_units} "
-            f"units completed, {exc.nodes} nodes)",
-            file=sys.stderr,
-        )
-        return EXIT_GUARD
-    except (SieveCeilingError, QuadratureBudgetError) as exc:
+    except (ResourceGuardError, SieveCeilingError, QuadratureBudgetError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (EquationError, ValueError) as exc:

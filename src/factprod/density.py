@@ -238,13 +238,6 @@ def _gl_panels(lo: float, hi: float, panels: int):
     return xs, ws
 
 
-def _runs(spec: RegionSpec) -> tuple[int, int]:
-    """Unpaired-y run lengths for s = 2: r1 strictly between y_1 and the
-    paired coordinate, r2 below it."""
-    u = spec.pairing[0]
-    return u - 2, spec.t - u
-
-
 def _S(q: int, z: np.ndarray, y1: np.ndarray, r1: int) -> np.ndarray:
     """Integral of (y1 - u)^r1 * u^q du from 0 to z, elementwise."""
     out = np.zeros_like(z)
@@ -262,36 +255,32 @@ def _quad_s1(spec: RegionSpec, panels: int) -> float:
 
 
 def _quad_s2(spec: RegionSpec, panels: int) -> float:
-    r1, r2 = _runs(spec)
+    # unpaired y runs: r1 strictly between y_1 and the paired y_u, r2 below it
+    u = spec.pairing[0]
+    r1, r2 = u - 2, spec.t - u
     norm = math.factorial(r1) * math.factorial(r2)
     c = spec.c
     xs, wx = _gl_panels(0.0, 1.0, panels)
+    X = xs[:, None]
 
-    def inner(v_nodes: np.ndarray, wv: np.ndarray, ratio_active: bool) -> float:
-        X = xs[:, None]
-        V = v_nodes[None, :]
-        Y1 = X * V
-        if ratio_active:
-            G = c * (X - Y1)
-            ustar = np.clip(X - G, 0.0, Y1)
-            a_part = G * _S(r2, ustar, Y1, r1)
-            b_full = X * _S(r2, Y1, Y1, r1) - _S(r2 + 1, Y1, Y1, r1)
-            b_cut = X * _S(r2, ustar, Y1, r1) - _S(r2 + 1, ustar, Y1, r1)
-            I = (a_part + b_full - b_cut) / norm
-        else:
-            I = (X * _S(r2, Y1, Y1, r1) - _S(r2 + 1, Y1, Y1, r1)) / norm
+    def inner(v_nodes: np.ndarray, wv: np.ndarray) -> float:
+        Y1 = X * v_nodes[None, :]
+        G = c * (X - Y1) if math.isfinite(c) else 1.0
+        ustar = np.clip(X - G, 0.0, Y1)
+        a_part = G * _S(r2, ustar, Y1, r1)
+        b_full = X * _S(r2, Y1, Y1, r1) - _S(r2 + 1, Y1, Y1, r1)
+        b_cut = X * _S(r2, ustar, Y1, r1) - _S(r2 + 1, ustar, Y1, r1)
+        I = (a_part + b_full - b_cut) / norm
         return float(np.einsum("i,j,ij->", wx, wv, X * I))
 
-    if not math.isfinite(c):
-        vs, wv = _gl_panels(0.0, 1.0, panels)
-        return inner(vs, wv, ratio_active=False)
+    # G, the ratio bound on the paired gap, binds only for v = y1 / x1 below
+    # v0 = (c - 1) / c, so the v axis splits there.  At c = inf no gap
+    # exceeds 1, so G = 1 and v0 = 1 leave it inactive.
+    v0 = (c - 1.0) / c if math.isfinite(c) else 1.0
     total = 0.0
-    v0 = (c - 1.0) / c
-    if v0 > 0.0:
-        vs, wv = _gl_panels(0.0, v0, panels)
-        total += inner(vs, wv, ratio_active=True)
-    vs, wv = _gl_panels(v0, 1.0, panels)
-    total += inner(vs, wv, ratio_active=True)
+    for lo, hi in ((0.0, v0), (v0, 1.0)):
+        if lo < hi:
+            total += inner(*_gl_panels(lo, hi, panels))
     return total
 
 
@@ -336,29 +325,33 @@ def _quad_s3(spec: RegionSpec, n: int) -> float:
 
 
 _DEFAULT_PANELS = {1: 512, 2: 48, 3: 64}
-# Largest array (float64 cells) a quadrature may build: 32 MiB.
+# Most float64 cells an s <= 2 quadrature may evaluate: 32 MiB as one array.
 _QUAD_CELLS = 1 << 22
+# The s = 3 rule holds O(res^2) cells at a time but does res^3 cell work;
+# 2^26 of it (resolution 406) took about 6 s on a 2-core VM.
+_QUAD_S3_CELLS = 1 << 26
 
 
 class QuadratureBudgetError(RuntimeError):
-    """A quadrature whose largest array exceeds _QUAD_CELLS was asked for: a
-    resource guard, raised before anything of that size is allocated."""
+    """A quadrature that evaluates more cells than its budget was asked
+    for: a resource guard, raised before anything is allocated."""
 
 
 def _quad_panels(spec: RegionSpec, resolution: int | None) -> int:
     """Panel count for quadrature_density; rejects the shapes and
-    resolutions it does not support or whose arrays exceed the cell budget."""
+    resolutions it does not support or whose work exceeds the cell budget."""
     if spec.s + spec.t > 6:
         raise ValueError("dimension guard: s + t must be <= 6")
     panels = resolution if resolution is not None else _DEFAULT_PANELS[min(spec.s, 3)]
     if panels < 1:
         raise ValueError("resolution must be >= 1")
-    # s = 1: one Gauss-Legendre axis; s = 2: two of them; s = 3: (n, n) per x1
-    cells = {1: _GL_NODES * panels, 2: (_GL_NODES * panels) ** 2, 3: panels**2}[spec.s]
-    if cells > _QUAD_CELLS:
+    # s <= 2: one array over the Gauss-Legendre grid; s = 3: n arrays of (n, n)
+    cells = {1: _GL_NODES * panels, 2: (_GL_NODES * panels) ** 2, 3: panels**3}[spec.s]
+    budget = _QUAD_S3_CELLS if spec.s == 3 else _QUAD_CELLS
+    if cells > budget:
         raise QuadratureBudgetError(
-            f"quadrature resolution {panels} needs {cells} cells per array, "
-            f"above the budget of {_QUAD_CELLS}"
+            f"quadrature resolution {panels} needs {cells} cells, "
+            f"above the budget of {budget}"
         )
     return panels
 
@@ -372,8 +365,9 @@ def quadrature_density(spec: RegionSpec, resolution: int | None = None) -> float
     result is exact to roundoff at any resolution.  For s = 3 the (x2, x3)
     area and the innermost y coordinate are integrated in closed form and the
     three outer axes (x1, y1/x1, y2/y1) use midpoint panels, so the error
-    decays like resolution^-2 (about 3e-7 at 96) and memory is
-    O(resolution^2).  A resolution whose largest array would exceed the cell
+    decays like resolution^-2 (about 3e-7 at 96), time is O(resolution^3)
+    and memory O(resolution^2).  A resolution whose cell count (the largest
+    array for s <= 2, all resolution^3 cells for s = 3) would exceed its
     budget raises QuadratureBudgetError before anything is allocated.
     """
     panels = _quad_panels(spec, resolution)

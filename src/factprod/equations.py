@@ -265,14 +265,10 @@ def to_delta_form(eq: FactorialEquation, pairing: Pairing) -> DeltaForm:
 
 
 def delta_form_holds(df: DeltaForm) -> bool:
-    """True iff prod(leftover!) equals prod of the blocks on exponent vectors."""
-    lhs = ExpVec()
-    for a in df.leftover:
-        lhs = lhs + factorial_expvec(a)
-    rhs = ExpVec()
-    for m, k in df.blocks:
-        rhs = rhs + (factorial_expvec(m + k - 1) - factorial_expvec(m - 1))
-    return lhs == rhs
+    """True iff prod(leftover!) equals prod of the blocks on exponent vectors:
+    block (m, k) is (m + k - 1)! / (m - 1)!."""
+    lhs = [*df.leftover, *(m - 1 for m, _ in df.blocks)]
+    return raw_residual(lhs, [m + k - 1 for m, k in df.blocks]).is_zero()
 
 
 def default_pairing(eq: FactorialEquation) -> Pairing | None:

@@ -3,9 +3,8 @@
 Prime sieves, Legendre exponents of factorials, radicals and largest prime
 factors, products of consecutive integers, and the Chebyshev/Mertens prefix
 sums used by the inequality audits.  Everything here is pure and immutable
-after construction, so values can be shared freely: the density's worker
-threads read them concurrently, and the census's forked worker processes
-inherit them.
+after construction, so values can be shared freely; the census's forked
+worker processes inherit them.
 """
 
 from __future__ import annotations
@@ -274,11 +273,9 @@ _fact_cache: dict[int, ExpVec] = {0: ExpVec(), 1: ExpVec()}
 
 
 def factorial_expvec(n: int) -> ExpVec:
-    """Exponent vector of n! over all primes <= n (Legendre's formula).
-
-    Results are memoized for the lifetime of the process; the cache is the
-    dominant saving in the census search.
-    """
+    """Exponent vector of n! over all primes <= n (Legendre's formula),
+    memoized for the lifetime of the process; the census descent reads its
+    own factorial tables instead."""
     if n < 0:
         raise ValueError("n must be >= 0")
     v = _fact_cache.get(n)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
+from math import comb
 
 from .equations import (
     NONTRIVIAL,
@@ -100,7 +101,6 @@ class SearchGuards:
     """Resource ceilings; exceeding any of them is an explicit error carrying
     the records from completed work units, never a silent truncation."""
 
-    n1_ceiling: int = 100
     max_nodes: int = 50_000_000
     max_seconds: float | None = None
 
@@ -114,17 +114,19 @@ class DeltaSolution:
 class ResourceGuardError(RuntimeError):
     """A guard tripped.  ``records`` holds the results of the work units in
     ``completed`` (in unit order), out of ``total_units``; ``nodes`` is the
-    number of descent nodes spent."""
+    number of descent nodes spent.  The message reports them once units ran."""
 
     def __init__(
         self, reason: str, records: list, completed=(), total_units: int = 0, nodes: int = 0
     ) -> None:
-        super().__init__(reason)
         self.reason = reason
         self.records = records
         self.completed = tuple(completed)
         self.total_units = total_units
         self.nodes = nodes
+        if total_units:
+            reason += f" ({len(self.completed)} of {total_units} units completed, {nodes} nodes)"
+        super().__init__(reason)
 
     @property
     def completed_units(self) -> int:
@@ -174,6 +176,37 @@ class _Budget:
 
 _POLL = 2048  # budget poll granularity, in descent nodes
 
+# Most (rank, exponent) pairs the tables of every a! with a <= n_max may hold;
+# rows share their unchanged pairs, so a pair is one 8-byte slot: 32 MiB.
+_TABLE_PAIRS = 1 << 22
+
+
+def _table_pairs(n_max: int) -> int:
+    """Sum of pi(a) over a <= n_max, i.e. sum of (n_max - p + 1) over primes
+    p <= n_max, counted on the shared prime table without growing it; past
+    its limit this is a lower bound."""
+    tbl = table()
+    ps = tbl.primes_upto(min(n_max, tbl.limit))
+    return len(ps) * (n_max + 1) - int(ps.sum())
+
+
+# Most work units one search may list: a unit of s entries is a tuple of
+# about 100 bytes with its list slot, so 2^20 units are about 100 MiB.
+_UNIT_BUDGET = 1 << 20
+
+
+def _unit_count(first_max: int, least: int, min_len: int, max_len: int) -> int:
+    """How many tuples _non_increasing yields, exact up to _UNIT_BUDGET and
+    past it a lower bound: with first entry f the other L - 1 entries are a
+    multiset of [least, f], and C(f - least + L - 1, L - 1) summed over
+    f = 3..first_max telescopes."""
+    count = 0
+    for n in range(min_len, max_len + 1):
+        if count > _UNIT_BUDGET:
+            break
+        count += comb(max(first_max, 2) - least + n, n) - comb(2 - least + n, n)
+    return count
+
 
 class _Tables:
     """Dense-residual lookup tables, built once per search.
@@ -181,15 +214,39 @@ class _Tables:
     ``primes`` lists the primes up to ``prime_max`` (the largest factorial in
     any target) by rank; ``step[a]`` and ``fact[a]`` are the (rank, exponent)
     pairs of factorize(a) and of a!, for the entries a <= ``n_max`` the
-    descent can place; left sides have at most ``t_max`` entries."""
+    descent can place; left sides have at most ``t_max`` entries.  Tables
+    over the _TABLE_PAIRS budget, or for a search of ``units`` work units
+    (from _unit_count) over _UNIT_BUDGET, raise ResourceGuardError before
+    anything is built."""
 
     __slots__ = ("primes", "rank", "step", "fact", "t_max")
 
-    def __init__(self, n_max: int, prime_max: int, t_max: int) -> None:
+    def __init__(self, n_max: int, prime_max: int, t_max: int, units: int = 0) -> None:
+        pairs = _table_pairs(n_max)
+        if pairs > _TABLE_PAIRS:
+            raise ResourceGuardError(
+                f"factorial tables up to {n_max}! need {pairs} (rank, exponent) pairs, "
+                f"above the budget of {_TABLE_PAIRS}",
+                [],
+            )
+        if units > _UNIT_BUDGET:
+            raise ResourceGuardError(
+                f"the search has at least {units} work units, "
+                f"above the budget of {_UNIT_BUDGET}",
+                [],
+            )
         self.primes = [int(p) for p in table(prime_max).primes_upto(prime_max)]
         self.rank = {p: i for i, p in enumerate(self.primes)}
         self.step = [()] * 2 + [self._ranked(factorize(a)) for a in range(2, n_max + 1)]
-        self.fact = [self._ranked(factorial_expvec(a).entries) for a in range(n_max + 1)]
+        self.fact = [(), ()]
+        for step in self.step[2:]:  # a! = (a-1)! * a: a prime a opens a new rank
+            row = list(self.fact[-1])
+            for r, e in step:
+                if r < len(row):
+                    row[r] = (r, row[r][1] + e)
+                else:
+                    row.append((r, e))
+            self.fact.append(tuple(row))
         self.t_max = t_max
 
     def _ranked(self, entries) -> tuple[tuple[int, int], ...]:
@@ -203,8 +260,12 @@ class _Tables:
         completes."""
         R = [0] * len(self.primes)
         for n, sign in target:
-            for p, e in factorial_expvec(n).entries:
-                R[self.rank[p]] += sign * e
+            # only search_delta's block ends x + k - 1 can lie past the table
+            entries = (
+                self.fact[n] if n < len(self.fact) else self._ranked(factorial_expvec(n).entries)
+            )
+            for r, e in entries:
+                R[r] += sign * e
         out: list[tuple[int, ...]] = []
         nz = sum(1 for v in R if v)
         if nz:
@@ -420,17 +481,15 @@ def search_factorial_products(
 ) -> list[SolutionRecord]:
     """All identities within the requested bounds, canonically ordered.
 
-    Raises ResourceGuardError (with partial results from completed
-    right-hand units) when a guard ceiling is exceeded.
+    Raises ResourceGuardError when the tables or the work units exceed their
+    budget (before any work) or a guard ceiling is exceeded (with partial
+    results from completed right-hand units).
     """
     guards = guards or SearchGuards()
-    if spec.n1_max > guards.n1_ceiling:
-        raise ResourceGuardError(
-            f"n1_max = {spec.n1_max} exceeds ceiling {guards.n1_ceiling}", []
-        )
-    tables = _Tables(spec.n1_max, spec.n1_max, spec.t_max)
+    shape = (spec.n1_max, 2, 1, spec.s_max)
+    tables = _Tables(spec.n1_max, spec.n1_max, spec.t_max, _unit_count(*shape))
     return _run_units(
-        _non_increasing(spec.n1_max, 2, 1, spec.s_max),
+        _non_increasing(*shape),
         lambda rhs, budget: _census_unit(rhs, spec, tables, budget),
         workers,
         guards,
@@ -447,14 +506,12 @@ def search_delta(
     """All solutions of the fixed-gap consecutive-product equation with
     x non-increasing, x1 <= x_max, x1 > a1, t <= t_max."""
     guards = guards or SearchGuards()
-    if spec.x_max > guards.n1_ceiling:
-        raise ResourceGuardError(
-            f"x_max = {spec.x_max} exceeds ceiling {guards.n1_ceiling}", []
-        )
     if not spec.ratio_ok():
         return []
+    shape = (spec.x_max, 1, len(spec.k_list), len(spec.k_list))
     # the largest factorial in any target is x + k - 1 <= x_max + max(k) - 1
-    tables = _Tables(spec.x_max, spec.x_max + max(spec.k_list) - 1, spec.t_max)
+    prime_max = spec.x_max + max(spec.k_list) - 1
+    tables = _Tables(spec.x_max, prime_max, spec.t_max, _unit_count(*shape))
 
     def unit(xs: tuple[int, ...], budget: _Budget) -> list[DeltaSolution]:
         # the block x(x+1)...(x+k-1) is (x+k-1)! / (x-1)!
@@ -462,9 +519,8 @@ def search_delta(
         target += [(x - 1, -1) for x in xs]
         return [DeltaSolution(xs, lhs) for lhs in tables.left_sides(target, xs[0] - 1, budget)]
 
-    s = len(spec.k_list)
     return _run_units(
-        _non_increasing(spec.x_max, 1, s, s),
+        _non_increasing(*shape),
         unit,
         workers,
         guards,

@@ -104,6 +104,39 @@ def test_search_guard_exit_3(capsys):
     assert code == 3 and "resource guard" in err
 
 
+def test_search_table_guard_has_no_units_suffix(capsys):
+    from factprod.search import _TABLE_PAIRS, _table_pairs
+
+    code, out, err = run_cli(
+        capsys, "search", "--n1-max", "1000000000", "--t-max", "4", "--s-max", "1"
+    )
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"resource guard: factorial tables up to 1000000000! need {_table_pairs(10**9)} "
+        f"(rank, exponent) pairs, above the budget of {_TABLE_PAIRS}"
+    )
+
+
+def test_search_unit_guard_exits_3(capsys):
+    from factprod.search import _UNIT_BUDGET, _unit_count
+
+    code, out, err = run_cli(
+        capsys, "search", "--n1-max", "5000", "--t-max", "4", "--s-max", "3"
+    )
+    assert code == 3 and out == ""
+    assert err.strip() == (
+        f"resource guard: the search has at least {_unit_count(5000, 2, 1, 3)} work units, "
+        f"above the budget of {_UNIT_BUDGET}"
+    )
+
+
+def test_search_n1_ceiling_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["search", "--n1-max", "10", "--t-max", "4", "--s-max", "1", "--n1-ceiling", "10"])
+    assert e.value.code == 2
+    assert "--n1-ceiling" in capsys.readouterr().err
+
+
 def test_search_guard_message_counts_units_and_nodes(capsys):
     code, _, err = run_cli(
         capsys,
@@ -174,7 +207,12 @@ def test_density_rejects_before_estimating(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "s,resolution,cells",
-    [("3", "100000", 10**10), ("2", "1000000", 64 * 10**12), ("1", "1000000", 8 * 10**6)],
+    [
+        ("3", "100000", 10**15),
+        ("3", "2048", 2048**3),
+        ("2", "1000000", 64 * 10**12),
+        ("1", "1000000", 8 * 10**6),
+    ],
 )
 def test_density_quadrature_budget_is_a_resource_guard(capsys, monkeypatch, s, resolution, cells):
     import numpy as np
@@ -189,10 +227,11 @@ def test_density_quadrature_budget_is_a_resource_guard(capsys, monkeypatch, s, r
         capsys, "density", "--t", "3", "--s", s, "--c", "1",
         "--samples", "1", "--resolution", resolution,
     )
+    budget = 67108864 if s == "3" else 4194304
     assert code == 3
     assert err.strip() == (
-        f"resource guard: quadrature resolution {resolution} needs {cells} cells "
-        "per array, above the budget of 4194304"
+        f"resource guard: quadrature resolution {resolution} needs {cells} cells, "
+        f"above the budget of {budget}"
     )
 
 

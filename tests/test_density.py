@@ -225,6 +225,25 @@ def test_quadrature_c_inf_matches_ordering_count(t, s, pairing):
         assert abs(quadrature_density(spec, 96) - exact) <= 2e-6
 
 
+# s = 2 quadrature at c = inf, by float.hex at resolutions default, 7 and 48,
+# recorded from the separate c = inf path it once had
+S2_C_INF_HEX = {
+    (2, 2): ("0x1.5555555555559p-4", "0x1.555555555554fp-4", "0x1.5555555555559p-4"),
+    (3, 2): ("0x1.1111111111113p-6", "0x1.111111111110bp-6", "0x1.1111111111113p-6"),
+    (3, 3): ("0x1.9999999999996p-6", "0x1.9999999999997p-6", "0x1.9999999999996p-6"),
+    (4, 2): ("0x1.6c16c16c16c11p-9", "0x1.6c16c16c16c0fp-9", "0x1.6c16c16c16c11p-9"),
+    (4, 3): ("0x1.1111111111115p-8", "0x1.1111111111110p-8", "0x1.1111111111115p-8"),
+    (4, 4): ("0x1.6c16c16c16c17p-8", "0x1.6c16c16c16c17p-8", "0x1.6c16c16c16c17p-8"),
+}
+
+
+@pytest.mark.parametrize("t,u", sorted(S2_C_INF_HEX))
+def test_quadrature_s2_c_inf_pinned(t, u):
+    spec = RegionSpec(t=t, s=2, c=math.inf, pairing=(u,))
+    got = tuple(float.hex(quadrature_density(spec, res)) for res in (None, 7, 48))
+    assert got == S2_C_INF_HEX[t, u]
+
+
 @pytest.mark.parametrize("t,s,pairing", GUARDED_SHAPES)
 def test_mc_c_inf_matches_ordering_count(t, s, pairing):
     spec = RegionSpec(t=t, s=s, c=math.inf, pairing=pairing)
@@ -252,6 +271,17 @@ def test_quadrature_cell_budget():
         quadrature_density(RegionSpec(t=3, s=3, c=1), 100_000)
     with pytest.raises(QuadratureBudgetError):
         quadrature_density(RegionSpec(t=3, s=2, c=1), 1_000_000)
+
+
+def test_quadrature_s3_work_budget():
+    from factprod.density import _QUAD_S3_CELLS, QuadratureBudgetError, _quad_panels
+
+    spec = RegionSpec(t=3, s=3, c=1)
+    assert 406**3 <= _QUAD_S3_CELLS < 407**3
+    assert _quad_panels(spec, 406) == 406
+    for resolution in (407, 2048):
+        with pytest.raises(QuadratureBudgetError):
+            _quad_panels(spec, resolution)
 
 
 def test_quadrature_monotone_in_c():

@@ -161,10 +161,117 @@ def test_search_delta_matches_full_vector_oracle():
 
 def test_guard_n1_ceiling():
     with pytest.raises(ResourceGuardError):
-        search_factorial_products(
-            SearchSpec(n1_max=10**9, t_max=4, s_max=1),
-            guards=SearchGuards(n1_ceiling=100),
+        search_factorial_products(SearchSpec(n1_max=10**9, t_max=4, s_max=1))
+
+
+def test_table_guard_builds_nothing_first(monkeypatch):
+    import numpy as np
+
+    from factprod import search
+    from factprod.factorint import table
+
+    table()  # the shared prime table the guard counts on
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table was built past the guard")
+
+    for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
+        monkeypatch.setattr(np, name, built)
+    for name in ("factorize", "factorial_expvec"):
+        monkeypatch.setattr(search, name, built)
+    for run, bound in (
+        (lambda: search_factorial_products(SearchSpec(10**9, 4, 1), workers=2), 10**9),
+        (lambda: search_delta(DeltaSearchSpec((2, 3), 8000, 5), workers=2), 8000),
+    ):
+        with pytest.raises(ResourceGuardError) as e:
+            run()
+        assert e.value.reason == (
+            f"factorial tables up to {bound}! need {search._table_pairs(bound)} "
+            f"(rank, exponent) pairs, above the budget of {search._TABLE_PAIRS}"
         )
+        assert e.value.records == [] and e.value.total_units == 0 and e.value.nodes == 0
+
+
+def test_unit_guard_builds_nothing_first(monkeypatch):
+    import numpy as np
+
+    from factprod import search
+    from factprod.factorint import table
+
+    table()
+
+    def built(*args, **kwargs):
+        raise AssertionError("a table or a unit list was built past the guard")
+
+    for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
+        monkeypatch.setattr(np, name, built)
+    for name in ("factorize", "factorial_expvec", "_non_increasing"):
+        monkeypatch.setattr(search, name, built)
+    for run, shape in (
+        (lambda: search_factorial_products(SearchSpec(5000, 4, 3), workers=2), (5000, 2, 1, 3)),
+        (lambda: search_delta(DeltaSearchSpec((2, 3, 4), 7876, 5), workers=2), (7876, 1, 3, 3)),
+    ):
+        with pytest.raises(ResourceGuardError) as e:
+            run()
+        assert e.value.reason == (
+            f"the search has at least {search._unit_count(*shape)} work units, "
+            f"above the budget of {search._UNIT_BUDGET}"
+        )
+        assert e.value.records == [] and e.value.total_units == 0 and e.value.nodes == 0
+
+
+def test_unit_count_is_the_listing_length():
+    from factprod import search
+
+    for first_max in range(1, 14):
+        for least in (1, 2):
+            for min_len in range(1, 5):
+                for max_len in range(min_len, 6):
+                    shape = (first_max, least, min_len, max_len)
+                    assert search._unit_count(*shape) == len(list(search._non_increasing(*shape)))
+    # the parent's default census ceiling with s_max = 3 stays inside the budget
+    assert search._unit_count(100, 2, 1, 3) == 171_696 <= search._UNIT_BUDGET
+    assert search._unit_count(183, 2, 1, 3) <= search._UNIT_BUDGET < search._unit_count(184, 2, 1, 3)
+    # past the budget the count stops early, so a huge s_max costs nothing
+    assert search._UNIT_BUDGET < search._unit_count(3, 2, 1, 10**12) < 2 * search._UNIT_BUDGET
+
+
+def test_table_budget_is_the_pair_count(monkeypatch):
+    from factprod import search
+    from factprod.factorint import table
+
+    primes = table().primes_upto(400).tolist()
+    for n in (0, 1, 2, 3, 10, 97, 400):
+        assert search._table_pairs(n) == sum(sum(1 for p in primes if p <= a) for a in range(n + 1))
+    # the default budget admits the n1 <= 3000 census, and stops at the
+    # first n_max whose tables exceed it
+    assert search._table_pairs(7876) <= search._TABLE_PAIRS < search._table_pairs(7877)
+    search._Tables(3000, 3000, 6)
+    monkeypatch.setattr(search, "_TABLE_PAIRS", search._table_pairs(400))
+    assert sum(map(len, search._Tables(400, 400, 4).fact)) == search._TABLE_PAIRS
+    with pytest.raises(ResourceGuardError):
+        search._Tables(401, 401, 4)
+
+
+def test_tables_build_factorials_without_factorial_expvec(monkeypatch):
+    from factprod import search
+    from factprod.factorint import factorial_expvec
+
+    asked = []
+
+    def recorded(n):
+        asked.append(n)
+        return factorial_expvec(n)
+
+    monkeypatch.setattr(search, "factorial_expvec", recorded)
+    t = search._Tables(120, 120, 4)
+    assert asked == []
+    assert t.fact == [t._ranked(factorial_expvec(a).entries) for a in range(121)]
+    search_factorial_products(SearchSpec(24, 6, 3))
+    assert asked == []
+    # search_delta reads only its block ends past x_max from factorial_expvec
+    search_delta(DeltaSearchSpec((2, 3), 12, 4))
+    assert asked and min(asked) > 12
 
 
 def test_guard_node_budget_carries_partial():
