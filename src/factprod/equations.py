@@ -116,12 +116,12 @@ def raw_residual(lhs, rhs) -> ExpVec:
     Relaxed entry point for ad-hoc queries (ordering/disjointness not
     enforced); entries must still be integers >= 0.
     """
-    acc = ExpVec()
-    for n in rhs:
-        acc = acc + factorial_expvec(n)
-    for a in lhs:
-        acc = acc - factorial_expvec(a)
-    return acc
+    acc: dict[int, int] = {}
+    for side, sign in ((rhs, 1), (lhs, -1)):
+        for n in side:
+            for p, e in factorial_expvec(n).entries:
+                acc[p] = acc.get(p, 0) + sign * e
+    return ExpVec(tuple((p, e) for p, e in sorted(acc.items()) if e))
 
 
 def residual(eq: FactorialEquation) -> ExpVec:
@@ -150,6 +150,32 @@ class SolutionRecord:
 
     def with_delta_form(self, df: "DeltaForm | None") -> "SolutionRecord":
         return replace(self, delta_form=df)
+
+    def to_tuple(self) -> tuple:
+        """The record as plain tuples, cheap to pickle; ``from_tuple``
+        rebuilds it."""
+        df = self.delta_form
+        return (
+            self.eq.lhs,
+            self.eq.rhs,
+            self.holds,
+            self.classification,
+            None if df is None else (df.blocks, df.leftover),
+            self.adjacent,
+            self.census_note,
+        )
+
+    @classmethod
+    def from_tuple(cls, row: tuple) -> "SolutionRecord":
+        lhs, rhs, holds, classification, df, adjacent, note = row
+        return cls(
+            FactorialEquation(lhs, rhs),
+            holds,
+            classification,
+            None if df is None else DeltaForm(*df),
+            adjacent,
+            note,
+        )
 
 
 def verify(eq: FactorialEquation) -> SolutionRecord:

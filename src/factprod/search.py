@@ -1,20 +1,26 @@
 """Complete enumeration of factorial-product identities within bounds.
 
 The engine enumerates right-hand multisets, forms the target exponent vector,
-and extends the left side depth-first while maintaining the residual.  Three
+and extends the left side depth-first while maintaining the residual R.  Four
 prunes keep it exact and fast: (a) any negative exponent kills the branch,
 (b) the largest outstanding prime p* forces the next entry to be >= p* (only
-a! with a >= p* can supply p*), and (c) depth is capped by t_max.  Orientation
-(rhs[0] > lhs[0]) is built into the descent bound; disjointness is a filter
-in the census unit.
+a! with a >= p* can supply p*), (c) depth is capped by t_max, and (d) the
+size cap: a! | R needs a! <= R, so a level starts at the largest a with
+log(a!) <= log R (plus a small float margin) instead of at its upper bound
+ub.  Orientation (rhs[0] > lhs[0]) is built into the descent bound;
+disjointness is a filter in the census unit.
 
 The residual is dense: a list of exponents indexed by prime rank, with
 running counts of its negative and of its nonzero entries, so prune (a) and
-the zero test are O(1).  One descent level subtracts ub! once and then walks
-a = ub, ub-1, ..., p*; since a! = a * (a-1)!, each step only adds back the
-exponents of factorize(a) (at most three primes for a <= 100), and the level
-ends by adding lo! back.  One node is one value of a tried at one level, and
-the node budget is polled every _POLL nodes.
+the zero test are O(1); beside it the descent carries log R as a float.  One
+descent level subtracts cap! once and then walks a = cap, cap-1, ..., p*;
+since a! = a * (a-1)!, each step only adds back the exponents of
+factorize(a) (at most three primes for a <= 100), and the level ends by
+adding lo! back.  The float cap only skips values that cannot divide R;
+every value walked is still decided exactly on exponents.  One node is one
+value of a at one level: the values between cap and ub that prune (d) skips
+are still counted as nodes, so node budgets and trip points are those of the
+walk from ub.  The node budget is polled every _POLL nodes.
 
 The census and the fixed-gap search are two target builders on one driver.
 A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
@@ -31,8 +37,9 @@ from __future__ import annotations
 
 import time
 import traceback
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, lgamma
 
 from .equations import (
     NONTRIVIAL,
@@ -45,7 +52,7 @@ from .equations import (
     to_delta_form,
     verify,
 )
-from .factorint import factorial_expvec, factorize, table
+from .factorint import _legendre, factorize, table
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +116,13 @@ class SearchGuards:
 class DeltaSolution:
     x: tuple[int, ...]
     a: tuple[int, ...]
+
+    def to_tuple(self) -> tuple:
+        return self.x, self.a
+
+    @classmethod
+    def from_tuple(cls, row: tuple) -> "DeltaSolution":
+        return cls(*row)
 
 
 class ResourceGuardError(RuntimeError):
@@ -176,6 +190,12 @@ class _Budget:
 
 _POLL = 2048  # budget poll granularity, in descent nodes
 
+# Slack on the size cap log(a!) <= log R, whose two sides are sums of float
+# lgamma values.  The cap binds only where log R < log(n_max!) <= log(7876!)
+# ~ 6.3e4, and there each sum errs by well under 1e-9 (7e-12 for a! * b! at
+# the table bound).  With no slack at all, exact ties lose records.
+_LOG_MARGIN = 1e-6
+
 # Most (rank, exponent) pairs the tables of every a! with a <= n_max may hold;
 # rows share their unchanged pairs, so a pair is one 8-byte slot: 32 MiB.
 _TABLE_PAIRS = 1 << 22
@@ -213,13 +233,13 @@ class _Tables:
 
     ``primes`` lists the primes up to ``prime_max`` (the largest factorial in
     any target) by rank; ``step[a]`` and ``fact[a]`` are the (rank, exponent)
-    pairs of factorize(a) and of a!, for the entries a <= ``n_max`` the
-    descent can place; left sides have at most ``t_max`` entries.  Tables
-    over the _TABLE_PAIRS budget, or for a search of ``units`` work units
-    (from _unit_count) over _UNIT_BUDGET, raise ResourceGuardError before
-    anything is built."""
+    pairs of factorize(a) and of a!, and ``logfact[a]`` is log(a!), for the
+    entries a <= ``n_max`` the descent can place; left sides have at most
+    ``t_max`` entries.  Tables over the _TABLE_PAIRS budget, or for a search
+    of ``units`` work units (from _unit_count) over _UNIT_BUDGET, raise
+    ResourceGuardError before anything is built."""
 
-    __slots__ = ("primes", "rank", "step", "fact", "t_max")
+    __slots__ = ("primes", "rank", "step", "fact", "logfact", "t_max")
 
     def __init__(self, n_max: int, prime_max: int, t_max: int, units: int = 0) -> None:
         pairs = _table_pairs(n_max)
@@ -247,46 +267,75 @@ class _Tables:
                 else:
                     row.append((r, e))
             self.fact.append(tuple(row))
+        self.logfact = [lgamma(a + 1) for a in range(n_max + 1)]
         self.t_max = t_max
 
     def _ranked(self, entries) -> tuple[tuple[int, int], ...]:
         return tuple((self.rank[p], e) for p, e in entries)
 
-    def left_sides(self, target, ub: int, budget: _Budget) -> list[tuple[int, ...]]:
-        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2 and
-        t <= t_max whose factorials multiply to the target, the integer
-        prod(n! ** sign) over its (n, sign) terms.  The budget is settled
-        before returning, so a unit's nodes are all counted before it
-        completes."""
+    def _term(self, n: int):
+        """The (rank, exponent) pairs of n! and log(n!).  Past n_max (only
+        search_delta's block ends x + k - 1 lie there) the pairs come from
+        Legendre's formula over the table primes, kept for this term only."""
+        if n < len(self.fact):
+            return self.fact[n], self.logfact[n]
+        primes = self.primes[: bisect_right(self.primes, n)]
+        return [(r, _legendre(n, p)) for r, p in enumerate(primes)], lgamma(n + 1)
+
+    def residual(self, target) -> tuple[list[int], float]:
+        """The dense exponent vector and the logarithm of the target, the
+        integer prod(n! ** sign) over its (n, sign) terms."""
         R = [0] * len(self.primes)
+        log_r = 0.0
         for n, sign in target:
-            # only search_delta's block ends x + k - 1 can lie past the table
-            entries = (
-                self.fact[n] if n < len(self.fact) else self._ranked(factorial_expvec(n).entries)
-            )
+            entries, log_n = self._term(n)
+            log_r += sign * log_n
             for r, e in entries:
                 R[r] += sign * e
+        return R, log_r
+
+    def left_sides(self, target, ub: int, budget: _Budget) -> list[tuple[int, ...]]:
+        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2 and
+        t <= t_max whose factorials multiply to the target.  The budget is
+        settled before returning, so a unit's nodes are all counted before
+        it completes."""
+        R, log_r = self.residual(target)
         out: list[tuple[int, ...]] = []
         nz = sum(1 for v in R if v)
         if nz:
-            budget.spend(_descend(self, budget, out, R, nz, len(R) - 1, [], ub, 0))
+            budget.spend(_descend(self, budget, out, R, nz, len(R) - 1, [], ub, log_r, 0))
         return out
 
 
-def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, pending) -> int:
-    """One level of the descent over a residual with no negative entry and
-    ``nz`` nonzero ones, none above rank ``top``; appends every completed
-    left side to ``out``.  Leaves R as it found it; returns the count of
-    nodes not yet charged to the budget."""
+def _size_cap(logfact: list[float], log_r: float, ub: int) -> int:
+    """The largest a <= ub with log(a!) <= log_r, up to _LOG_MARGIN: a! can
+    divide a residual R = exp(log_r) only if a! <= R."""
+    return bisect_right(logfact, log_r + _LOG_MARGIN, 0, ub + 1) - 1
+
+
+def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, log_r, pending) -> int:
+    """One level of the descent over a residual with no negative entry,
+    ``nz`` nonzero ones, none above rank ``top``, and logarithm ``log_r``;
+    appends every completed left side to ``out``.  Leaves R as it found it;
+    returns the count of nodes not yet charged to the budget."""
     while not R[top]:
         top -= 1
     lo = t.primes[top]  # p*: only a! with a >= p* supplies it
     if lo > ub:
         return pending
+    # the values above the size cap are charged as nodes, not visited
+    cap = _size_cap(t.logfact, log_r, ub)
+    if cap < ub:
+        pending += ub - max(cap, lo - 1)
+        while pending >= _POLL:
+            budget.spend(_POLL)
+            pending -= _POLL
+        if cap < lo:
+            return pending
     step = t.step
     deeper = len(lhs) + 1 < t.t_max
     neg = 0
-    for r, e in t.fact[ub]:
+    for r, e in t.fact[cap]:
         v = R[r]
         R[r] = v - e
         if v < e:
@@ -295,7 +344,7 @@ def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, pending) -> 
                 nz += 1
         elif v == e:
             nz -= 1
-    a = ub
+    a = cap
     while True:
         pending += 1
         if pending >= _POLL:
@@ -306,7 +355,9 @@ def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, pending) -> 
             if not nz:
                 out.append(tuple(lhs))
             elif deeper:
-                pending = _descend(t, budget, out, R, nz, top, lhs, a, pending)
+                pending = _descend(
+                    t, budget, out, R, nz, top, lhs, a, log_r - t.logfact[a], pending
+                )
             lhs.pop()
         if a == lo:
             break
@@ -388,16 +439,21 @@ def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
 
 
 def _forked_slice(conn, units, indices, work, budget: _Budget) -> None:
+    """``_run_slice`` in a forked child; its records go back as plain tuples,
+    which pickle about four times faster than the record dataclasses."""
     try:
-        conn.send(("ok", _run_slice(units, indices, work, budget)))
+        done, reason = _run_slice(units, indices, work, budget)
+        rows = {i: [r.to_tuple() for r in recs] for i, recs in done.items()}
+        conn.send(("ok", (rows, reason)))
     except Exception:
         conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
 
 
-def _run_forked(ctx, units, work, workers: int, budget: _Budget) -> tuple[dict, str]:
-    """``_run_slice`` over all units, dealt round-robin to forked workers."""
+def _run_forked(ctx, units, work, workers: int, budget: _Budget, record) -> tuple[dict, str]:
+    """``_run_slice`` over all units, dealt round-robin to forked workers;
+    ``record.from_tuple`` rebuilds their records."""
     procs = []
     done: dict = {}
     reasons = []
@@ -419,8 +475,9 @@ def _run_forked(ctx, units, work, workers: int, budget: _Budget) -> tuple[dict, 
                 raise RuntimeError("search worker exited without a result") from None
             if status != "ok":
                 raise RuntimeError(f"search worker failed:\n{payload}")
-            part, reason = payload
-            done.update(part)
+            rows, reason = payload
+            for i, part in rows.items():
+                done[i] = [record.from_tuple(row) for row in part]
             if reason:
                 reasons.append(reason)
     except BaseException:
@@ -434,11 +491,11 @@ def _run_forked(ctx, units, work, workers: int, budget: _Budget) -> tuple[dict, 
     return done, (reasons[0] if reasons else "")
 
 
-def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
-    """Run independent work units ``work(unit, budget) -> list`` under one
-    node/time budget; returns their results joined in unit order and sorted
-    stably on ``key``.  A tripped guard raises ResourceGuardError carrying
-    the results of the completed units.
+def _run_units(units, work, workers: int, guards: SearchGuards, key, record) -> list:
+    """Run independent work units ``work(unit, budget) -> list`` of
+    ``record``s under one node/time budget; returns their results joined in
+    unit order and sorted stably on ``key``.  A tripped guard raises
+    ResourceGuardError carrying the results of the completed units.
 
     With ``workers > 1`` the units are dealt round-robin (unit i to worker
     i mod workers, since unit cost grows with the first entry) to forked
@@ -463,7 +520,7 @@ def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
         done, reason = _run_slice(units, range(len(units)), work, budget)
     else:
         budget = _Budget(guards, ctx.Value("q", 0))
-        done, reason = _run_forked(ctx, units, work, workers, budget)
+        done, reason = _run_forked(ctx, units, work, workers, budget, record)
     order = sorted(done)
     results = sorted((r for i in order for r in done[i]), key=key)
     if reason:
@@ -494,6 +551,7 @@ def search_factorial_products(
         workers,
         guards,
         key=lambda r: (r.eq.rhs[0], r.eq.rhs, r.eq.lhs),
+        record=SolutionRecord,
     )
 
 
@@ -525,6 +583,7 @@ def search_delta(
         workers,
         guards,
         key=lambda r: (r.x[0], r.x, r.a),
+        record=DeltaSolution,
     )
 
 

@@ -11,6 +11,7 @@ from factprod.equations import (
     EquationError,
     FactorialEquation,
     Pairing,
+    SolutionRecord,
     adjacent_pairs,
     all_pairings,
     default_pairing,
@@ -75,6 +76,25 @@ def test_raw_residual_relaxed_mode():
     assert raw_residual([4, 3], [2]) == -(raw_residual([2], [4, 3]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 60), max_size=6),
+    st.lists(st.integers(0, 60), max_size=4),
+)
+def test_raw_residual_is_the_termwise_difference(lhs, rhs):
+    # one pass over every term gives the vector that adding and subtracting
+    # one factorial vector at a time gives: sorted, without zero exponents
+    acc = ExpVec()
+    for n in rhs:
+        acc = acc + factorial_expvec(n)
+    for a in lhs:
+        acc = acc - factorial_expvec(a)
+    got = raw_residual(lhs, rhs)
+    assert got == acc
+    assert all(e for _, e in got.entries)
+    assert [p for p, _ in got.entries] == sorted({p for p, _ in got.entries})
+
+
 # ---------------------------------------------------------------- verify / classify
 
 def test_verify_examples():
@@ -87,6 +107,20 @@ def test_verify_examples():
     assert rec.census_note is not None  # formal rule disagrees with the classical tabulation
     rec = verify(FactorialEquation((8, 3), (9,)))
     assert not rec.holds and rec.classification is None
+
+
+def test_solution_record_tuple_round_trip():
+    for eq in (
+        FactorialEquation((7, 6), (10,)),
+        FactorialEquation((15, 2, 2, 2, 2), (16,)),  # trivial, with a census note
+        FactorialEquation((8, 3), (9,)),  # does not hold
+    ):
+        rec = verify(eq)
+        pairing = default_pairing(eq)
+        for r in (rec, rec.with_delta_form(to_delta_form(eq, pairing))):
+            row = r.to_tuple()
+            assert SolutionRecord.from_tuple(row) == r
+            assert all(type(v) in (tuple, bool, str, type(None)) for v in row)
 
 
 def test_census_note_only_on_disagreement():

@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprod.equations import NONTRIVIAL, TRIVIAL, verify
+from factprod.equations import NONTRIVIAL, TRIVIAL, SolutionRecord, verify
+from factprod.factorint import factorial_expvec
 from factprod.search import (
     DeltaSearchSpec,
     ResourceGuardError,
@@ -83,6 +87,20 @@ def test_canonical_order_and_worker_determinism():
         ] == [(r.eq.lhs, r.eq.rhs) for r in base]
 
 
+def test_forked_records_equal_in_process_records():
+    # forked workers send plain tuples; the parent rebuilds equal records,
+    # also on a guard trip
+    spec = SearchSpec(n1_max=24, t_max=6, s_max=3)
+    base = search_factorial_products(spec, workers=1)
+    assert search_factorial_products(spec, workers=2) == base
+    with pytest.raises(ResourceGuardError) as e:
+        search_factorial_products(spec, guards=SearchGuards(max_nodes=50_000), workers=2)
+    assert e.value.records and all(type(r) is SolutionRecord for r in e.value.records)
+    assert e.value.records == [r for r in base if r.eq.rhs in set(e.value.completed)]
+    dspec = DeltaSearchSpec((2, 3), 30, 5)
+    assert search_delta(dspec, workers=2) == search_delta(dspec, workers=1)
+
+
 def test_nc_filter():
     spec = SearchSpec(n1_max=10, t_max=4, s_max=2, c=1, nontrivial_only=True)
     recs = search_factorial_products(spec)
@@ -157,6 +175,57 @@ def test_search_delta_matches_full_vector_oracle():
     assert_node_count(lambda g, w: search_delta(spec, guards=g, workers=w), nodes)
 
 
+# ---------------------------------------------------------------- size cap
+
+def test_size_cap_keeps_every_dividing_factorial():
+    """Over random integer targets (products of factorials, divided by
+    smaller factorials, as in search_delta's blocks) the cap is at least
+    every a <= ub with a! | R, decided on the literal integer, and a! <= R
+    at the cap itself, so the cap is also as low as it may be."""
+    from factprod import search
+
+    rng = random.Random(8)
+    t = search._Tables(200, 400, 8)  # block ends up to 399 lie past n_max
+    binding = 0
+    for _ in range(300):
+        target = [(rng.randint(2, 200), 1) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(0 if target else 1, 3)):
+            x = rng.randint(1, 200)
+            target += [(x + rng.randint(1, rng.choice((8, 200))) - 1, 1), (x - 1, -1)]
+        R_int = math.prod(math.factorial(n) for n, sign in target if sign > 0)
+        R_int //= math.prod(math.factorial(n) for n, sign in target if sign < 0)
+        R, log_r = t.residual(target)
+        assert math.prod(p**e for p, e in zip(t.primes, R)) == R_int
+        ub = rng.randint(2, 200)
+        cap = search._size_cap(t.logfact, log_r, ub)
+        dividing = [a for a in range(2, ub + 1) if R_int % math.factorial(a) == 0]
+        assert cap >= max(dividing, default=1)
+        assert cap <= ub and math.factorial(cap) <= R_int
+        binding += cap < ub
+    assert binding > 50
+
+
+def test_size_cap_at_the_table_bound():
+    """For every a up to 7876, the largest n_max the table guard admits and
+    where the summed lgamma values carry the largest rounding error, a
+    target of a! * b! (b sampled below a) caps the first level at a or more
+    and, once a is placed, the second level at b or more; every 16th pair
+    also runs through the descent."""
+    from factprod import search
+
+    rng = random.Random(7876)
+    t = search._Tables(7876, 7876, 2)
+    budget = search._Budget(SearchGuards(max_nodes=10**12))
+    for a in range(2, 7877):
+        b = rng.randint(2, a)
+        _, log_r = t.residual([(a, 1), (b, 1)])
+        assert search._size_cap(t.logfact, log_r, a) == a
+        assert search._size_cap(t.logfact, log_r - t.logfact[a], b) == b
+        if a % 16 == 0:
+            assert (a,) in t.left_sides([(a, 1)], a, budget)
+            assert (a, b) in t.left_sides([(a, 1), (b, 1)], a, budget)
+
+
 # ---------------------------------------------------------------- guards
 
 def test_guard_n1_ceiling():
@@ -177,7 +246,7 @@ def test_table_guard_builds_nothing_first(monkeypatch):
 
     for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
         monkeypatch.setattr(np, name, built)
-    for name in ("factorize", "factorial_expvec"):
+    for name in ("factorize", "_legendre"):
         monkeypatch.setattr(search, name, built)
     for run, bound in (
         (lambda: search_factorial_products(SearchSpec(10**9, 4, 1), workers=2), 10**9),
@@ -205,7 +274,7 @@ def test_unit_guard_builds_nothing_first(monkeypatch):
 
     for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
         monkeypatch.setattr(np, name, built)
-    for name in ("factorize", "factorial_expvec", "_non_increasing"):
+    for name in ("factorize", "_legendre", "_non_increasing"):
         monkeypatch.setattr(search, name, built)
     for run, shape in (
         (lambda: search_factorial_products(SearchSpec(5000, 4, 3), workers=2), (5000, 2, 1, 3)),
@@ -253,25 +322,31 @@ def test_table_budget_is_the_pair_count(monkeypatch):
         search._Tables(401, 401, 4)
 
 
-def test_tables_build_factorials_without_factorial_expvec(monkeypatch):
+def test_tables_build_factorials_without_factorial_expvec():
     from factprod import search
     from factprod.factorint import factorial_expvec
 
-    asked = []
-
-    def recorded(n):
-        asked.append(n)
-        return factorial_expvec(n)
-
-    monkeypatch.setattr(search, "factorial_expvec", recorded)
+    # the search reads every factorial from its own tables or, for
+    # search_delta's block ends past x_max, from Legendre's formula
+    assert not hasattr(search, "factorial_expvec")
     t = search._Tables(120, 120, 4)
-    assert asked == []
     assert t.fact == [t._ranked(factorial_expvec(a).entries) for a in range(121)]
-    search_factorial_products(SearchSpec(24, 6, 3))
-    assert asked == []
-    # search_delta reads only its block ends past x_max from factorial_expvec
-    search_delta(DeltaSearchSpec((2, 3), 12, 4))
-    assert asked and min(asked) > 12
+
+
+def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
+    from factprod import factorint, search
+
+    empty = factorint.ExpVec()
+    monkeypatch.setattr(factorint, "_fact_cache", {0: empty, 1: empty})
+    for k_list, x_max in (((3, 2), 8), ((2000, 3), 12)):  # block ends past x_max
+        got = search_delta(DeltaSearchSpec(k_list, x_max, 4))
+        assert set(factorint._fact_cache) == {0, 1}
+        assert {(d.x, d.a) for d in got} == brute_delta_search(k_list, x_max, 4)
+    t = search._Tables(12, 2011, 4)
+    for n in (13, 1000, 2011):
+        entries, log_n = t._term(n)
+        assert entries == list(t._ranked(factorial_expvec(n).entries))
+        assert log_n == math.lgamma(n + 1)
 
 
 def test_guard_node_budget_carries_partial():
