@@ -37,8 +37,8 @@ from .density import (
     DensityEstimate,
     QuadratureBudgetError,
     RegionSpec,
-    _quad_panels,
-    analytic_density_t3s2,
+    _analytic_density,
+    _quad_resolution,
     mc_density,
     quadrature_density,
 )
@@ -176,12 +176,10 @@ def cmd_density(args) -> int:
     workers = _workers(args)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    _quad_panels(spec, args.resolution)  # reject what the quadrature cannot run before sampling
+    _quad_resolution(spec, args.resolution)  # reject what the quadrature cannot run before sampling
     est = mc_density(spec, args.samples, args.seed, workers=workers)
     quad = quadrature_density(spec, args.resolution)
-    analytic = None
-    if (spec.t, spec.s, spec.pairing) == (3, 2, (2,)) and float(spec.c).is_integer():
-        analytic = analytic_density_t3s2(int(spec.c))
+    analytic = _analytic_density(spec)
     est = DensityEstimate(analytic, est.mc_mean, est.mc_stderr, est.samples, est.seed, quad)
     config = {**asdict(spec), "samples": args.samples, "seed": args.seed, "workers": workers}
     _print_doc(_meta("density", config), est.to_json_obj())
@@ -352,7 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--pairing", default=None, help="comma-separated indices i2..is")
     d.add_argument("--samples", type=int, default=1_000_000)
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--resolution", type=int, default=None)
+    d.add_argument(
+        "--resolution",
+        type=int,
+        default=None,
+        help="s = 3 quadrature grid size per axis (default 64, at most 2048); "
+        "s <= 2 is exact and ignores it",
+    )
     d.add_argument("--workers", type=int, default=None)
     d.set_defaults(fn=cmd_density)
 

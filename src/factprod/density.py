@@ -8,16 +8,19 @@ and the gap-ratio constraint max_j (x_j - y_{i_j}) <= c * (x_1 - y_1).
 Three routes to its volume:
 
 * analytic_density_t3s2 -- the exact closed form 1/60 - 1/(120c) for the
-  flagship case t = 3, s = 2, pairing (2,).
+  flagship case t = 3, s = 2, pairing (2,); every s = 1 region is the
+  ordered simplex, of volume 1/(t+1)!.
 * mc_density            -- counter-based Monte Carlo: coordinate (i, d)
   depends only on (seed, i, d), so the estimate is identical for any worker
   count or batch split.
-* quadrature_density    -- nested integration: unpaired y coordinates and the
-  innermost x block are integrated in closed form, the remaining outer
-  variables numerically (Gauss-Legendre panels for s <= 2, where the reduced
-  integrand is piecewise polynomial with a known breakpoint; for s = 3 the
-  innermost y coordinate is integrated in closed form as well and midpoint
-  panels cover the three outer axes).
+* quadrature_density    -- nested integration on a cone: every constraint is
+  homogeneous and every coordinate is at most x_1, so the volume is that of
+  the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
+  coordinates and the innermost x block are integrated in closed form; for
+  s = 2 one Gauss-Legendre panel on each side of a known breakpoint takes
+  the piecewise-polynomial remainder in y_1 exactly, and for s = 3 the
+  innermost y coordinate is integrated in closed form as well and a midpoint
+  grid covers (y_1, y_2 / y_1) in O(resolution^2) time.
 
 The region measures the CONSTRAINT set (orderings plus gap ratio), not the
 solution set of the factorial equation, which has density zero; the indicator
@@ -176,6 +179,17 @@ def analytic_density_t3s2(c: int) -> Fraction:
     return Fraction(1, 60) - Fraction(1, 120 * c)
 
 
+def _analytic_density(spec: RegionSpec) -> Fraction | None:
+    """The region's exact volume where a closed form is known: 1/(t+1)! for
+    s = 1 (x1 above an ordered y run) and analytic_density_t3s2 for t = 3,
+    s = 2, pairing (2,) at integer c; None for every other shape."""
+    if spec.s == 1:
+        return Fraction(1, math.factorial(spec.t + 1))
+    if (spec.t, spec.s, spec.pairing) == (3, 2, (2,)) and float(spec.c).is_integer():
+        return analytic_density_t3s2(int(spec.c))
+    return None
+
+
 def mc_density(
     spec: RegionSpec,
     samples: int,
@@ -223,19 +237,21 @@ def mc_density(
 # ----------------------------------------------------------------------
 # Nested-integration oracle
 # ----------------------------------------------------------------------
+#
+# Every constraint is homogeneous and every coordinate is at most x1 (x_j <=
+# x1, y_i <= y1 < x1), so the region is a cone over its slice at x1 = 1 and
+# its volume is vol(slice) / (s + t).  On the slice the ratio bound on each
+# paired gap is G = c * (1 - y1); at c = inf it is G = x1 = 1, which no gap
+# exceeds, so the ratio constraint is inactive.
 
 _GL_NODES = 8
 
 
-def _gl_panels(lo: float, hi: float, panels: int):
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
+def _gl_panel(lo: float, hi: float):
+    """Gauss-Legendre nodes/weights on [lo, hi], exact to degree 15."""
     nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    return xs, ws
+    half = 0.5 * (hi - lo)
+    return lo + half * (nodes + 1.0), half * weights
 
 
 def _S(q: int, z: np.ndarray, y1: np.ndarray, r1: int) -> np.ndarray:
@@ -247,41 +263,27 @@ def _S(q: int, z: np.ndarray, y1: np.ndarray, r1: int) -> np.ndarray:
     return out
 
 
-def _quad_s1(spec: RegionSpec, panels: int) -> float:
-    # all y's integrate to y1^(t-1)/(t-1)!, then y1 to x1^t/t!
-    xs, ws = _gl_panels(0.0, 1.0, panels)
-    tfac = math.factorial(spec.t)
-    return float(np.dot(ws, xs**spec.t / tfac))
-
-
-def _quad_s2(spec: RegionSpec, panels: int) -> float:
-    # unpaired y runs: r1 strictly between y_1 and the paired y_u, r2 below it
+def _slice_s2(spec: RegionSpec) -> float:
+    # unpaired y runs: r1 strictly between y1 and the paired y_u, r2 below it;
+    # x2 in (y_u, min(1, y_u + G)] has length G for y_u below 1 - G, else 1 - y_u
     u = spec.pairing[0]
     r1, r2 = u - 2, spec.t - u
     norm = math.factorial(r1) * math.factorial(r2)
     c = spec.c
-    xs, wx = _gl_panels(0.0, 1.0, panels)
-    X = xs[:, None]
-
-    def inner(v_nodes: np.ndarray, wv: np.ndarray) -> float:
-        Y1 = X * v_nodes[None, :]
-        G = c * (X - Y1) if math.isfinite(c) else 1.0
-        ustar = np.clip(X - G, 0.0, Y1)
-        a_part = G * _S(r2, ustar, Y1, r1)
-        b_full = X * _S(r2, Y1, Y1, r1) - _S(r2 + 1, Y1, Y1, r1)
-        b_cut = X * _S(r2, ustar, Y1, r1) - _S(r2 + 1, ustar, Y1, r1)
-        I = (a_part + b_full - b_cut) / norm
-        return float(np.einsum("i,j,ij->", wx, wv, X * I))
-
-    # G, the ratio bound on the paired gap, binds only for v = y1 / x1 below
-    # v0 = (c - 1) / c, so the v axis splits there.  At c = inf no gap
-    # exceeds 1, so G = 1 and v0 = 1 leave it inactive.
+    # G drops below 1 at y1 = v0 = (c - 1) / c; on each side of it the
+    # integrand is a polynomial in y1 of degree t, so one panel is exact
     v0 = (c - 1.0) / c if math.isfinite(c) else 1.0
     total = 0.0
     for lo, hi in ((0.0, v0), (v0, 1.0)):
         if lo < hi:
-            total += inner(*_gl_panels(lo, hi, panels))
-    return total
+            y1, w = _gl_panel(lo, hi)
+            G = c * (1.0 - y1) if math.isfinite(c) else 1.0
+            ustar = np.clip(1.0 - G, 0.0, y1)
+            a_part = G * _S(r2, ustar, y1, r1)
+            b_full = _S(r2, y1, y1, r1) - _S(r2 + 1, y1, y1, r1)
+            b_cut = _S(r2, ustar, y1, r1) - _S(r2 + 1, ustar, y1, r1)
+            total += float(np.dot(w, a_part + b_full - b_cut))
+    return total / norm
 
 
 def _K(w: np.ndarray, G) -> np.ndarray:
@@ -295,41 +297,31 @@ def _L(w: np.ndarray, G) -> np.ndarray:
     return (w**2 - np.maximum(w - G, 0.0) ** 2) / 2.0
 
 
-def _quad_s3(spec: RegionSpec, n: int) -> float:
+def _slice_s3(spec: RegionSpec, n: int) -> float:
     # s = 3 forces t = 3 under the dimension guard: all y's are paired.  F is
     # the (x2, x3) area integrated over y3 in [0, y2], in closed form because
-    # the x3 extent min(G, x2 - y_paired) is piecewise linear; x1, v = y1 / x1
-    # and alpha = y2 / y1 take midpoint panels with Jacobian x1 * y1.  At
-    # c = inf no gap exceeds 1, so G = 1 leaves the ratio constraint inactive.
-    c = spec.c
+    # the x3 extent min(G, x2 - y_paired) is piecewise linear; y1 and
+    # alpha = y2 / y1 take midpoint panels with Jacobian y1.
     nodes = (np.arange(n) + 0.5) / n
-    V = nodes[:, None]
-    A = nodes[None, :]
-    total = 0.0
-    for x1 in nodes:
-        Y1 = x1 * V
-        Y2 = Y1 * A
-        G = c * (x1 - Y1) if math.isfinite(c) else 1.0
-        if spec.pairing == (2, 3):
-            # x2 in [y2, min(x1, y2 + G)], x3 in [y3, y3 + min(G, x2 - y3)]
-            B2 = np.minimum(x1, Y2 + G)
-            F = _K(B2, G) - _K(Y2, G) - _K(B2 - Y2, G)
-        else:
-            # x2 in [y2, min(x1, y3 + G)], x3 in [y2, y2 + min(G, x2 - y2)]:
-            # empty for y3 below y2 - G, and x2's bound is x1 above y3 = x1 - G
-            lo = np.maximum(Y2 - G, 0.0)
-            mid = np.clip(x1 - G, 0.0, Y2)
-            F = _K(mid + G - Y2, G) - _K(lo + G - Y2, G) + _L(x1 - Y2, G) * (Y2 - mid)
-        total += float(x1 * np.sum(Y1 * F))
-    return total / n**3
+    Y1 = nodes[:, None]
+    Y2 = Y1 * nodes[None, :]
+    G = spec.c * (1.0 - Y1) if math.isfinite(spec.c) else 1.0
+    if spec.pairing == (2, 3):
+        # x2 in [y2, min(1, y2 + G)], x3 in [y3, y3 + min(G, x2 - y3)]
+        B2 = np.minimum(1.0, Y2 + G)
+        F = _K(B2, G) - _K(Y2, G) - _K(B2 - Y2, G)
+    else:
+        # x2 in [y2, min(1, y3 + G)], x3 in [y2, y2 + min(G, x2 - y2)]:
+        # empty for y3 below y2 - G, and x2's bound is 1 above y3 = 1 - G
+        lo = np.maximum(Y2 - G, 0.0)
+        mid = np.clip(1.0 - G, 0.0, Y2)
+        F = _K(mid + G - Y2, G) - _K(lo + G - Y2, G) + _L(1.0 - Y2, G) * (Y2 - mid)
+    return float(np.sum(Y1 * F)) / n**2
 
 
-_DEFAULT_PANELS = {1: 512, 2: 48, 3: 64}
-# Most float64 cells an s <= 2 quadrature may evaluate: 32 MiB as one array.
+_S3_RESOLUTION = 64
+# Most float64 cells the s = 3 grid may hold in one array: 32 MiB, resolution 2048.
 _QUAD_CELLS = 1 << 22
-# The s = 3 rule holds O(res^2) cells at a time but does res^3 cell work;
-# 2^26 of it (resolution 406) took about 6 s on a 2-core VM.
-_QUAD_S3_CELLS = 1 << 26
 
 
 class QuadratureBudgetError(RuntimeError):
@@ -337,44 +329,39 @@ class QuadratureBudgetError(RuntimeError):
     for: a resource guard, raised before anything is allocated."""
 
 
-def _quad_panels(spec: RegionSpec, resolution: int | None) -> int:
-    """Panel count for quadrature_density; rejects the shapes and
-    resolutions it does not support or whose work exceeds the cell budget."""
+def _quad_resolution(spec: RegionSpec, resolution: int | None) -> int:
+    """Grid size for quadrature_density; rejects the shapes and resolutions
+    it does not support or whose s = 3 grid exceeds the cell budget."""
     if spec.s + spec.t > 6:
         raise ValueError("dimension guard: s + t must be <= 6")
-    panels = resolution if resolution is not None else _DEFAULT_PANELS[min(spec.s, 3)]
-    if panels < 1:
+    n = _S3_RESOLUTION if resolution is None else resolution
+    if n < 1:
         raise ValueError("resolution must be >= 1")
-    # s <= 2: one array over the Gauss-Legendre grid; s = 3: n arrays of (n, n)
-    cells = {1: _GL_NODES * panels, 2: (_GL_NODES * panels) ** 2, 3: panels**3}[spec.s]
-    budget = _QUAD_S3_CELLS if spec.s == 3 else _QUAD_CELLS
-    if cells > budget:
+    if spec.s == 3 and n * n > _QUAD_CELLS:
         raise QuadratureBudgetError(
-            f"quadrature resolution {panels} needs {cells} cells, "
-            f"above the budget of {budget}"
+            f"quadrature resolution {n} needs {n * n} cells, "
+            f"above the budget of {_QUAD_CELLS}"
         )
-    return panels
+    return n
 
 
 def quadrature_density(spec: RegionSpec, resolution: int | None = None) -> float:
     """Deterministic nested-integration estimate of the region's volume.
 
-    ``resolution`` is the panel count per numeric axis (per-path defaults).
-    For s <= 2 the reduced integrand is piecewise polynomial and the panels
-    are Gauss-Legendre with the pieces split at the known breakpoint, so the
-    result is exact to roundoff at any resolution.  For s = 3 the (x2, x3)
-    area and the innermost y coordinate are integrated in closed form and the
-    three outer axes (x1, y1/x1, y2/y1) use midpoint panels, so the error
-    decays like resolution^-2 (about 3e-7 at 96), time is O(resolution^3)
-    and memory O(resolution^2).  A resolution whose cell count (the largest
-    array for s <= 2, all resolution^3 cells for s = 3) would exceed its
-    budget raises QuadratureBudgetError before anything is allocated.
+    The region is a cone in x1, so its volume is that of the slice x1 = 1
+    divided by s + t.  For s = 1 the slice is the ordered simplex and the
+    result is 1/(t+1)!; for s = 2 the slice integrand is piecewise polynomial
+    in y1 with a known breakpoint, one Gauss-Legendre panel per piece makes it
+    exact to roundoff, and ``resolution`` (validated >= 1) has no effect.  For
+    s = 3 the (x2, x3) area and the innermost y coordinate are integrated in
+    closed form and (y1, y2/y1) take a resolution x resolution midpoint grid
+    (default 64), so the error decays like resolution^-2 (about 1e-8 against
+    1/480 at 96) in O(resolution^2) time and memory.  An s = 3 resolution
+    whose grid would exceed 2^22 cells (above 2048) raises
+    QuadratureBudgetError before anything is allocated.
     """
-    panels = _quad_panels(spec, resolution)
+    n = _quad_resolution(spec, resolution)
     if spec.s == 1:
-        return _quad_s1(spec, panels)
-    if spec.s == 2:
-        return _quad_s2(spec, panels)
-    if spec.s == 3:
-        return _quad_s3(spec, panels)
-    raise ValueError("the nested-integration oracle supports s <= 3")
+        return 1.0 / math.factorial(spec.t + 1)
+    vol = _slice_s2(spec) if spec.s == 2 else _slice_s3(spec, n)
+    return vol / spec.dims

@@ -167,9 +167,15 @@ class SolutionRecord:
 
     @classmethod
     def from_tuple(cls, row: tuple) -> "SolutionRecord":
+        """Rebuild a record from a ``to_tuple`` row.  Its equation was
+        validated when the row was made, so it is rebuilt as unpickling
+        does, without running __post_init__ again."""
         lhs, rhs, holds, classification, df, adjacent, note = row
+        eq = object.__new__(FactorialEquation)
+        object.__setattr__(eq, "lhs", lhs)
+        object.__setattr__(eq, "rhs", rhs)
         return cls(
-            FactorialEquation(lhs, rhs),
+            eq,
             holds,
             classification,
             None if df is None else DeltaForm(*df),

@@ -7,8 +7,10 @@ The full-vector descent at the end is the census engine's reference: the same
 pruned search over a dict residual that subtracts and re-adds the whole a!
 vector at every node, with the same node count.  The per-window Python walk is
 the reference for the columnar abc window scan.  The density section at the
-end counts orderings for the c = inf region volume and keeps the Monte Carlo
-sampler in its first, one-array-per-operation form.
+end counts orderings for the c = inf region volume, keeps the Monte Carlo
+sampler in its first, one-array-per-operation form, and states the
+conjectured s = 2 closed form (a conjecture the quadrature is tested against,
+not a proof).
 """
 
 import math
@@ -278,3 +280,13 @@ def sample_block_reference(seed: int, start: int, count: int, dims: int) -> np.n
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     u = z ^ (z >> np.uint64(31))
     return ((u >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(count, dims)
+
+
+def s2_density_conjecture(t: int, u: int, c) -> Fraction:
+    """CONJECTURE, not a proven closed form: the s = 2 region with pairing
+    (u,) and finite c >= 1 has volume c * (1 - (1 - 1/c)^u) / (t + 2)!.
+
+    It was fitted to exact rational volumes of small shapes and reduces to
+    the paper's 1/60 - 1/(120c) at t = 3, u = 2; c is taken exactly."""
+    c = Fraction(c)
+    return c * (1 - (1 - 1 / c) ** u) / math.factorial(t + 2)

@@ -206,15 +206,10 @@ def test_density_rejects_before_estimating(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "s,resolution,cells",
-    [
-        ("3", "100000", 10**15),
-        ("3", "2048", 2048**3),
-        ("2", "1000000", 64 * 10**12),
-        ("1", "1000000", 8 * 10**6),
-    ],
+    "resolution,cells",
+    [("100000", 10**10), ("2049", 2049**2)],
 )
-def test_density_quadrature_budget_is_a_resource_guard(capsys, monkeypatch, s, resolution, cells):
+def test_density_quadrature_budget_is_a_resource_guard(capsys, monkeypatch, resolution, cells):
     import numpy as np
 
     def allocated(*args, **kwargs):
@@ -224,15 +219,36 @@ def test_density_quadrature_budget_is_a_resource_guard(capsys, monkeypatch, s, r
         monkeypatch.setattr(np, name, allocated)
     monkeypatch.setattr("factprod.cli.mc_density", allocated)
     code, _, err = run_cli(
-        capsys, "density", "--t", "3", "--s", s, "--c", "1",
+        capsys, "density", "--t", "3", "--s", "3", "--c", "1",
         "--samples", "1", "--resolution", resolution,
     )
-    budget = 67108864 if s == "3" else 4194304
     assert code == 3
     assert err.strip() == (
         f"resource guard: quadrature resolution {resolution} needs {cells} cells, "
-        f"above the budget of {budget}"
+        f"above the budget of 4194304"
     )
+
+
+@pytest.mark.parametrize("s", ["1", "2"])
+def test_density_resolution_has_no_effect_below_s3(capsys, s):
+    results = []
+    for extra in ((), ("--resolution", "1000000")):
+        code, out, _ = run_cli(
+            capsys, "density", "--t", "3", "--s", s, "--c", "1", "--samples", "1", *extra
+        )
+        assert code == 0
+        results.append(parse_doc(out)[1])
+    assert results[0] == results[1]
+
+
+def test_density_analytic_for_s1(capsys):
+    code, out, _ = run_cli(
+        capsys, "density", "--t", "4", "--s", "1", "--c", "2", "--samples", "20000"
+    )
+    assert code == 0
+    _, result = parse_doc(out)
+    assert result["analytic"] == "1/120"
+    assert result["quadrature"] == 1 / 120
 
 
 def test_density_no_analytic_off_flagship(capsys):

@@ -14,7 +14,7 @@ from factprod.density import (
     quadrature_density,
     sample_block,
 )
-from oracles import ordering_density, sample_block_reference
+from oracles import ordering_density, s2_density_conjecture, sample_block_reference
 
 
 # ---------------------------------------------------------------- analytic
@@ -196,6 +196,28 @@ def test_quadrature_s3_exact_values(pairing, c, exact):
     assert abs(q - float(exact)) <= 2e-6
 
 
+@pytest.mark.parametrize(
+    "pairing,c,exact",
+    [
+        ((2, 3), 1, Fraction(1, 480)),
+        ((2, 3), 2, Fraction(37, 8640)),
+        ((3, 2), 1, Fraction(1, 1440)),
+        ((2, 3), math.inf, ordering_density(3, 3, (2, 3))),
+        ((3, 2), math.inf, ordering_density(3, 3, (3, 2))),
+    ],
+)
+def test_quadrature_s3_within_3e_7_at_96(pairing, c, exact):
+    q = quadrature_density(RegionSpec(t=3, s=3, c=c, pairing=pairing), 96)
+    assert abs(q - float(exact)) <= 3e-7
+
+
+@pytest.mark.parametrize("t", range(2, 6))
+def test_quadrature_s1_is_the_closed_form(t):
+    for c in (1, 2.5, math.inf):
+        for res in (None, 1, 1000):
+            assert quadrature_density(RegionSpec(t=t, s=1, c=c), res) == 1 / math.factorial(t + 1)
+
+
 # every (t, s, pairing) under the dimension guard s + t <= 6
 GUARDED_SHAPES = [
     (t, s, pairing)
@@ -225,23 +247,33 @@ def test_quadrature_c_inf_matches_ordering_count(t, s, pairing):
         assert abs(quadrature_density(spec, 96) - exact) <= 2e-6
 
 
-# s = 2 quadrature at c = inf, by float.hex at resolutions default, 7 and 48,
-# recorded from the separate c = inf path it once had
+# s = 2 quadrature at c = inf, by float.hex; the rule is exact on each piece,
+# so resolutions default, 7 and 48 give the same bits
 S2_C_INF_HEX = {
-    (2, 2): ("0x1.5555555555559p-4", "0x1.555555555554fp-4", "0x1.5555555555559p-4"),
-    (3, 2): ("0x1.1111111111113p-6", "0x1.111111111110bp-6", "0x1.1111111111113p-6"),
-    (3, 3): ("0x1.9999999999996p-6", "0x1.9999999999997p-6", "0x1.9999999999996p-6"),
-    (4, 2): ("0x1.6c16c16c16c11p-9", "0x1.6c16c16c16c0fp-9", "0x1.6c16c16c16c11p-9"),
-    (4, 3): ("0x1.1111111111115p-8", "0x1.1111111111110p-8", "0x1.1111111111115p-8"),
-    (4, 4): ("0x1.6c16c16c16c17p-8", "0x1.6c16c16c16c17p-8", "0x1.6c16c16c16c17p-8"),
+    (2, 2): "0x1.5555555555554p-4",
+    (3, 2): "0x1.1111111111112p-6",
+    (3, 3): "0x1.999999999999bp-6",
+    (4, 2): "0x1.6c16c16c16c18p-9",
+    (4, 3): "0x1.1111111111115p-8",
+    (4, 4): "0x1.6c16c16c16c1bp-8",
 }
 
 
 @pytest.mark.parametrize("t,u", sorted(S2_C_INF_HEX))
 def test_quadrature_s2_c_inf_pinned(t, u):
     spec = RegionSpec(t=t, s=2, c=math.inf, pairing=(u,))
-    got = tuple(float.hex(quadrature_density(spec, res)) for res in (None, 7, 48))
-    assert got == S2_C_INF_HEX[t, u]
+    got = {float.hex(quadrature_density(spec, res)) for res in (None, 7, 48)}
+    assert got == {S2_C_INF_HEX[t, u]}
+    exact = float(ordering_density(t, 2, (u,)))
+    assert abs(float.fromhex(S2_C_INF_HEX[t, u]) - exact) <= 4e-15 * exact
+
+
+@pytest.mark.parametrize("t,u", sorted(S2_C_INF_HEX))
+def test_quadrature_s2_matches_conjectured_closed_form(t, u):
+    for c in [*range(1, 21), 1.5, 2.5, 7.25]:
+        q = quadrature_density(RegionSpec(t=t, s=2, c=c, pairing=(u,)))
+        want = float(s2_density_conjecture(t, u, c))
+        assert abs(q - want) <= 1e-14 * want, c
 
 
 @pytest.mark.parametrize("t,s,pairing", GUARDED_SHAPES)
@@ -258,30 +290,26 @@ def test_quadrature_dimension_guard():
         quadrature_density(RegionSpec(t=3, s=2, c=1), 0)
 
 
-def test_quadrature_cell_budget():
-    from factprod.density import _DEFAULT_PANELS, _QUAD_CELLS, QuadratureBudgetError, _quad_panels
+def test_quadrature_cell_budget(monkeypatch):
+    from factprod.density import _QUAD_CELLS, QuadratureBudgetError, _quad_resolution
 
-    # the defaults and the benchmark's 96 stay far inside the budget
-    for spec in (RegionSpec(t=3, s=1, c=1), RegionSpec(t=3, s=2, c=1), RegionSpec(t=3, s=3, c=1)):
-        assert _quad_panels(spec, None) == _DEFAULT_PANELS[spec.s]
-        assert _quad_panels(spec, 96) == 96
-    assert (8 * _DEFAULT_PANELS[2]) ** 2 * 16 < _QUAD_CELLS
-    assert 96**2 * 16 < _QUAD_CELLS
-    with pytest.raises(QuadratureBudgetError):
-        quadrature_density(RegionSpec(t=3, s=3, c=1), 100_000)
-    with pytest.raises(QuadratureBudgetError):
-        quadrature_density(RegionSpec(t=3, s=2, c=1), 1_000_000)
+    # one budget, on the s = 3 grid: resolution 2048 is admitted, 2049 is not
+    s3 = RegionSpec(t=3, s=3, c=1)
+    assert _quad_resolution(s3, None) == 64
+    assert 2048**2 == _QUAD_CELLS
+    assert _quad_resolution(s3, 2048) == 2048
+    # s <= 2 is exact at any resolution, so none is refused
+    for spec in (RegionSpec(t=3, s=1, c=1), RegionSpec(t=3, s=2, c=1)):
+        assert quadrature_density(spec, 1_000_000) == quadrature_density(spec)
 
+    def allocated(*args, **kwargs):
+        raise AssertionError("an array was allocated past the quadrature guard")
 
-def test_quadrature_s3_work_budget():
-    from factprod.density import _QUAD_S3_CELLS, QuadratureBudgetError, _quad_panels
-
-    spec = RegionSpec(t=3, s=3, c=1)
-    assert 406**3 <= _QUAD_S3_CELLS < 407**3
-    assert _quad_panels(spec, 406) == 406
-    for resolution in (407, 2048):
+    for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
+        monkeypatch.setattr(np, name, allocated)
+    for resolution in (2049, 100_000):
         with pytest.raises(QuadratureBudgetError):
-            _quad_panels(spec, resolution)
+            quadrature_density(s3, resolution)
 
 
 def test_quadrature_monotone_in_c():
