@@ -290,14 +290,23 @@ def test_quadrature_dimension_guard():
         quadrature_density(RegionSpec(t=3, s=2, c=1), 0)
 
 
-def test_quadrature_cell_budget(monkeypatch):
+def test_quadrature_s3_work_budget():
     from factprod.density import _QUAD_CELLS, QuadratureBudgetError, _quad_resolution
 
-    # one budget, on the s = 3 grid: resolution 2048 is admitted, 2049 is not
+    # one budget, on the s = 3 grid of res^2 cells: 2048 is admitted, 2049 is not
     s3 = RegionSpec(t=3, s=3, c=1)
     assert _quad_resolution(s3, None) == 64
     assert 2048**2 == _QUAD_CELLS
     assert _quad_resolution(s3, 2048) == 2048
+    for resolution in (2049, 100_000):
+        with pytest.raises(QuadratureBudgetError):
+            _quad_resolution(s3, resolution)
+
+
+def test_quadrature_cell_budget(monkeypatch):
+    from factprod.density import QuadratureBudgetError
+
+    s3 = RegionSpec(t=3, s=3, c=1)
     # s <= 2 is exact at any resolution, so none is refused
     for spec in (RegionSpec(t=3, s=1, c=1), RegionSpec(t=3, s=2, c=1)):
         assert quadrature_density(spec, 1_000_000) == quadrature_density(spec)
