@@ -86,6 +86,8 @@ def _workers(args) -> int:
         if workers < 1:
             raise ValueError(f"FACTPROD_WORKERS must be >= 1, got {workers}")
         return workers
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -152,6 +154,10 @@ def cmd_search(args) -> int:
         c=args.c,
         nontrivial_only=args.nontrivial_only,
     )
+    if args.max_nodes < 1:
+        raise ValueError(f"--max-nodes must be >= 1, got {args.max_nodes}")
+    if args.max_seconds is not None and not args.max_seconds > 0:
+        raise ValueError(f"--max-seconds must be > 0, got {args.max_seconds}")
     guards = SearchGuards(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     workers = _workers(args)
     meta = _meta("search", {**asdict(spec), "workers": workers})
@@ -217,8 +223,8 @@ def cmd_audit(args) -> int:
             prefix = audit_stirling_lower(args.n_max)
             meta_cfg["n_max"] = args.n_max
         else:
-            if args.nu_max is None or args.nu_max < 2:
-                raise ValueError("--nu-max must be >= 2")
+            if args.nu_max is None or not 2 <= args.nu_max < float("inf"):
+                raise ValueError(f"--nu-max must be a finite number >= 2, got {args.nu_max}")
             fn = audit_theta if check == "theta" else audit_mertens
             prefix = fn(args.nu_max)
             meta_cfg["nu_max"] = args.nu_max

@@ -11,8 +11,8 @@ Three routes to its volume:
   flagship case t = 3, s = 2, pairing (2,); every s = 1 region is the
   ordered simplex, of volume 1/(t+1)!.
 * mc_density            -- counter-based Monte Carlo: coordinate (i, d)
-  depends only on (seed, i, d), so the estimate is identical for any worker
-  count or batch split.
+  depends only on (seed, i, d), and fixed sample blocks are mapped over a
+  thread pool, so the estimate is identical for any worker count.
 * quadrature_density    -- nested integration on a cone: every constraint is
   homogeneous and every coordinate is at most x_1, so the volume is that of
   the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
@@ -41,8 +41,10 @@ _PHI = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / (1 << 53)
-# The sampler mixes one cache-sized chunk of counters at a time, in place.
+# The sampler mixes one cache-sized chunk of counters at a time, in place;
+# mc_density counts one block of _BATCH samples per pool task.
 _CHUNK = 1 << 15
+_BATCH = 1 << 17
 
 
 def sample_block(seed: int, start: int, count: int, dims: int) -> np.ndarray:
@@ -190,46 +192,23 @@ def _analytic_density(spec: RegionSpec) -> Fraction | None:
     return None
 
 
-def mc_density(
-    spec: RegionSpec,
-    samples: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    batch: int = 1 << 17,
-) -> DensityEstimate:
+def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -> DensityEstimate:
     """Monte Carlo estimate of the region's volume.
 
-    The sample-index range is split contiguously across workers; every
-    coordinate is a pure function of (seed, sample index, dimension) and the
-    merge is an exact integer sum, so the mean is identical for 1, 2, or any
-    number of workers.
+    The sample indices are cut into blocks of _BATCH, counted on a pool of
+    ``workers`` threads (numpy releases the GIL); every coordinate is a pure
+    function of (seed, sample index, dimension) and the hits are an exact
+    integer sum, so the mean is identical for any worker count or block size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
-    def run(lo: int, hi: int) -> int:
-        hits = 0
-        pos = lo
-        while pos < hi:
-            n = min(batch, hi - pos)
-            hits += _count_hits(sample_block(seed, pos, n, spec.dims), spec)
-            pos += n
-        return hits
+    def hits(pos: int) -> int:
+        n = min(_BATCH, samples - pos)
+        return _count_hits(sample_block(seed, pos, n, spec.dims), spec)
 
-    workers = max(1, workers)
-    if workers == 1:
-        hits = run(0, samples)
-    else:
-        step = (samples + workers - 1) // workers
-        ranges = [
-            (w * step, min((w + 1) * step, samples))
-            for w in range(workers)
-            if w * step < samples
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(lambda r: run(*r), ranges))
-    mean = hits / samples
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        mean = sum(pool.map(hits, range(0, samples, _BATCH))) / samples
     stderr = math.sqrt(mean * (1.0 - mean) / samples)
     return DensityEstimate(None, mean, stderr, samples, seed, None)
 

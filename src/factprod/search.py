@@ -27,7 +27,8 @@ A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
 whose target is prod n_j!, or a start vector x, whose target is
 prod (x_j + k_j - 1)! / (x_j - 1)!.  ``_Tables.left_sides`` descends the
 target; the units fan out over forked processes that share one node counter,
-and their results are merged in unit order and sorted on a canonical key
+their results come back unchanged (each record type defines its own compact
+pickling), and they are merged in unit order and sorted on a canonical key
 ((n1, rhs, lhs) for the census), so results are identical for any worker
 count.  Enumeration is structurally duplicate-free: both sides are generated
 non-increasing.
@@ -117,12 +118,9 @@ class DeltaSolution:
     x: tuple[int, ...]
     a: tuple[int, ...]
 
-    def to_tuple(self) -> tuple:
-        return self.x, self.a
-
-    @classmethod
-    def from_tuple(cls, row: tuple) -> "DeltaSolution":
-        return cls(*row)
+    def __reduce__(self):
+        # a constructor call: half the pickle round trip of the default reduction
+        return DeltaSolution, (self.x, self.a)
 
 
 class ResourceGuardError(RuntimeError):
@@ -439,21 +437,17 @@ def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
 
 
 def _forked_slice(conn, units, indices, work, budget: _Budget) -> None:
-    """``_run_slice`` in a forked child; its records go back as plain tuples,
-    which pickle about four times faster than the record dataclasses."""
+    """``_run_slice`` in a forked child; its result goes back through the pipe."""
     try:
-        done, reason = _run_slice(units, indices, work, budget)
-        rows = {i: [r.to_tuple() for r in recs] for i, recs in done.items()}
-        conn.send(("ok", (rows, reason)))
+        conn.send(("ok", _run_slice(units, indices, work, budget)))
     except Exception:
         conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
 
 
-def _run_forked(ctx, units, work, workers: int, budget: _Budget, record) -> tuple[dict, str]:
-    """``_run_slice`` over all units, dealt round-robin to forked workers;
-    ``record.from_tuple`` rebuilds their records."""
+def _run_forked(ctx, units, work, workers: int, budget: _Budget) -> tuple[dict, str]:
+    """``_run_slice`` over all units, dealt round-robin to forked workers."""
     procs = []
     done: dict = {}
     reasons = []
@@ -475,9 +469,8 @@ def _run_forked(ctx, units, work, workers: int, budget: _Budget, record) -> tupl
                 raise RuntimeError("search worker exited without a result") from None
             if status != "ok":
                 raise RuntimeError(f"search worker failed:\n{payload}")
-            rows, reason = payload
-            for i, part in rows.items():
-                done[i] = [record.from_tuple(row) for row in part]
+            part, reason = payload
+            done.update(part)
             if reason:
                 reasons.append(reason)
     except BaseException:
@@ -491,19 +484,20 @@ def _run_forked(ctx, units, work, workers: int, budget: _Budget, record) -> tupl
     return done, (reasons[0] if reasons else "")
 
 
-def _run_units(units, work, workers: int, guards: SearchGuards, key, record) -> list:
-    """Run independent work units ``work(unit, budget) -> list`` of
-    ``record``s under one node/time budget; returns their results joined in
-    unit order and sorted stably on ``key``.  A tripped guard raises
-    ResourceGuardError carrying the results of the completed units.
+def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
+    """Run independent work units ``work(unit, budget) -> list`` under one
+    node/time budget; returns their results joined in unit order and sorted
+    stably on ``key``.  A tripped guard raises ResourceGuardError carrying
+    the results of the completed units.
 
     With ``workers > 1`` the units are dealt round-robin (unit i to worker
     i mod workers, since unit cost grows with the first entry) to forked
     processes that share one node counter, so max_nodes stays a global
     ceiling.  Fork, not spawn: the children inherit the search tables and
     run only the pure-Python descent, and a spawned worker would re-import
-    numpy and the package on every call.  Without fork the units run
-    in-process.
+    numpy and the package on every call.  The results cross the pipe as
+    they are; each record type defines its own compact pickling.  Without
+    fork the units run in-process.
     """
     units = list(units)
     workers = min(workers, len(units))
@@ -520,7 +514,7 @@ def _run_units(units, work, workers: int, guards: SearchGuards, key, record) -> 
         done, reason = _run_slice(units, range(len(units)), work, budget)
     else:
         budget = _Budget(guards, ctx.Value("q", 0))
-        done, reason = _run_forked(ctx, units, work, workers, budget, record)
+        done, reason = _run_forked(ctx, units, work, workers, budget)
     order = sorted(done)
     results = sorted((r for i in order for r in done[i]), key=key)
     if reason:
@@ -551,7 +545,6 @@ def search_factorial_products(
         workers,
         guards,
         key=lambda r: (r.eq.rhs[0], r.eq.rhs, r.eq.lhs),
-        record=SolutionRecord,
     )
 
 
@@ -583,7 +576,6 @@ def search_delta(
         workers,
         guards,
         key=lambda r: (r.x[0], r.x, r.a),
-        record=DeltaSolution,
     )
 
 

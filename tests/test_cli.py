@@ -156,6 +156,32 @@ def test_search_rejects_nonpositive_workers(capsys, workers, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-nodes", "-5"),
+        ("--max-nodes", "0"),
+        ("--max-seconds", "0"),
+        ("--max-seconds", "nan"),
+        ("--max-seconds", "-1"),
+    ],
+)
+def test_search_rejects_bad_guard_flags(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1", flag, value
+    )
+    assert code == 2 and out == ""
+    assert f"error: {flag} must be" in err
+
+
+def test_default_workers_follow_cpu_affinity(capsys, monkeypatch):
+    monkeypatch.delenv("FACTPROD_WORKERS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    code, out, _ = run_cli(capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1")
+    assert code == 0
+    assert parse_doc(out)[0]["config"]["workers"] == 1
+
+
 def test_search_rejects_malformed_workers_env(capsys, monkeypatch):
     monkeypatch.setenv("FACTPROD_WORKERS", "abc")
     code, out, err = run_cli(capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1")
@@ -327,6 +353,9 @@ def test_audit_chain_requires_equation(capsys):
         ("--check", "erdos", "--x", "2:abc"),
         ("--check", "erdos", "--x", "1:5"),
         ("--check", "erdos", "--k", "40:5"),
+        ("--check", "theta", "--nu-max", "inf"),
+        ("--check", "theta", "--nu-max", "nan"),
+        ("--check", "mertens", "--nu-max", "nan"),
     ],
 )
 def test_audit_bad_range_names_flag(capsys, argv):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factprod import density
 from factprod.density import (
     RegionSpec,
     analytic_density_t3s2,
@@ -124,12 +125,14 @@ def test_mc_density_flagship():
     )
 
 
-def test_mc_density_worker_and_batch_invariance():
+def test_mc_density_worker_and_batch_invariance(monkeypatch):
     spec = RegionSpec(t=3, s=2, c=2)
     base = mc_density(spec, 123_457, seed=5, workers=1)
     for workers in (2, 3, 8):
         assert mc_density(spec, 123_457, seed=5, workers=workers).mc_mean == base.mc_mean
-    assert mc_density(spec, 123_457, seed=5, batch=1000).mc_mean == base.mc_mean
+    monkeypatch.setattr(density, "_BATCH", 1000)
+    for workers in (1, 3):
+        assert mc_density(spec, 123_457, seed=5, workers=workers).mc_mean == base.mc_mean
 
 
 # mc_mean and mc_stderr of the three benchmark density shapes at seed 0 and

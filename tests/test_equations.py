@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from factprod.equations import (
     verify,
 )
 from factprod.factorint import ExpVec, factorial_expvec
+from factprod.search import DeltaSolution
 
 
 # ---------------------------------------------------------------- validation
@@ -121,6 +123,9 @@ def test_solution_record_tuple_round_trip():
             row = r.to_tuple()
             assert SolutionRecord.from_tuple(row) == r
             assert all(type(v) in (tuple, bool, str, type(None)) for v in row)
+            assert pickle.loads(pickle.dumps(r)) == r
+    sol = DeltaSolution((35, 34), (36, 3))
+    assert pickle.loads(pickle.dumps(sol)) == sol
 
 
 def test_census_note_only_on_disagreement():

@@ -399,7 +399,19 @@ def test_search_delta_guard_workers_2_keeps_completed_units():
     done = set(err.completed)
     assert len(done) == err.completed_units
     assert [(r.x, r.a) for r in err.records] == [(r.x, r.a) for r in full if r.x in done]
-    assert 0 < len(err.records) < len(full)  # the x1 = 35 solutions lie past the trip
+
+
+def test_search_delta_guard_serial_trip_keeps_a_strict_part():
+    # which units finish before a shared-budget trip depends on scheduling;
+    # a serial trip point does not, and the x1 = 35 solutions lie past it
+    spec = DeltaSearchSpec((2, 3), 60, 5)
+    full = search_delta(spec)
+    with pytest.raises(ResourceGuardError) as e:
+        search_delta(spec, guards=SearchGuards(max_nodes=3_000), workers=1)
+    err = e.value
+    done = set(err.completed)
+    assert [(r.x, r.a) for r in err.records] == [(r.x, r.a) for r in full if r.x in done]
+    assert 0 < len(err.records) < len(full)
 
 
 def test_spec_validation():
