@@ -156,8 +156,8 @@ def cmd_search(args) -> int:
     )
     if args.max_nodes < 1:
         raise ValueError(f"--max-nodes must be >= 1, got {args.max_nodes}")
-    if args.max_seconds is not None and not args.max_seconds > 0:
-        raise ValueError(f"--max-seconds must be > 0, got {args.max_seconds}")
+    if args.max_seconds is not None and not 0 < args.max_seconds < float("inf"):
+        raise ValueError(f"--max-seconds must be a finite number > 0, got {args.max_seconds}")
     guards = SearchGuards(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     workers = _workers(args)
     meta = _meta("search", {**asdict(spec), "workers": workers})
@@ -177,7 +177,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_density(args) -> int:
-    pairing = tuple(int(v) for v in args.pairing.split(",")) if args.pairing else ()
+    if not args.c >= 1:
+        raise ValueError(f"--c must be a number >= 1 (inf drops the ratio bound), got {args.c}")
+    try:
+        pairing = tuple(int(v) for v in args.pairing.split(",")) if args.pairing else ()
+    except ValueError:
+        raise ValueError(
+            f"--pairing must be comma-separated integers, got {args.pairing!r}"
+        ) from None
     spec = RegionSpec(t=args.t, s=args.s, c=args.c, pairing=pairing)
     workers = _workers(args)
     if args.samples < 1:

@@ -7,20 +7,23 @@ prunes keep it exact and fast: (a) any negative exponent kills the branch,
 a! with a >= p* can supply p*), (c) depth is capped by t_max, and (d) the
 size cap: a! | R needs a! <= R, so a level starts at the largest a with
 log(a!) <= log R (plus a small float margin) instead of at its upper bound
-ub.  Orientation (rhs[0] > lhs[0]) is built into the descent bound;
-disjointness is a filter in the census unit.
+ub.  Orientation (rhs[0] > lhs[0]) is built into the descent bound.  In
+the census a left side may share no entry with its right side, so a walked
+value that is a right-hand entry is counted as a node but never placed.
 
-The residual is dense: a list of exponents indexed by prime rank, with
-running counts of its negative and of its nonzero entries, so prune (a) and
-the zero test are O(1); beside it the descent carries log R as a float.  One
-descent level subtracts cap! once and then walks a = cap, cap-1, ..., p*;
-since a! = a * (a-1)!, each step only adds back the exponents of
-factorize(a) (at most three primes for a <= 100), and the level ends by
-adding lo! back.  The float cap only skips values that cannot divide R;
-every value walked is still decided exactly on exponents.  One node is one
-value of a at one level: the values between cap and ub that prune (d) skips
-are still counted as nodes, so node budgets and trip points are those of the
-walk from ub.  The node budget is polled every _POLL nodes.
+The residual is one Python integer: prime rank r owns a fixed-width bit
+field holding its exponent plus a bias, wide enough that no field ever
+borrows from its neighbour.  One integer add then updates every prime at
+once, prune (a) is one AND against the packed biases, R = 1 is one compare,
+and p* is read off the bit length; beside R the descent carries log R as a
+float.  One descent level subtracts cap! once and then walks a = cap,
+cap-1, ..., p*; since a! = a * (a-1)!, each step adds the packed factorize(a).
+R is immutable, so nothing is restored on the way back.  The float cap only
+skips values that cannot divide R; every value walked is still decided
+exactly on exponents.  One node is one value of a at one level: the values
+between cap and ub that prune (d) skips are still counted as nodes, so node
+budgets and trip points are those of the walk from ub.  The node budget is
+polled every _POLL nodes.
 
 The census and the fixed-gap search are two target builders on one driver.
 A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
@@ -40,7 +43,7 @@ import time
 import traceback
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import comb, lgamma
+from math import comb, inf, lgamma
 
 from .equations import (
     NONTRIVIAL,
@@ -112,6 +115,14 @@ class SearchGuards:
     max_nodes: int = 50_000_000
     max_seconds: float | None = None
 
+    def __post_init__(self) -> None:
+        # bool is an int subclass; nan fails every comparison, so it is refused
+        n, sec = self.max_nodes, self.max_seconds
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"max_nodes must be an integer >= 1, got {n!r}")
+        if sec is not None and (isinstance(sec, bool) or not 0 < sec < inf):
+            raise ValueError(f"max_seconds must be None or a finite number > 0, got {sec!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class DeltaSolution:
@@ -158,7 +169,7 @@ class _Budget:
     def __init__(self, guards: SearchGuards, shared=None) -> None:
         self.max_nodes = guards.max_nodes
         self.deadline = (
-            time.monotonic() + guards.max_seconds if guards.max_seconds else None
+            None if guards.max_seconds is None else time.monotonic() + guards.max_seconds
         )
         self.nodes = 0
         self.shared = shared
@@ -194,8 +205,9 @@ _POLL = 2048  # budget poll granularity, in descent nodes
 # the table bound).  With no slack at all, exact ties lose records.
 _LOG_MARGIN = 1e-6
 
-# Most (rank, exponent) pairs the tables of every a! with a <= n_max may hold;
-# rows share their unchanged pairs, so a pair is one 8-byte slot: 32 MiB.
+# Most (rank, exponent) pairs the tables of every a! with a <= n_max may hold.
+# The packed row of a! spends one field of _Tables.width bits (16 at n_max =
+# 7876 with s = 3) on each of its pi(a) pairs, so a pair takes at most 8 bytes.
 _TABLE_PAIRS = 1 << 22
 
 
@@ -227,19 +239,29 @@ def _unit_count(first_max: int, least: int, min_len: int, max_len: int) -> int:
 
 
 class _Tables:
-    """Dense-residual lookup tables, built once per search.
+    """Packed-residual lookup tables, built once per search.
 
     ``primes`` lists the primes up to ``prime_max`` (the largest factorial in
-    any target) by rank; ``step[a]`` and ``fact[a]`` are the (rank, exponent)
-    pairs of factorize(a) and of a!, and ``logfact[a]`` is log(a!), for the
-    entries a <= ``n_max`` the descent can place; left sides have at most
-    ``t_max`` entries.  Tables over the _TABLE_PAIRS budget, or for a search
-    of ``units`` work units (from _unit_count) over _UNIT_BUDGET, raise
-    ResourceGuardError before anything is built."""
+    any target) by rank.  An exponent vector is one integer: prime rank r owns
+    the ``width`` bits at offset r * width.  ``step[a]`` and ``fact[a]`` pack
+    factorize(a) and a!, and ``logfact[a]`` is log(a!), for the entries
+    a <= ``n_max`` the descent can place; left sides have at most ``t_max``
+    entries.  A residual holds each exponent e as e + 2^(width-1), and
+    ``zero`` packs the exponent-free residual, so R & zero == zero says that
+    no exponent is negative and R == zero that R = 1.  A target has at most
+    ``terms`` positive factorials; the width holds their summed exponents,
+    and the exponent of one subtracted a!, with a sign bit to spare, so no
+    field ever borrows from its neighbour; it is rounded up to 8, 16, 32 or
+    64 bits, so a field vector packs in linear time from its bytes.  Tables
+    over the _TABLE_PAIRS budget, or for a search of ``units`` work units
+    (from _unit_count) over _UNIT_BUDGET, raise ResourceGuardError before
+    anything is built."""
 
-    __slots__ = ("primes", "rank", "step", "fact", "logfact", "t_max")
+    __slots__ = ("primes", "width", "zero", "step", "fact", "logfact", "t_max")
 
-    def __init__(self, n_max: int, prime_max: int, t_max: int, units: int = 0) -> None:
+    def __init__(
+        self, n_max: int, prime_max: int, t_max: int, units: int = 0, terms: int = 1
+    ) -> None:
         pairs = _table_pairs(n_max)
         if pairs > _TABLE_PAIRS:
             raise ResourceGuardError(
@@ -254,54 +276,55 @@ class _Tables:
                 [],
             )
         self.primes = [int(p) for p in table(prime_max).primes_upto(prime_max)]
-        self.rank = {p: i for i, p in enumerate(self.primes)}
-        self.step = [()] * 2 + [self._ranked(factorize(a)) for a in range(2, n_max + 1)]
-        self.fact = [(), ()]
-        for step in self.step[2:]:  # a! = (a-1)! * a: a prime a opens a new rank
-            row = list(self.fact[-1])
-            for r, e in step:
-                if r < len(row):
-                    row[r] = (r, row[r][1] + e)
-                else:
-                    row.append((r, e))
-            self.fact.append(tuple(row))
+        # 2 has the largest exponent in any factorial, and n_max <= prime_max
+        bits = (terms * _legendre(prime_max, 2)).bit_length() + 1
+        w = self.width = max(8, 1 << (bits - 1).bit_length())
+        self.zero = int.from_bytes(
+            (1 << (w - 1)).to_bytes(w // 8, "little") * len(self.primes), "little"
+        )
+        shift = {p: r * w for r, p in enumerate(self.primes)}
+        self.step = [0, 0] + [
+            sum(e << shift[p] for p, e in factorize(a)) for a in range(2, n_max + 1)
+        ]
+        self.fact = [0, 0]
+        for step in self.step[2:]:  # a! = (a-1)! * a
+            self.fact.append(self.fact[-1] + step)
         self.logfact = [lgamma(a + 1) for a in range(n_max + 1)]
         self.t_max = t_max
 
-    def _ranked(self, entries) -> tuple[tuple[int, int], ...]:
-        return tuple((self.rank[p], e) for p, e in entries)
-
     def _term(self, n: int):
-        """The (rank, exponent) pairs of n! and log(n!).  Past n_max (only
-        search_delta's block ends x + k - 1 lie there) the pairs come from
-        Legendre's formula over the table primes, kept for this term only."""
+        """n! packed, and log(n!).  Past n_max (only search_delta's block ends
+        x + k - 1 lie there) it comes from Legendre's formula over the table
+        primes, kept for this term only."""
         if n < len(self.fact):
             return self.fact[n], self.logfact[n]
         primes = self.primes[: bisect_right(self.primes, n)]
-        return [(r, _legendre(n, p)) for r, p in enumerate(primes)], lgamma(n + 1)
+        size = self.width // 8
+        fields = b"".join(_legendre(n, p).to_bytes(size, "little") for p in primes)
+        return int.from_bytes(fields, "little"), lgamma(n + 1)
 
-    def residual(self, target) -> tuple[list[int], float]:
-        """The dense exponent vector and the logarithm of the target, the
+    def residual(self, target) -> tuple[int, float]:
+        """The packed exponent vector and the logarithm of the target, the
         integer prod(n! ** sign) over its (n, sign) terms."""
-        R = [0] * len(self.primes)
+        R = self.zero
         log_r = 0.0
         for n, sign in target:
-            entries, log_n = self._term(n)
+            packed, log_n = self._term(n)
+            R += sign * packed
             log_r += sign * log_n
-            for r, e in entries:
-                R[r] += sign * e
         return R, log_r
 
-    def left_sides(self, target, ub: int, budget: _Budget) -> list[tuple[int, ...]]:
-        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2 and
-        t <= t_max whose factorials multiply to the target.  The budget is
-        settled before returning, so a unit's nodes are all counted before
-        it completes."""
+    def left_sides(
+        self, target, ub: int, budget: _Budget, skip=frozenset()
+    ) -> list[tuple[int, ...]]:
+        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2,
+        t <= t_max and no entry in ``skip`` whose factorials multiply to the
+        target.  The budget is settled before returning, so a unit's nodes
+        are all counted before it completes."""
         R, log_r = self.residual(target)
         out: list[tuple[int, ...]] = []
-        nz = sum(1 for v in R if v)
-        if nz:
-            budget.spend(_descend(self, budget, out, R, nz, len(R) - 1, [], ub, log_r, 0))
+        if R != self.zero:
+            budget.spend(_descend(self, budget, out, R, [], ub, log_r, 0, skip))
         return out
 
 
@@ -311,14 +334,14 @@ def _size_cap(logfact: list[float], log_r: float, ub: int) -> int:
     return bisect_right(logfact, log_r + _LOG_MARGIN, 0, ub + 1) - 1
 
 
-def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, log_r, pending) -> int:
-    """One level of the descent over a residual with no negative entry,
-    ``nz`` nonzero ones, none above rank ``top``, and logarithm ``log_r``;
-    appends every completed left side to ``out``.  Leaves R as it found it;
-    returns the count of nodes not yet charged to the budget."""
-    while not R[top]:
-        top -= 1
-    lo = t.primes[top]  # p*: only a! with a >= p* supplies it
+def _descend(t: _Tables, budget: _Budget, out, R, lhs, ub, log_r, pending, skip) -> int:
+    """One level of the descent over a packed residual R != 1 with no
+    negative exponent and logarithm ``log_r``; appends every completed left
+    side to ``out``.  A walked value in ``skip`` is a node but is never
+    placed.  Returns the count of nodes not yet charged to the budget."""
+    Z = t.zero
+    # p*, the prime of the top nonzero field: only a! with a >= p* supplies it
+    lo = t.primes[((R ^ Z).bit_length() - 1) // t.width]
     if lo > ub:
         return pending
     # the values above the size cap are charged as nodes, not visited
@@ -332,46 +355,22 @@ def _descend(t: _Tables, budget: _Budget, out, R, nz, top, lhs, ub, log_r, pendi
             return pending
     step = t.step
     deeper = len(lhs) + 1 < t.t_max
-    neg = 0
-    for r, e in t.fact[cap]:
-        v = R[r]
-        R[r] = v - e
-        if v < e:
-            neg += 1
-            if not v:
-                nz += 1
-        elif v == e:
-            nz -= 1
-    a = cap
-    while True:
+    R -= t.fact[cap]
+    for a in range(cap, lo - 1, -1):
         pending += 1
         if pending >= _POLL:
             budget.spend(pending)
             pending = 0
-        if not neg:
+        if R & Z == Z and a not in skip:
             lhs.append(a)
-            if not nz:
+            if R == Z:
                 out.append(tuple(lhs))
             elif deeper:
                 pending = _descend(
-                    t, budget, out, R, nz, top, lhs, a, log_r - t.logfact[a], pending
+                    t, budget, out, R, lhs, a, log_r - t.logfact[a], pending, skip
                 )
             lhs.pop()
-        if a == lo:
-            break
-        for r, e in step[a]:  # R - a! becomes R - (a-1)!
-            v = R[r]
-            R[r] = v + e
-            if v < 0:
-                if v >= -e:
-                    neg -= 1
-                    if v == -e:
-                        nz -= 1
-            elif not v:
-                nz += 1
-        a -= 1
-    for r, e in t.fact[lo]:
-        R[r] += e
+        R += step[a]  # R - a! becomes R - (a-1)!
     return pending
 
 
@@ -412,9 +411,8 @@ def _census_unit(
     """The records of one right-hand side: its left sides that share no
     entry with it, verified and filtered."""
     records: list[SolutionRecord] = []
-    for lhs in tables.left_sides([(n, 1) for n in rhs], rhs[0] - 1, budget):
-        if not set(rhs).isdisjoint(lhs):
-            continue
+    target = [(n, 1) for n in rhs]
+    for lhs in tables.left_sides(target, rhs[0] - 1, budget, frozenset(rhs)):
         rec = _attach_delta_form(verify(FactorialEquation(lhs, rhs)))
         if spec.nontrivial_only and rec.classification != NONTRIVIAL:
             continue
@@ -538,7 +536,7 @@ def search_factorial_products(
     """
     guards = guards or SearchGuards()
     shape = (spec.n1_max, 2, 1, spec.s_max)
-    tables = _Tables(spec.n1_max, spec.n1_max, spec.t_max, _unit_count(*shape))
+    tables = _Tables(spec.n1_max, spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
     return _run_units(
         _non_increasing(*shape),
         lambda rhs, budget: _census_unit(rhs, spec, tables, budget),
@@ -562,7 +560,7 @@ def search_delta(
     shape = (spec.x_max, 1, len(spec.k_list), len(spec.k_list))
     # the largest factorial in any target is x + k - 1 <= x_max + max(k) - 1
     prime_max = spec.x_max + max(spec.k_list) - 1
-    tables = _Tables(spec.x_max, prime_max, spec.t_max, _unit_count(*shape))
+    tables = _Tables(spec.x_max, prime_max, spec.t_max, _unit_count(*shape), len(spec.k_list))
 
     def unit(xs: tuple[int, ...], budget: _Budget) -> list[DeltaSolution]:
         # the block x(x+1)...(x+k-1) is (x+k-1)! / (x-1)!

@@ -5,12 +5,13 @@ The brute-force oracles decide questions by literal big-integer arithmetic
 package's exponent-vector machinery so the two routes can check each other.
 The full-vector descent at the end is the census engine's reference: the same
 pruned search over a dict residual that subtracts and re-adds the whole a!
-vector at every node, with the same node count.  The per-window Python walk is
-the reference for the columnar abc window scan.  The density section at the
-end counts orderings for the c = inf region volume, keeps the Monte Carlo
-sampler in its first, one-array-per-operation form, and states the
-conjectured s = 2 closed form (a conjecture the quadrature is tested against,
-not a proof).
+vector at every node, with the same node count, including the census rule
+that a right-hand entry is walked (one node) but never placed on the left.
+The per-window Python walk is the reference for the columnar abc window scan.
+The density section at the end counts orderings for the c = inf region volume,
+keeps the Monte Carlo sampler in its first, one-array-per-operation form, and
+states the conjectured s = 2 closed form (a conjecture the quadrature is
+tested against, not a proof).
 """
 
 import math
@@ -131,7 +132,7 @@ def _add_entries(R: dict[int, int], entries) -> None:
             R.pop(p, None)
 
 
-def _full_vector_descend(R, lhs, ub, t_max, nodes, emit) -> None:
+def _full_vector_descend(R, lhs, ub, t_max, nodes, emit, skip=frozenset()) -> None:
     if len(lhs) >= t_max:
         return
     p_star = max(R)
@@ -139,19 +140,23 @@ def _full_vector_descend(R, lhs, ub, t_max, nodes, emit) -> None:
         return
     for a in range(ub, max(p_star, 2) - 1, -1):
         nodes[0] += 1
+        if a in skip:
+            continue
         entries = factorial_expvec(a).entries
         if _sub_entries(R, entries):
             lhs.append(a)
             if not R:
                 emit(tuple(lhs))
             else:
-                _full_vector_descend(R, lhs, a, t_max, nodes, emit)
+                _full_vector_descend(R, lhs, a, t_max, nodes, emit, skip)
             lhs.pop()
         _add_entries(R, entries)
 
 
-def full_vector_census(n1_max: int, t_max: int, s_max: int):
-    """(disjoint (lhs, rhs) pairs in canonical (n1, rhs, lhs) order, nodes)."""
+def full_vector_census(n1_max: int, t_max: int, s_max: int, skip_rhs: bool = True):
+    """(disjoint (lhs, rhs) pairs in canonical (n1, rhs, lhs) order, nodes).
+    With ``skip_rhs`` a left side never places a right-hand entry; without it
+    such left sides are found and dropped, at the cost of more nodes."""
     rhs_list: list[tuple[int, ...]] = []
 
     def grow(prefix):
@@ -172,7 +177,8 @@ def full_vector_census(n1_max: int, t_max: int, s_max: int):
             if not set(lhs) & set(rhs):
                 sols.append((lhs, rhs))
 
-        _full_vector_descend(R, [], rhs[0] - 1, t_max, nodes, emit)
+        skip = frozenset(rhs) if skip_rhs else frozenset()
+        _full_vector_descend(R, [], rhs[0] - 1, t_max, nodes, emit, skip)
     sols.sort(key=lambda k: (k[1][0], k[1], k[0]))
     return sols, nodes[0]
 

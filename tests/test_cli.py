@@ -141,7 +141,7 @@ def test_search_guard_message_counts_units_and_nodes(capsys):
     code, _, err = run_cli(
         capsys,
         "search", "--n1-max", "16", "--t-max", "5", "--s-max", "2",
-        "--workers", "1", "--max-nodes", "2000",
+        "--workers", "1", "--max-nodes", "1000",
     )
     assert code == 3
     assert re.search(r"\(\d+ of \d+ units completed, \d+ nodes\)", err), err
@@ -164,6 +164,7 @@ def test_search_rejects_nonpositive_workers(capsys, workers, needle):
         ("--max-seconds", "0"),
         ("--max-seconds", "nan"),
         ("--max-seconds", "-1"),
+        ("--max-seconds", "inf"),
     ],
 )
 def test_search_rejects_bad_guard_flags(capsys, flag, value):
@@ -211,6 +212,21 @@ def test_density_validation_exit_2(capsys):
         capsys, "density", "--t", "2", "--s", "3", "--c", "1", "--samples", "10"
     )
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--c", "nan"), ("--c", "0.5"), ("--pairing", "x"), ("--pairing", "2,")],
+)
+def test_density_bad_flag_names_it(capsys, monkeypatch, flag, value):
+    def estimate_ran(*args, **kwargs):
+        raise AssertionError("an estimate ran on rejected input")
+
+    monkeypatch.setattr("factprod.cli.mc_density", estimate_ran)
+    args = {"--t": "3", "--s": "2", "--c": "2", flag: value}
+    code, out, err = run_cli(capsys, "density", *[v for kv in args.items() for v in kv])
+    assert code == 2 and out == ""
+    assert f"error: {flag} must be" in err
 
 
 def test_density_rejects_before_estimating(capsys, monkeypatch):

@@ -30,6 +30,20 @@ def keyset(records):
     return {(r.eq.lhs, r.eq.rhs) for r in records}
 
 
+def fields(t, packed, bias=True):
+    """The exponents packed in ``packed`` by ``_Tables`` t, one per prime
+    rank; residuals carry the bias 2^(width-1) in every field, and the
+    ``fact``/``step`` rows carry none."""
+    w = t.width
+    off = 1 << (w - 1) if bias else 0
+    return [((packed >> (r * w)) & ((1 << w) - 1)) - off for r in range(len(t.primes))]
+
+
+def expvec(t, packed, bias=True):
+    """``fields`` as the (prime, exponent) pairs of its nonzero entries."""
+    return tuple((p, e) for p, e in zip(t.primes, fields(t, packed, bias)) if e)
+
+
 # ---------------------------------------------------------------- censuses
 
 def test_census_n10_nontrivial_matches_known_list():
@@ -154,6 +168,16 @@ def assert_node_count(run, nodes):
         assert e.value.nodes == nodes
 
 
+def test_right_hand_entry_rule_is_exact():
+    # a left side with a right-hand entry is dropped, and so is every
+    # extension of it: never placing the entry loses no record, only nodes
+    for bounds in ((24, 6, 3), (30, 6, 2), (16, 5, 2)):
+        want, nodes = full_vector_census(*bounds)
+        every, every_nodes = full_vector_census(*bounds, skip_rhs=False)
+        assert want == every
+        assert nodes < every_nodes
+
+
 @pytest.mark.parametrize("bounds", [(24, 6, 3), (60, 6, 2)])
 def test_census_matches_full_vector_oracle(bounds):
     want, nodes = full_vector_census(*bounds)
@@ -185,7 +209,7 @@ def test_size_cap_keeps_every_dividing_factorial():
     from factprod import search
 
     rng = random.Random(8)
-    t = search._Tables(200, 400, 8)  # block ends up to 399 lie past n_max
+    t = search._Tables(200, 400, 8, terms=5)  # block ends up to 399 lie past n_max
     binding = 0
     for _ in range(300):
         target = [(rng.randint(2, 200), 1) for _ in range(rng.randint(0, 2))]
@@ -195,7 +219,7 @@ def test_size_cap_keeps_every_dividing_factorial():
         R_int = math.prod(math.factorial(n) for n, sign in target if sign > 0)
         R_int //= math.prod(math.factorial(n) for n, sign in target if sign < 0)
         R, log_r = t.residual(target)
-        assert math.prod(p**e for p, e in zip(t.primes, R)) == R_int
+        assert math.prod(p**e for p, e in zip(t.primes, fields(t, R))) == R_int
         ub = rng.randint(2, 200)
         cap = search._size_cap(t.logfact, log_r, ub)
         dividing = [a for a in range(2, ub + 1) if R_int % math.factorial(a) == 0]
@@ -214,7 +238,7 @@ def test_size_cap_at_the_table_bound():
     from factprod import search
 
     rng = random.Random(7876)
-    t = search._Tables(7876, 7876, 2)
+    t = search._Tables(7876, 7876, 2, terms=2)
     budget = search._Budget(SearchGuards(max_nodes=10**12))
     for a in range(2, 7877):
         b = rng.randint(2, a)
@@ -226,7 +250,86 @@ def test_size_cap_at_the_table_bound():
             assert (a, b) in t.left_sides([(a, 1), (b, 1)], a, budget)
 
 
+def test_census_at_the_table_bound_is_pinned():
+    """The s = 1 census up to 7876, the largest n_max the table guard
+    admits: record count, a digest of its (lhs, rhs) list and its charged
+    nodes, pinned from the dense-residual engine that preceded the packed
+    one (s = 1 has no right-hand entry to skip, so the count is unchanged)."""
+    import hashlib
+
+    spec = SearchSpec(7876, 12, 1)
+    recs = search_factorial_products(spec, guards=SearchGuards(max_nodes=10**12))
+    pairs = [(r.eq.lhs, r.eq.rhs) for r in recs]
+    assert len(pairs) == 89
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+        "5fb02e8461b073abafeb588419fc461d4a9a1d46f64f8b81b3b1db9d78a96f2f"
+    )
+    nodes = 131_080_523
+    search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes))
+    with pytest.raises(ResourceGuardError) as e:
+        search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes - 1))
+    assert e.value.nodes == nodes and e.value.records == recs
+
+
+def test_packed_fields_hold_the_widest_exponents():
+    """Every field of the largest residuals the searches can form decodes
+    to Legendre's exponent: three 7876! on the right (s = 3 at the table
+    bound), that residual less 7876! (the deepest a level subtracts from a
+    residual of 2), and search_delta blocks of k = 2000 and 100000 terms,
+    whose fields are 16 and 32 bits wide."""
+    from factprod import search
+    from factprod.factorint import _legendre
+
+    t = search._Tables(7876, 7876, 4, terms=3)
+    v = [_legendre(7876, p) for p in t.primes]
+    R, _ = t.residual([(7876, 1)] * 3)
+    assert fields(t, R) == [3 * e for e in v]
+    R, _ = t.residual([(2, 1)])
+    assert fields(t, R - t.fact[7876]) == [(p == 2) - e for p, e in zip(t.primes, v)]
+    assert R & t.zero == t.zero and (R - t.fact[7876]) & t.zero != t.zero
+    for x_max, k, width in ((60, 2000, 16), (20, 100_000, 32)):
+        t = search._Tables(x_max, x_max + k - 1, 4, terms=1)
+        assert t.width == width
+        for x in (1, 2, 17, x_max):
+            R, _ = t.residual([(x + k - 1, 1), (x - 1, -1)])
+            block = [_legendre(x + k - 1, p) - _legendre(x - 1, p) for p in t.primes]
+            assert fields(t, R) == block
+            assert fields(t, R - t.fact[x_max]) == [
+                e - _legendre(x_max, p) for p, e in zip(t.primes, block)
+            ]
+
+
 # ---------------------------------------------------------------- guards
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_nodes": 0},
+        {"max_nodes": -5},
+        {"max_nodes": True},
+        {"max_nodes": 2.5},
+        {"max_seconds": 0},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},
+        {"max_seconds": float("inf")},
+        {"max_seconds": True},
+    ],
+)
+def test_search_guards_reject_what_cannot_bound(kwargs):
+    # each would give a guard that never trips (0 s, nan, inf) or trips at
+    # the first poll (a node budget below 1)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SearchGuards(**kwargs)
+
+
+def test_search_guards_accept_positive_bounds():
+    assert SearchGuards(max_nodes=1, max_seconds=1e-9).max_nodes == 1
+    assert SearchGuards(max_seconds=3).max_seconds == 3
+    with pytest.raises(ResourceGuardError) as e:
+        search_factorial_products(
+            SearchSpec(40, 8, 3), guards=SearchGuards(max_seconds=1e-9)
+        )
+    assert e.value.reason == "wall-time budget exceeded"
 
 def test_guard_n1_ceiling():
     with pytest.raises(ResourceGuardError):
@@ -317,7 +420,8 @@ def test_table_budget_is_the_pair_count(monkeypatch):
     assert search._table_pairs(7876) <= search._TABLE_PAIRS < search._table_pairs(7877)
     search._Tables(3000, 3000, 6)
     monkeypatch.setattr(search, "_TABLE_PAIRS", search._table_pairs(400))
-    assert sum(map(len, search._Tables(400, 400, 4).fact)) == search._TABLE_PAIRS
+    t = search._Tables(400, 400, 4)
+    assert sum(len(expvec(t, f, bias=False)) for f in t.fact) == search._TABLE_PAIRS
     with pytest.raises(ResourceGuardError):
         search._Tables(401, 401, 4)
 
@@ -330,7 +434,9 @@ def test_tables_build_factorials_without_factorial_expvec():
     # search_delta's block ends past x_max, from Legendre's formula
     assert not hasattr(search, "factorial_expvec")
     t = search._Tables(120, 120, 4)
-    assert t.fact == [t._ranked(factorial_expvec(a).entries) for a in range(121)]
+    assert [expvec(t, f, bias=False) for f in t.fact] == [
+        factorial_expvec(a).entries for a in range(121)
+    ]
 
 
 def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
@@ -344,8 +450,8 @@ def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
         assert {(d.x, d.a) for d in got} == brute_delta_search(k_list, x_max, 4)
     t = search._Tables(12, 2011, 4)
     for n in (13, 1000, 2011):
-        entries, log_n = t._term(n)
-        assert entries == list(t._ranked(factorial_expvec(n).entries))
+        packed, log_n = t._term(n)
+        assert expvec(t, packed, bias=False) == factorial_expvec(n).entries
         assert log_n == math.lgamma(n + 1)
 
 
@@ -353,7 +459,7 @@ def test_guard_node_budget_carries_partial():
     with pytest.raises(ResourceGuardError) as e:
         search_factorial_products(
             SearchSpec(n1_max=16, t_max=5, s_max=2),
-            guards=SearchGuards(max_nodes=2000),
+            guards=SearchGuards(max_nodes=1000),  # of the 1986 nodes it spends
         )
     assert isinstance(e.value.records, list)
     assert e.value.completed_units >= 0
@@ -365,10 +471,10 @@ def test_guard_node_budget_serial_trip_point():
             SearchSpec(n1_max=40, t_max=8, s_max=3),
             guards=SearchGuards(max_nodes=300_000),
         )
-    assert e.value.reason == "node budget exceeded (300297 > 300000)"
-    assert len(e.value.records) == 1886
-    assert e.value.completed_units == 3790
-    assert e.value.nodes == 300297
+    assert e.value.reason == "node budget exceeded (300069 > 300000)"
+    assert len(e.value.records) == 3037
+    assert e.value.completed_units == 6179
+    assert e.value.nodes == 300069
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
