@@ -154,10 +154,6 @@ def cmd_search(args) -> int:
         c=args.c,
         nontrivial_only=args.nontrivial_only,
     )
-    if args.max_nodes < 1:
-        raise ValueError(f"--max-nodes must be >= 1, got {args.max_nodes}")
-    if args.max_seconds is not None and not 0 < args.max_seconds < float("inf"):
-        raise ValueError(f"--max-seconds must be a finite number > 0, got {args.max_seconds}")
     guards = SearchGuards(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     workers = _workers(args)
     meta = _meta("search", {**asdict(spec), "workers": workers})
@@ -177,8 +173,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if not args.c >= 1:
-        raise ValueError(f"--c must be a number >= 1 (inf drops the ratio bound), got {args.c}")
     try:
         pairing = tuple(int(v) for v in args.pairing.split(",")) if args.pairing else ()
     except ValueError:
@@ -352,8 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="JSON-lines census file")
     s.add_argument("--census-csv", dest="census_csv", help="summary CSV file")
     s.add_argument("--workers", type=int, default=None)
-    s.add_argument("--max-nodes", type=int, default=50_000_000, dest="max_nodes")
-    s.add_argument("--max-seconds", type=float, default=None, dest="max_seconds")
+    s.add_argument(
+        "--max-nodes",
+        type=int,
+        default=50_000_000,
+        dest="max_nodes",
+        help="node budget: descent values walked, over all workers (default 50,000,000); "
+        "a trip exits 3 and reports (N of M units completed, K nodes)",
+    )
+    s.add_argument(
+        "--max-seconds",
+        type=float,
+        default=None,
+        dest="max_seconds",
+        help="wall-time budget in seconds (default none); a trip exits 3 and reports "
+        "(N of M units completed, K nodes)",
+    )
     s.set_defaults(fn=cmd_search)
 
     d = sub.add_parser("density", help="constraint-region density estimates")
@@ -401,6 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _flag_message(args, message: str) -> str:
+    """A library message of the form ``<name> must ...`` about a parameter
+    that a flag sets, reworded to name the flag (n1_max -> --n1-max)."""
+    name, must, rest = message.partition(" must ")
+    if must and name in vars(args):
+        return "--" + name.replace("_", "-") + must + rest
+    return message
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -410,7 +427,7 @@ def main(argv=None) -> int:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (EquationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_flag_message(args, str(exc))}", file=sys.stderr)
         return EXIT_USAGE
 
 

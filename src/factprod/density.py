@@ -87,21 +87,21 @@ class RegionSpec:
 
     def __post_init__(self) -> None:
         if self.t < 2:
-            raise ValueError("t must be >= 2")
+            raise ValueError(f"t must be >= 2, got {self.t}")
         if self.s < 1:
-            raise ValueError("s must be >= 1")
+            raise ValueError(f"s must be >= 1, got {self.s}")
         if self.s > self.t:
-            raise ValueError("s must be <= t")
+            raise ValueError(f"s must be <= t, got s = {self.s} > t = {self.t}")
         if not self.c >= 1:
-            raise ValueError("c must be >= 1")
+            raise ValueError(f"c must be >= 1 (inf drops the ratio bound), got {self.c}")
         pairing = tuple(self.pairing) or tuple(range(2, self.s + 1))
         object.__setattr__(self, "pairing", pairing)
         if len(pairing) != self.s - 1:
-            raise ValueError(f"pairing needs {self.s - 1} indices, got {pairing}")
+            raise ValueError(f"pairing must be s - 1 = {self.s - 1} indices, got {pairing}")
         if len(set(pairing)) != len(pairing):
-            raise ValueError(f"pairing indices not distinct: {pairing}")
+            raise ValueError(f"pairing must be distinct indices, got {pairing}")
         if any(i < 2 or i > self.t for i in pairing):
-            raise ValueError(f"pairing indices must lie in 2..{self.t}: {pairing}")
+            raise ValueError(f"pairing must be indices in 2..{self.t}, got {pairing}")
 
     @property
     def dims(self) -> int:
@@ -315,7 +315,7 @@ def _quad_resolution(spec: RegionSpec, resolution: int | None) -> int:
         raise ValueError("dimension guard: s + t must be <= 6")
     n = _S3_RESOLUTION if resolution is None else resolution
     if n < 1:
-        raise ValueError("resolution must be >= 1")
+        raise ValueError(f"resolution must be >= 1, got {n}")
     if spec.s == 3 and n * n > _QUAD_CELLS:
         raise QuadratureBudgetError(
             f"quadrature resolution {n} needs {n * n} cells, "

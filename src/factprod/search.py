@@ -20,10 +20,9 @@ float.  One descent level subtracts cap! once and then walks a = cap,
 cap-1, ..., p*; since a! = a * (a-1)!, each step adds the packed factorize(a).
 R is immutable, so nothing is restored on the way back.  The float cap only
 skips values that cannot divide R; every value walked is still decided
-exactly on exponents.  One node is one value of a at one level: the values
-between cap and ub that prune (d) skips are still counted as nodes, so node
-budgets and trip points are those of the walk from ub.  The node budget is
-polled every _POLL nodes.
+exactly on exponents.  One node is one value a level walks, cap >= a >= p*:
+a level charges its cap - p* + 1 nodes on entry, and the node budget is
+settled whenever _POLL or more are pending, so it bounds the work done.
 
 The census and the fixed-gap search are two target builders on one driver.
 A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb, inf, lgamma
 
@@ -71,13 +70,13 @@ class SearchSpec:
 
     def __post_init__(self) -> None:
         if self.n1_max < 3:
-            raise ValueError("n1_max must be >= 3")
+            raise ValueError(f"n1_max must be >= 3, got {self.n1_max}")
         if self.t_max < 2:
-            raise ValueError("t_max must be >= 2")
+            raise ValueError(f"t_max must be >= 2, got {self.t_max}")
         if self.s_max < 1:
-            raise ValueError("s_max must be >= 1")
+            raise ValueError(f"s_max must be >= 1, got {self.s_max}")
         if self.c is not None and self.c < 1:
-            raise ValueError("c must be >= 1")
+            raise ValueError(f"c must be >= 1, got {self.c}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +109,9 @@ class DeltaSearchSpec:
 @dataclass(frozen=True, slots=True)
 class SearchGuards:
     """Resource ceilings; exceeding any of them is an explicit error carrying
-    the records from completed work units, never a silent truncation."""
+    the records from completed work units, never a silent truncation.
+    ``max_nodes`` bounds the descent values walked, over all workers; the
+    values the size cap skips cost nothing."""
 
     max_nodes: int = 50_000_000
     max_seconds: float | None = None
@@ -121,7 +122,7 @@ class SearchGuards:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"max_nodes must be an integer >= 1, got {n!r}")
         if sec is not None and (isinstance(sec, bool) or not 0 < sec < inf):
-            raise ValueError(f"max_seconds must be None or a finite number > 0, got {sec!r}")
+            raise ValueError(f"max_seconds must be a finite number > 0, got {sec!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,26 +242,25 @@ def _unit_count(first_max: int, least: int, min_len: int, max_len: int) -> int:
 class _Tables:
     """Packed-residual lookup tables, built once per search.
 
-    ``primes`` lists the primes up to ``prime_max`` (the largest factorial in
-    any target) by rank.  An exponent vector is one integer: prime rank r owns
-    the ``width`` bits at offset r * width.  ``step[a]`` and ``fact[a]`` pack
-    factorize(a) and a!, and ``logfact[a]`` is log(a!), for the entries
-    a <= ``n_max`` the descent can place; left sides have at most ``t_max``
-    entries.  A residual holds each exponent e as e + 2^(width-1), and
-    ``zero`` packs the exponent-free residual, so R & zero == zero says that
-    no exponent is negative and R == zero that R = 1.  A target has at most
-    ``terms`` positive factorials; the width holds their summed exponents,
-    and the exponent of one subtracted a!, with a sign bit to spare, so no
-    field ever borrows from its neighbour; it is rounded up to 8, 16, 32 or
-    64 bits, so a field vector packs in linear time from its bytes.  Tables
-    over the _TABLE_PAIRS budget, or for a search of ``units`` work units
-    (from _unit_count) over _UNIT_BUDGET, raise ResourceGuardError before
+    ``primes`` lists the primes up to ``n_max`` by rank.  An exponent vector
+    is one integer: prime rank r owns the ``width`` bits at offset r * width.
+    ``step[a]`` and ``fact[a]`` pack factorize(a) and a!, and ``logfact[a]``
+    is log(a!), for the entries a <= ``n_max`` the descent can place; left
+    sides have at most ``t_max`` entries.  A residual holds each exponent e
+    as e + 2^(width-1), and ``zero`` packs the exponent-free residual, so
+    R & zero == zero says that no exponent is negative and R == zero that
+    R = 1.  A target divides ``terms`` factorials of at most max(n_max, end);
+    the width holds their summed exponents, and the exponent of one
+    subtracted a!, with a sign bit to spare, so no field ever borrows from
+    its neighbour; it is rounded up to 8, 16, 32 or 64 bits.  Tables over
+    the _TABLE_PAIRS budget, or for a search of ``units`` work units (from
+    _unit_count) over _UNIT_BUDGET, raise ResourceGuardError before
     anything is built."""
 
     __slots__ = ("primes", "width", "zero", "step", "fact", "logfact", "t_max")
 
     def __init__(
-        self, n_max: int, prime_max: int, t_max: int, units: int = 0, terms: int = 1
+        self, n_max: int, t_max: int, units: int = 0, terms: int = 1, end: int = 0
     ) -> None:
         pairs = _table_pairs(n_max)
         if pairs > _TABLE_PAIRS:
@@ -275,9 +275,9 @@ class _Tables:
                 f"above the budget of {_UNIT_BUDGET}",
                 [],
             )
-        self.primes = [int(p) for p in table(prime_max).primes_upto(prime_max)]
-        # 2 has the largest exponent in any factorial, and n_max <= prime_max
-        bits = (terms * _legendre(prime_max, 2)).bit_length() + 1
+        self.primes = [int(p) for p in table(n_max).primes_upto(n_max)]
+        # 2 has the largest exponent in any factorial
+        bits = (terms * _legendre(max(n_max, end), 2)).bit_length() + 1
         w = self.width = max(8, 1 << (bits - 1).bit_length())
         self.zero = int.from_bytes(
             (1 << (w - 1)).to_bytes(w // 8, "little") * len(self.primes), "little"
@@ -292,26 +292,21 @@ class _Tables:
         self.logfact = [lgamma(a + 1) for a in range(n_max + 1)]
         self.t_max = t_max
 
-    def _term(self, n: int):
-        """n! packed, and log(n!).  Past n_max (only search_delta's block ends
-        x + k - 1 lie there) it comes from Legendre's formula over the table
-        primes, kept for this term only."""
-        if n < len(self.fact):
-            return self.fact[n], self.logfact[n]
-        primes = self.primes[: bisect_right(self.primes, n)]
-        size = self.width // 8
-        fields = b"".join(_legendre(n, p).to_bytes(size, "little") for p in primes)
-        return int.from_bytes(fields, "little"), lgamma(n + 1)
-
-    def residual(self, target) -> tuple[int, float]:
+    def residual(self, target) -> tuple[int, float] | None:
         """The packed exponent vector and the logarithm of the target, the
-        integer prod(n! ** sign) over its (n, sign) terms."""
-        R = self.zero
-        log_r = 0.0
+        integer prod(n! ** sign) over its (n, sign) terms; None when it has a
+        prime factor above n_max, which no left side can supply.  Past n_max
+        lie only search_delta's block ends x + k - 1: such an n! is n_max!
+        times one packed factorize(j) per j in (n_max, n]."""
+        R, log_r, top = self.zero, 0.0, len(self.fact) - 1
         for n, sign in target:
-            packed, log_n = self._term(n)
-            R += sign * packed
-            log_r += sign * log_n
+            R += sign * self.fact[min(n, top)]
+            log_r += sign * lgamma(n + 1)
+            for j in range(top + 1, n + 1):
+                for p, e in factorize(j):
+                    if p > top:
+                        return None
+                    R += e << (bisect_left(self.primes, p) * self.width)
         return R, log_r
 
     def left_sides(
@@ -321,9 +316,10 @@ class _Tables:
         t <= t_max and no entry in ``skip`` whose factorials multiply to the
         target.  The budget is settled before returning, so a unit's nodes
         are all counted before it completes."""
-        R, log_r = self.residual(target)
         out: list[tuple[int, ...]] = []
-        if R != self.zero:
+        res = self.residual(target)
+        if res is not None and res[0] != self.zero:
+            R, log_r = res
             budget.spend(_descend(self, budget, out, R, [], ub, log_r, 0, skip))
         return out
 
@@ -337,30 +333,23 @@ def _size_cap(logfact: list[float], log_r: float, ub: int) -> int:
 def _descend(t: _Tables, budget: _Budget, out, R, lhs, ub, log_r, pending, skip) -> int:
     """One level of the descent over a packed residual R != 1 with no
     negative exponent and logarithm ``log_r``; appends every completed left
-    side to ``out``.  A walked value in ``skip`` is a node but is never
-    placed.  Returns the count of nodes not yet charged to the budget."""
+    side to ``out``.  It walks a = cap, ..., p* and charges those values as
+    nodes on entry; a walked value in ``skip`` is never placed.  Returns the
+    count of nodes not yet charged to the budget."""
     Z = t.zero
     # p*, the prime of the top nonzero field: only a! with a >= p* supplies it
     lo = t.primes[((R ^ Z).bit_length() - 1) // t.width]
-    if lo > ub:
-        return pending
-    # the values above the size cap are charged as nodes, not visited
     cap = _size_cap(t.logfact, log_r, ub)
-    if cap < ub:
-        pending += ub - max(cap, lo - 1)
-        while pending >= _POLL:
-            budget.spend(_POLL)
-            pending -= _POLL
-        if cap < lo:
-            return pending
+    if cap < lo:
+        return pending
+    pending += cap - lo + 1
+    if pending >= _POLL:
+        budget.spend(pending)
+        pending = 0
     step = t.step
     deeper = len(lhs) + 1 < t.t_max
     R -= t.fact[cap]
     for a in range(cap, lo - 1, -1):
-        pending += 1
-        if pending >= _POLL:
-            budget.spend(pending)
-            pending = 0
         if R & Z == Z and a not in skip:
             lhs.append(a)
             if R == Z:
@@ -536,7 +525,7 @@ def search_factorial_products(
     """
     guards = guards or SearchGuards()
     shape = (spec.n1_max, 2, 1, spec.s_max)
-    tables = _Tables(spec.n1_max, spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
+    tables = _Tables(spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
     return _run_units(
         _non_increasing(*shape),
         lambda rhs, budget: _census_unit(rhs, spec, tables, budget),
@@ -559,8 +548,8 @@ def search_delta(
         return []
     shape = (spec.x_max, 1, len(spec.k_list), len(spec.k_list))
     # the largest factorial in any target is x + k - 1 <= x_max + max(k) - 1
-    prime_max = spec.x_max + max(spec.k_list) - 1
-    tables = _Tables(spec.x_max, prime_max, spec.t_max, _unit_count(*shape), len(spec.k_list))
+    end = spec.x_max + max(spec.k_list) - 1
+    tables = _Tables(spec.x_max, spec.t_max, _unit_count(*shape), len(spec.k_list), end)
 
     def unit(xs: tuple[int, ...], budget: _Budget) -> list[DeltaSolution]:
         # the block x(x+1)...(x+k-1) is (x+k-1)! / (x-1)!

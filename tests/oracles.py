@@ -5,8 +5,11 @@ The brute-force oracles decide questions by literal big-integer arithmetic
 package's exponent-vector machinery so the two routes can check each other.
 The full-vector descent at the end is the census engine's reference: the same
 pruned search over a dict residual that subtracts and re-adds the whole a!
-vector at every node, with the same node count, including the census rule
-that a right-hand entry is walked (one node) but never placed on the left.
+vector at every value, walked from the level's upper bound.  It counts a node
+for each value whose factorial is at most the literal residual, so its count
+is the engine's without the engine's float size cap, including the census
+rule that a right-hand entry is walked (one node) but never placed on the
+left.
 The per-window Python walk is the reference for the columnar abc window scan.
 The density section at the end counts orderings for the c = inf region volume,
 keeps the Monte Carlo sampler in its first, one-array-per-operation form, and
@@ -133,13 +136,17 @@ def _add_entries(R: dict[int, int], entries) -> None:
 
 
 def _full_vector_descend(R, lhs, ub, t_max, nodes, emit, skip=frozenset()) -> None:
+    """Walk a = ub, ..., p* over the dict residual R.  A node is one walked a
+    with a! <= the literal residual prod p^e, the values the engine's size
+    cap lets a level walk, decided here on big integers."""
     if len(lhs) >= t_max:
         return
     p_star = max(R)
     if p_star > ub:
         return
+    literal = math.prod(p**e for p, e in R.items())
     for a in range(ub, max(p_star, 2) - 1, -1):
-        nodes[0] += 1
+        nodes[0] += math.factorial(a) <= literal
         if a in skip:
             continue
         entries = factorial_expvec(a).entries

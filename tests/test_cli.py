@@ -141,10 +141,20 @@ def test_search_guard_message_counts_units_and_nodes(capsys):
     code, _, err = run_cli(
         capsys,
         "search", "--n1-max", "16", "--t-max", "5", "--s-max", "2",
-        "--workers", "1", "--max-nodes", "1000",
+        "--workers", "1", "--max-nodes", "500",
     )
     assert code == 3
     assert re.search(r"\(\d+ of \d+ units completed, \d+ nodes\)", err), err
+
+
+def test_search_at_the_table_bound_fits_the_default_guards(capsys):
+    # the default node budget counts only the values the descent walks
+    code, out, err = run_cli(
+        capsys,
+        "search", "--n1-max", "7876", "--t-max", "12", "--s-max", "1", "--workers", "2",
+    )
+    assert code == 0, err
+    assert parse_doc(out)[1]["total"] == 89
 
 
 @pytest.mark.parametrize("workers, needle", [("0", "--workers"), ("-3", "--workers")])
@@ -165,6 +175,10 @@ def test_search_rejects_nonpositive_workers(capsys, workers, needle):
         ("--max-seconds", "nan"),
         ("--max-seconds", "-1"),
         ("--max-seconds", "inf"),
+        ("--c", "0"),
+        ("--n1-max", "2"),
+        ("--t-max", "1"),
+        ("--s-max", "0"),
     ],
 )
 def test_search_rejects_bad_guard_flags(capsys, flag, value):
@@ -216,7 +230,18 @@ def test_density_validation_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--c", "nan"), ("--c", "0.5"), ("--pairing", "x"), ("--pairing", "2,")],
+    [
+        ("--c", "nan"),
+        ("--c", "0.5"),
+        ("--pairing", "x"),
+        ("--pairing", "2,"),
+        ("--t", "1"),
+        ("--s", "0"),
+        ("--s", "4"),  # above --t 3
+        ("--pairing", "2,2"),
+        ("--pairing", "5"),
+        ("--resolution", "0"),
+    ],
 )
 def test_density_bad_flag_names_it(capsys, monkeypatch, flag, value):
     def estimate_ran(*args, **kwargs):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factprod.equations import NONTRIVIAL, TRIVIAL, SolutionRecord, verify
-from factprod.factorint import factorial_expvec
 from factprod.search import (
     DeltaSearchSpec,
     ResourceGuardError,
@@ -42,6 +41,19 @@ def fields(t, packed, bias=True):
 def expvec(t, packed, bias=True):
     """``fields`` as the (prime, exponent) pairs of its nonzero entries."""
     return tuple((p, e) for p, e in zip(t.primes, fields(t, packed, bias)) if e)
+
+
+def literal_fields(t, n):
+    """The exponents of the literal integer n over the primes of ``_Tables``
+    t, found by division, and the cofactor left once they are divided out."""
+    out = []
+    for p in t.primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append(e)
+    return out, n
 
 
 # ---------------------------------------------------------------- censuses
@@ -108,7 +120,7 @@ def test_forked_records_equal_in_process_records():
     base = search_factorial_products(spec, workers=1)
     assert search_factorial_products(spec, workers=2) == base
     with pytest.raises(ResourceGuardError) as e:
-        search_factorial_products(spec, guards=SearchGuards(max_nodes=50_000), workers=2)
+        search_factorial_products(spec, guards=SearchGuards(max_nodes=15_000), workers=2)
     assert e.value.records and all(type(r) is SolutionRecord for r in e.value.records)
     assert e.value.records == [r for r in base if r.eq.rhs in set(e.value.completed)]
     dspec = DeltaSearchSpec((2, 3), 30, 5)
@@ -203,14 +215,16 @@ def test_search_delta_matches_full_vector_oracle():
 
 def test_size_cap_keeps_every_dividing_factorial():
     """Over random integer targets (products of factorials, divided by
-    smaller factorials, as in search_delta's blocks) the cap is at least
-    every a <= ub with a! | R, decided on the literal integer, and a! <= R
-    at the cap itself, so the cap is also as low as it may be."""
+    smaller factorials, as in search_delta's blocks) the residual is refused
+    exactly when the literal integer has a prime factor above n_max, and
+    otherwise decodes to its exponents; the cap is at least every a <= ub
+    with a! | R, decided on the literal integer, and a! <= R at the cap
+    itself, so the cap is also as low as it may be."""
     from factprod import search
 
     rng = random.Random(8)
-    t = search._Tables(200, 400, 8, terms=5)  # block ends up to 399 lie past n_max
-    binding = 0
+    t = search._Tables(200, 8, terms=5, end=399)  # block ends up to 399 lie past n_max
+    binding = refused = 0
     for _ in range(300):
         target = [(rng.randint(2, 200), 1) for _ in range(rng.randint(0, 2))]
         for _ in range(rng.randint(0 if target else 1, 3)):
@@ -218,15 +232,21 @@ def test_size_cap_keeps_every_dividing_factorial():
             target += [(x + rng.randint(1, rng.choice((8, 200))) - 1, 1), (x - 1, -1)]
         R_int = math.prod(math.factorial(n) for n, sign in target if sign > 0)
         R_int //= math.prod(math.factorial(n) for n, sign in target if sign < 0)
-        R, log_r = t.residual(target)
-        assert math.prod(p**e for p, e in zip(t.primes, fields(t, R))) == R_int
+        exps, rest = literal_fields(t, R_int)
+        res = t.residual(target)
+        assert (res is None) == (rest > 1)
+        if res is None:
+            refused += 1
+            continue
+        R, log_r = res
+        assert fields(t, R) == exps
         ub = rng.randint(2, 200)
         cap = search._size_cap(t.logfact, log_r, ub)
         dividing = [a for a in range(2, ub + 1) if R_int % math.factorial(a) == 0]
         assert cap >= max(dividing, default=1)
         assert cap <= ub and math.factorial(cap) <= R_int
         binding += cap < ub
-    assert binding > 50
+    assert binding > 50 and refused > 50
 
 
 def test_size_cap_at_the_table_bound():
@@ -238,7 +258,7 @@ def test_size_cap_at_the_table_bound():
     from factprod import search
 
     rng = random.Random(7876)
-    t = search._Tables(7876, 7876, 2, terms=2)
+    t = search._Tables(7876, 2, terms=2)
     budget = search._Budget(SearchGuards(max_nodes=10**12))
     for a in range(2, 7877):
         b = rng.randint(2, a)
@@ -252,19 +272,19 @@ def test_size_cap_at_the_table_bound():
 
 def test_census_at_the_table_bound_is_pinned():
     """The s = 1 census up to 7876, the largest n_max the table guard
-    admits: record count, a digest of its (lhs, rhs) list and its charged
-    nodes, pinned from the dense-residual engine that preceded the packed
-    one (s = 1 has no right-hand entry to skip, so the count is unchanged)."""
+    admits: record count and a digest of its (lhs, rhs) list, pinned from
+    the dense-residual engine that preceded the packed one, and its nodes,
+    the values the size-capped descent walks.  It fits the default guards."""
     import hashlib
 
     spec = SearchSpec(7876, 12, 1)
-    recs = search_factorial_products(spec, guards=SearchGuards(max_nodes=10**12))
+    recs = search_factorial_products(spec)
     pairs = [(r.eq.lhs, r.eq.rhs) for r in recs]
     assert len(pairs) == 89
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "5fb02e8461b073abafeb588419fc461d4a9a1d46f64f8b81b3b1db9d78a96f2f"
     )
-    nodes = 131_080_523
+    nodes = 44_380
     search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes))
     with pytest.raises(ResourceGuardError) as e:
         search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes - 1))
@@ -273,30 +293,37 @@ def test_census_at_the_table_bound_is_pinned():
 
 def test_packed_fields_hold_the_widest_exponents():
     """Every field of the largest residuals the searches can form decodes
-    to Legendre's exponent: three 7876! on the right (s = 3 at the table
-    bound), that residual less 7876! (the deepest a level subtracts from a
-    residual of 2), and search_delta blocks of k = 2000 and 100000 terms,
-    whose fields are 16 and 32 bits wide."""
+    to the exponent of the literal integer: three 7876! on the right (s = 3
+    at the table bound), that residual less 7876! (the deepest a level
+    subtracts from a residual of 2), and the search_delta blocks that end
+    below the first prime q above x_max, in tables sized for blocks of
+    k = 2000 and 100000 terms, whose fields are 16 and 32 bits wide.  A
+    block that reaches q is refused: no left side can supply q."""
     from factprod import search
     from factprod.factorint import _legendre
 
-    t = search._Tables(7876, 7876, 4, terms=3)
+    t = search._Tables(7876, 4, terms=3)
     v = [_legendre(7876, p) for p in t.primes]
     R, _ = t.residual([(7876, 1)] * 3)
     assert fields(t, R) == [3 * e for e in v]
     R, _ = t.residual([(2, 1)])
     assert fields(t, R - t.fact[7876]) == [(p == 2) - e for p, e in zip(t.primes, v)]
     assert R & t.zero == t.zero and (R - t.fact[7876]) & t.zero != t.zero
-    for x_max, k, width in ((60, 2000, 16), (20, 100_000, 32)):
-        t = search._Tables(x_max, x_max + k - 1, 4, terms=1)
+    for x_max, k, q, width in ((114, 2000, 127, 16), (20, 100_000, 23, 32)):
+        t = search._Tables(x_max, 4, end=x_max + k - 1)
         assert t.width == width
+        top, _ = literal_fields(t, math.factorial(x_max))
         for x in (1, 2, 17, x_max):
-            R, _ = t.residual([(x + k - 1, 1), (x - 1, -1)])
-            block = [_legendre(x + k - 1, p) - _legendre(x - 1, p) for p in t.primes]
-            assert fields(t, R) == block
-            assert fields(t, R - t.fact[x_max]) == [
-                e - _legendre(x_max, p) for p, e in zip(t.primes, block)
-            ]
+            assert t.residual([(x + k - 1, 1), (x - 1, -1)]) is None
+            for end in range(x_max, q + 1):
+                res = t.residual([(end, 1), (x - 1, -1)])
+                block, rest = literal_fields(t, math.prod(range(x, end + 1)))
+                assert (res is None) == (rest > 1) == (end == q)
+                if res is not None:
+                    assert fields(t, res[0]) == block
+                    assert fields(t, res[0] - t.fact[x_max]) == [
+                        e - f for e, f in zip(block, top)
+                    ]
 
 
 # ---------------------------------------------------------------- guards
@@ -418,22 +445,22 @@ def test_table_budget_is_the_pair_count(monkeypatch):
     # the default budget admits the n1 <= 3000 census, and stops at the
     # first n_max whose tables exceed it
     assert search._table_pairs(7876) <= search._TABLE_PAIRS < search._table_pairs(7877)
-    search._Tables(3000, 3000, 6)
+    search._Tables(3000, 6)
     monkeypatch.setattr(search, "_TABLE_PAIRS", search._table_pairs(400))
-    t = search._Tables(400, 400, 4)
+    t = search._Tables(400, 4)
     assert sum(len(expvec(t, f, bias=False)) for f in t.fact) == search._TABLE_PAIRS
     with pytest.raises(ResourceGuardError):
-        search._Tables(401, 401, 4)
+        search._Tables(401, 4)
 
 
 def test_tables_build_factorials_without_factorial_expvec():
     from factprod import search
     from factprod.factorint import factorial_expvec
 
-    # the search reads every factorial from its own tables or, for
-    # search_delta's block ends past x_max, from Legendre's formula
+    # the search reads every factorial from its own tables, and packs
+    # search_delta's block terms past x_max one factorize(j) at a time
     assert not hasattr(search, "factorial_expvec")
-    t = search._Tables(120, 120, 4)
+    t = search._Tables(120, 4)
     assert [expvec(t, f, bias=False) for f in t.fact] == [
         factorial_expvec(a).entries for a in range(121)
     ]
@@ -448,18 +475,23 @@ def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
         got = search_delta(DeltaSearchSpec(k_list, x_max, 4))
         assert set(factorint._fact_cache) == {0, 1}
         assert {(d.x, d.a) for d in got} == brute_delta_search(k_list, x_max, 4)
-    t = search._Tables(12, 2011, 4)
-    for n in (13, 1000, 2011):
-        packed, log_n = t._term(n)
-        assert expvec(t, packed, bias=False) == factorial_expvec(n).entries
-        assert log_n == math.lgamma(n + 1)
+    # an n! past x_max = 24 decodes to the literal exponents until n reaches
+    # 29, the first prime above x_max, and is refused from there on
+    t = search._Tables(24, 4, end=2011)
+    for n in (*range(20, 40), 1000, 2011):
+        res = t.residual([(n, 1)])
+        exps, rest = literal_fields(t, math.factorial(n))
+        assert (res is None) == (rest > 1) == (n >= 29)
+        if res is not None:
+            assert fields(t, res[0]) == exps and res[1] == math.lgamma(n + 1)
+    assert set(factorint._fact_cache) == {0, 1}
 
 
 def test_guard_node_budget_carries_partial():
     with pytest.raises(ResourceGuardError) as e:
         search_factorial_products(
             SearchSpec(n1_max=16, t_max=5, s_max=2),
-            guards=SearchGuards(max_nodes=1000),  # of the 1986 nodes it spends
+            guards=SearchGuards(max_nodes=500),  # of the 938 nodes it spends
         )
     assert isinstance(e.value.records, list)
     assert e.value.completed_units >= 0
@@ -469,22 +501,22 @@ def test_guard_node_budget_serial_trip_point():
     with pytest.raises(ResourceGuardError) as e:
         search_factorial_products(
             SearchSpec(n1_max=40, t_max=8, s_max=3),
-            guards=SearchGuards(max_nodes=300_000),
+            guards=SearchGuards(max_nodes=100_000),  # of the 305,502 nodes it spends
         )
-    assert e.value.reason == "node budget exceeded (300069 > 300000)"
-    assert len(e.value.records) == 3037
-    assert e.value.completed_units == 6179
-    assert e.value.nodes == 300069
+    assert e.value.reason == "node budget exceeded (100040 > 100000)"
+    assert len(e.value.records) == 2262
+    assert e.value.completed_units == 4552
+    assert e.value.nodes == 100040
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
     spec = SearchSpec(n1_max=24, t_max=6, s_max=3)
     full = search_factorial_products(spec)
     with pytest.raises(ResourceGuardError) as e:
-        search_factorial_products(spec, guards=SearchGuards(max_nodes=50_000), workers=2)
+        search_factorial_products(spec, guards=SearchGuards(max_nodes=15_000), workers=2)
     err = e.value
     assert err.reason.startswith("node budget exceeded")
-    assert err.nodes > 50_000
+    assert err.nodes > 15_000
     assert 0 < err.completed_units < err.total_units
     done = set(err.completed)
     assert len(done) == err.completed_units
@@ -497,10 +529,10 @@ def test_search_delta_guard_workers_2_keeps_completed_units():
     spec = DeltaSearchSpec((2, 3), 60, 5)
     full = search_delta(spec)
     with pytest.raises(ResourceGuardError) as e:
-        search_delta(spec, guards=SearchGuards(max_nodes=3_000), workers=2)
+        search_delta(spec, guards=SearchGuards(max_nodes=150), workers=2)  # of 302
     err = e.value
     assert err.reason.startswith("node budget exceeded")
-    assert err.nodes > 3_000
+    assert err.nodes > 150
     assert 0 < err.completed_units < err.total_units
     done = set(err.completed)
     assert len(done) == err.completed_units
@@ -513,7 +545,7 @@ def test_search_delta_guard_serial_trip_keeps_a_strict_part():
     spec = DeltaSearchSpec((2, 3), 60, 5)
     full = search_delta(spec)
     with pytest.raises(ResourceGuardError) as e:
-        search_delta(spec, guards=SearchGuards(max_nodes=3_000), workers=1)
+        search_delta(spec, guards=SearchGuards(max_nodes=150), workers=1)
     err = e.value
     done = set(err.completed)
     assert [(r.x, r.a) for r in err.records] == [(r.x, r.a) for r in full if r.x in done]
