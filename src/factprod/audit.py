@@ -24,12 +24,19 @@ bounds, the abc window bound and chain inequalities 4 and 5) is decided by
 one helper, ``_bound``, with the same float slack and margin rhs - lhs.  The
 prefix audits return their rows as columns (``PrefixAudit``); AuditFinding
 rows are built from them only on request.  The chain_ineq4 bound has one
-definition shared by the abc report and the proof chain.
+definition shared by the abc report and the proof chain, and the
+(2/7) k log k bound one shared by the Erdos scan and chain_ineq5.
+
+The Erdos ratio scan is columnar too: ``audit_erdos_pdelta`` takes, for
+blocks of x at once, the running max of the lpf table along k over each x's
+run of composites, and returns the eligible windows as columns
+(``ErdosScanResult``); its AuditFinding rows are built only when read.
 
 The abc window scan is columnar: ``abc_scan`` yields ``AbcBlock``s of
 consecutive m1 rows, each from one numpy walk (``_smallest_pairs``) that
 keeps the two smallest (radical, offset) pairs along k for every row at
 once, and ``abc_window_report`` is the one-row view of the same code.  The
+scan reads log(c) from one table of math.log up to m1_max + k1_max.  The
 explicit-abc test is a float prefilter on 7*log N - 4*log c plus an exact
 c**4 < N**7 on Python ints for every row near the boundary, so the decision
 is made on integers.
@@ -231,11 +238,50 @@ def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
     return findings
 
 
-@dataclass(frozen=True, slots=True)
+# Cells of the (x, k) or (m1, k1) grid per block of the columnar Erdos and
+# abc window scans: bounds their memory, whatever the k range.
+_BLOCK_WINDOWS = 1 << 16
+
+
+def _erdos_bound(k: int) -> float:
+    return ERDOS_COEFF * k * math.log(k)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class ErdosScanResult:
-    findings: tuple[AuditFinding, ...]
+    """The eligible windows of an Erdos ratio scan as int64 columns in
+    (x, k) order: window [x, x + k) has largest prime factor p_max.  Its
+    ratio is p_max / ((2/7) k log k); min_at is the first (x, k) of the
+    least ratio.  ``findings`` builds the AuditFinding rows on each read
+    (lhs the bound, rhs p_max, ok iff p_max exceeds the bound, margin the
+    ratio)."""
+
+    x: np.ndarray
+    k: np.ndarray
+    p_max: np.ndarray
     min_ratio: float | None
     min_at: tuple[int, int] | None
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ErdosScanResult):
+            return NotImplemented
+        return (self.min_ratio, self.min_at) == (other.min_ratio, other.min_at) and all(
+            np.array_equal(getattr(self, col), getattr(other, col)) for col in ("x", "k", "p_max")
+        )
+
+    @property
+    def findings(self) -> tuple[AuditFinding, ...]:
+        bound = {k: _erdos_bound(k) for k in np.unique(self.k).tolist()}
+        return tuple(
+            AuditFinding(
+                "erdos_ratio", {"x": x, "k": k, "p_max": p},
+                bound[k], float(p), p > bound[k], p / bound[k],
+            )
+            for x, k, p in zip(self.x.tolist(), self.k.tolist(), self.p_max.tolist())
+        )
 
 
 def audit_erdos_pdelta(
@@ -243,10 +289,13 @@ def audit_erdos_pdelta(
 ) -> ErdosScanResult:
     """Ratio P(x(x+1)...(x+k-1)) / ((2/7) k log k) over windows of composites.
 
-    Only windows whose k terms are all composite are eligible.  Findings are
-    informational (ok records whether the ratio exceeds 1); there is no hard
-    pass/fail because the proven threshold kappa is not quantified.  margin
-    carries the ratio.
+    Only windows whose k terms are all composite are eligible: x must start
+    a run of at least k_lo composites, and k runs up to that run's length
+    (at most k_hi).  Columnar, in blocks of at most _BLOCK_WINDOWS cells:
+    each block gathers the lpf windows of its eligible x, takes the running
+    max along k and keeps the cells with k inside the run.  The ratios are
+    informational: there is no hard pass/fail because the proven threshold
+    kappa is not quantified.
     """
     x_lo, x_hi = x_range
     k_lo, k_hi = k_range
@@ -256,41 +305,38 @@ def audit_erdos_pdelta(
         raise ValueError("k range must satisfy 2 <= lo <= hi")
     limit = x_hi + k_hi - 1
     lpf = lpf_table(limit)
-    flags = table(limit).flags
-    findings: list[AuditFinding] = []
+    primes = np.flatnonzero(table(limit).flags[x_lo : limit + 1]) + x_lo
+    xs = np.arange(x_lo, x_hi + 1, dtype=np.int64)
+    # the run of composites from x ends at the next prime, or past the limit
+    next_prime = np.append(primes, limit + 1)[np.searchsorted(primes, xs)]
+    run = np.minimum(next_prime - xs, k_hi)
+    keep = run >= k_lo
+    xs, run = xs[keep], run[keep]
+    if not len(xs):
+        empty = np.zeros(0, dtype=np.int64)
+        return ErdosScanResult(empty, empty, empty, None, None)
+    width = int(run.max())
+    bound = np.array([_erdos_bound(k) for k in range(k_lo, width + 1)])
+    ks = np.arange(k_lo, width + 1, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(lpf, width)
+    cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     min_ratio = None
     min_at = None
-    for x in range(x_lo, x_hi + 1):
-        if flags[x]:
-            continue
-        pmax = 0
-        for k in range(1, k_hi + 1):
-            term = x + k - 1
-            if term > limit or flags[term]:
-                break
-            pmax = max(pmax, int(lpf[term]))
-            if k < k_lo:
-                continue
-            bound = ERDOS_COEFF * k * math.log(k)
-            ratio = pmax / bound
-            findings.append(
-                AuditFinding(
-                    "erdos_ratio",
-                    {"x": x, "k": k, "p_max": pmax},
-                    bound,
-                    float(pmax),
-                    pmax > bound,
-                    ratio,
-                )
-            )
-            if min_ratio is None or ratio < min_ratio:
-                min_ratio = ratio
-                min_at = (x, k)
-    return ErdosScanResult(tuple(findings), min_ratio, min_at)
+    rows = max(1, _BLOCK_WINDOWS // width)
+    for lo in range(0, len(xs), rows):
+        x, r = xs[lo : lo + rows], run[lo : lo + rows]
+        p = np.maximum.accumulate(windows[x], axis=1)[:, k_lo - 1 :]
+        inside = ks <= r[:, None]
+        ratio = (p / bound)[inside]
+        x, k, p = np.repeat(x, r - k_lo + 1), np.broadcast_to(ks, p.shape)[inside], p[inside]
+        cols.append((x, k, p))
+        i = int(ratio.argmin())  # the first cell of the block's minimum
+        if min_ratio is None or ratio[i] < min_ratio:
+            min_ratio, min_at = float(ratio[i]), (int(x[i]), int(k[i]))
+    x, k, p_max = (np.concatenate(c) for c in zip(*cols))
+    return ErdosScanResult(x, k, p_max, min_ratio, min_at)
 
 
-# Windows per AbcBlock of the scan: bounds the scan's memory, whatever k1 range.
-_BLOCK_WINDOWS = 1 << 16
 # Radical products below this fit int64.
 _INT64_BOUND = 2**63
 # Relative band around 4*log(c) = 7*log(N) inside which float logs cannot
@@ -376,14 +422,15 @@ def _smallest_pairs(win: np.ndarray, k1_min: int) -> tuple[np.ndarray, np.ndarra
     return j1, j2
 
 
-def _abc_decision(c: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """quality log(c) / log(n) and the explicit-abc test c < n^(7/4) per row.
+def _abc_decision(c: np.ndarray, n: np.ndarray, log_of=_log) -> tuple[np.ndarray, np.ndarray]:
+    """quality log(c) / log(n) and the explicit-abc test c < n^(7/4) per row;
+    log_of maps c to its math.log values.
 
     The test is read off 7*log(n) - 4*log(c) outside a relative _EXACT_BAND
     of 7*log(n), far wider than the logs' rounding; every row inside it is
     decided exactly by c**4 < n**7 on Python ints.
     """
-    log_c, log_n = _log(c), _log(n)
+    log_c, log_n = log_of(c), _log(n)
     gap = 7 * log_n - 4 * log_c
     ok = gap > 0
     for i in np.flatnonzero(np.abs(gap) <= _EXACT_BAND * 7 * log_n).tolist():
@@ -391,10 +438,11 @@ def _abc_decision(c: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return log_c / log_n, ok
 
 
-def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of) -> AbcBlock:
+def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of, log_of) -> AbcBlock:
     """The AbcBlock of windows starting at each m1 (int64) with
-    k1_min <= k1 <= win.shape[1]; win[i, j] is the radical of m1[i] + j and
-    rad_of maps an int64 array to its radicals (int64 or Python ints)."""
+    k1_min <= k1 <= win.shape[1]; win[i, j] is the radical of m1[i] + j,
+    rad_of maps an int64 array to its radicals (int64 or Python ints) and
+    log_of maps the int64 column c to its math.log values."""
     j1, j2 = _smallest_pairs(win, k1_min)
     # Along k the pair, and with it the triple, changes only when a new term
     # enters the two smallest: build each distinct triple once, then expand.
@@ -409,7 +457,7 @@ def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of) -> AbcBlock
     d = np.gcd(lo, diff)  # gcd(u, v) = gcd(lo, hi - lo)
     a, b, c = lo // d, diff // d, (lo + diff) // d
     radical_abc = rad_of(a) * rad_of(b) * rad_of(c)
-    quality, explicit_ok = _abc_decision(c, radical_abc)
+    quality, explicit_ok = _abc_decision(c, radical_abc, log_of)
     row = np.cumsum(new) - 1
     return AbcBlock(
         m1, k1, j1, j2,
@@ -457,6 +505,7 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         np.array([window], dtype=np.int64),
         k1,
         lambda xs: np.array([rad[x] for x in xs.tolist()], dtype=object),
+        _log,
     )
     rep = AbcTripleReport(*(getattr(block, name).tolist()[0] for name in ABC_COLUMNS))
     # selection invariant: the chosen radicals are <= every other in the window
@@ -487,6 +536,9 @@ def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     if m1_max < 1:
         raise ValueError("m1_max must be >= 1")
     rad = radical_table(m1_max + k1_max)
+    # c < m1 + k1, so every log(c) is read from one table: logs[i] = math.log(i)
+    logs = np.zeros(m1_max + k1_max + 1)
+    logs[1:] = _log(np.arange(1, m1_max + k1_max + 1, dtype=np.int64))
     if (m1_max + k1_max) ** 2 * k1_max < _INT64_BOUND:
         rad_of = rad.__getitem__
     else:
@@ -496,7 +548,7 @@ def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     for lo in range(1, m1_max + 1, rows):
         hi = min(lo + rows, m1_max + 1)
         win = np.lib.stride_tricks.sliding_window_view(rad[lo : hi + k1_max - 1], k1_max)
-        yield _abc_block(np.arange(lo, hi, dtype=np.int64), win, k1_min, rad_of)
+        yield _abc_block(np.arange(lo, hi, dtype=np.int64), win, k1_min, rad_of, logs.__getitem__)
 
 
 def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFinding]:
@@ -522,7 +574,7 @@ def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFindin
             _upper(
                 "chain_ineq5",
                 {"k1": k1, "a2": a2, "kappa": kappa},
-                ERDOS_COEFF * k1 * math.log(k1),
+                _erdos_bound(k1),
                 float(a2),
             )
         )

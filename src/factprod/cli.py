@@ -200,14 +200,22 @@ def _chain_findings(args):
     rec = verify(eq)
     if not rec.holds:
         raise EquationError("not-a-solution", f"{eq} does not hold")
-    pairing = (
-        Pairing(tuple(int(v) for v in args.pairing.split(",")))
-        if args.pairing
-        else default_pairing(eq)
-    )
-    if pairing is None:
-        raise EquationError("pairing", f"no valid pairing for {eq}")
-    df = to_delta_form(eq, pairing)
+    if args.pairing:
+        try:
+            indices = tuple(int(v) for v in args.pairing.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--pairing must be comma-separated integers, got {args.pairing!r}"
+            ) from None
+        try:
+            df = to_delta_form(eq, Pairing(indices))
+        except EquationError as exc:
+            raise ValueError(f"--pairing must be a valid pairing for {eq}: {exc}") from None
+    else:
+        pairing = default_pairing(eq)
+        if pairing is None:
+            raise EquationError("pairing", f"no valid pairing for {eq}")
+        df = to_delta_form(eq, pairing)
     return audit_proof_chain(df, args.ratio_c, args.kappa)
 
 
@@ -241,7 +249,7 @@ def cmd_audit(args) -> int:
         scan = audit_erdos_pdelta(_parse_range("--x", args.x, 2), _parse_range("--k", args.k, 2))
         meta_cfg.update({"x": args.x, "k": args.k})
         result = {
-            "eligible_windows": len(scan.findings),
+            "eligible_windows": len(scan),
             "min_ratio": scan.min_ratio,
             "min_at": list(scan.min_at) if scan.min_at else None,
         }

@@ -10,7 +10,8 @@ for each value whose factorial is at most the literal residual, so its count
 is the engine's without the engine's float size cap, including the census
 rule that a right-hand entry is walked (one node) but never placed on the
 left.
-The per-window Python walk is the reference for the columnar abc window scan.
+The per-window Python walk is the reference for the columnar abc window scan,
+and the per-(x, k) walk for the columnar Erdos ratio scan.
 The density section at the end counts orderings for the c = inf region volume,
 keeps the Monte Carlo sampler in its first, one-array-per-operation form, and
 states the conjectured s = 2 closed form (a conjecture the quadrature is
@@ -23,7 +24,8 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from factprod.factorint import factorial_expvec, radical, radical_table
+from factprod.audit import ERDOS_COEFF, AuditFinding
+from factprod.factorint import factorial_expvec, lpf_table, radical, radical_table, table
 
 
 def factor_literal(n: int) -> dict[int, int]:
@@ -262,6 +264,47 @@ class _Radicals(dict):
 def abc_window_row(m1: int, k1: int) -> tuple:
     """The row of one window, with every radical found by factoring."""
     return next(_abc_walk(_Radicals(), (m1,), k1, k1))
+
+
+def erdos_pdelta_reference(x_range, k_range):
+    """(findings, min_ratio, min_at) of the Erdos ratio scan, one (x, k)
+    window at a time: each x walks k up from 1, keeping the running max of
+    the largest prime factor, and stops at the first prime term."""
+    x_lo, x_hi = x_range
+    k_lo, k_hi = k_range
+    limit = x_hi + k_hi - 1
+    lpf = lpf_table(limit)
+    flags = table(limit).flags
+    findings = []
+    min_ratio = None
+    min_at = None
+    for x in range(x_lo, x_hi + 1):
+        if flags[x]:
+            continue
+        pmax = 0
+        for k in range(1, k_hi + 1):
+            term = x + k - 1
+            if term > limit or flags[term]:
+                break
+            pmax = max(pmax, int(lpf[term]))
+            if k < k_lo:
+                continue
+            bound = ERDOS_COEFF * k * math.log(k)
+            ratio = pmax / bound
+            findings.append(
+                AuditFinding(
+                    "erdos_ratio",
+                    {"x": x, "k": k, "p_max": pmax},
+                    bound,
+                    float(pmax),
+                    pmax > bound,
+                    ratio,
+                )
+            )
+            if min_ratio is None or ratio < min_ratio:
+                min_ratio = ratio
+                min_at = (x, k)
+    return findings, min_ratio, min_at
 
 
 # ---------------------------------------------------------------- densities

@@ -20,7 +20,7 @@ from factprod.audit import (
 from factprod.equations import DeltaForm, FactorialEquation, Pairing, to_delta_form
 from factprod.factorint import delta, radical
 
-from oracles import abc_scan_rows, abc_window_row, factor_literal
+from oracles import abc_scan_rows, abc_window_row, erdos_pdelta_reference, factor_literal
 
 
 def _block_rows(blocks, *names):
@@ -164,6 +164,9 @@ def test_erdos_scan_deterministic():
     b = audit_erdos_pdelta((2, 600), (5, 40))
     assert a == b
     assert a.min_ratio is not None
+    c = audit_erdos_pdelta((2, 602), (5, 40))  # 602..606 adds one window
+    assert (len(c), c.min_ratio, c.min_at) == (len(a) + 1, a.min_ratio, a.min_at)
+    assert a != c  # equality reads the columns
 
 
 def test_erdos_k2_pair_context():
@@ -181,6 +184,44 @@ def test_erdos_eligibility_is_all_composite():
         x, k = f.parameters["x"], f.parameters["k"]
         for term in range(x, x + k):
             assert factor_literal(term).get(term) is None  # term is composite
+
+
+ERDOS_SHAPES = [
+    # (x_range, k_range, _BLOCK_WINDOWS or None for the default)
+    ((2, 3000), (2, 40), None),  # k_lo = 2
+    ((1330, 1340), (5, 12), None),  # inside the gap 1328..1360: runs cut by the limit
+    ((114, 114), (2, 13), None),  # a single x
+    ((120, 120), (2, 30), None),  # a single x whose run ends at a prime
+    ((113, 113), (2, 5), None),  # primes only: no eligible window
+    ((2, 3), (2, 5), None),
+    ((2, 2000), (5, 40), 1),  # one x per block
+    ((2, 2000), (5, 40), 50),  # blocks smaller than one row's cells
+    ((2, 5000), (10, 200), 300),  # block edges across many blocks
+    ((2, 600), (2, 2), 7),
+    ((9, 100), (2, 2), 2),  # P = 5 at x = 9, 15, 24, 80, one x per block: the first wins
+]
+
+
+@pytest.mark.parametrize(
+    "x_range,k_range,block_windows", ERDOS_SHAPES, ids=[f"{x}-{k}-{b}" for x, k, b in ERDOS_SHAPES]
+)
+def test_erdos_scan_matches_python_walk(monkeypatch, x_range, k_range, block_windows):
+    if block_windows is not None:
+        monkeypatch.setattr(audit, "_BLOCK_WINDOWS", block_windows)
+    res = audit_erdos_pdelta(x_range, k_range)
+    findings, min_ratio, min_at = erdos_pdelta_reference(x_range, k_range)
+    assert len(res) == len(findings)
+    assert (res.min_ratio, res.min_at) == (min_ratio, min_at)
+    assert res.findings == tuple(findings)
+    assert findings_csv(res.findings) == findings_csv(findings)
+
+
+def test_erdos_scan_to_1e5_pinned():
+    # the oracle takes seconds here; these values are the walk's
+    res = audit_erdos_pdelta((2, 100000), (10, 200))
+    assert len(res) == 246693
+    assert res.min_ratio == 6.4028854508575614
+    assert res.min_at == (114, 13)
 
 
 # ---------------------------------------------------------------- abc window

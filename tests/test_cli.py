@@ -378,6 +378,26 @@ def test_audit_chain(capsys):
     assert "chain_ineq4" in ids
 
 
+@pytest.mark.parametrize("value", ["x", "5", "1,2"])
+def test_audit_chain_bad_pairing_names_it(capsys, value):
+    code, out, err = run_cli(
+        capsys, "audit", "--check", "chain", "--equation", "14,5,2=16", "--pairing", value
+    )
+    assert code == 2 and out == ""
+    assert "error: --pairing must be" in err
+
+
+def test_audit_erdos_builds_no_rows_without_out(capsys, monkeypatch):
+    def row_built(*args, **kwargs):
+        raise AssertionError("a finding row was built without --out")
+
+    monkeypatch.setattr("factprod.audit.AuditFinding", row_built)
+    code, out, _ = run_cli(capsys, "audit", "--check", "erdos")
+    assert code == 0
+    _, result = parse_doc(out)
+    assert result["eligible_windows"] == 4250
+
+
 def test_audit_chain_requires_equation(capsys):
     code, _, err = run_cli(capsys, "audit", "--check", "chain")
     assert code == 2 and "--equation" in err
