@@ -11,8 +11,10 @@ Three routes to its volume:
   flagship case t = 3, s = 2, pairing (2,); every s = 1 region is the
   ordered simplex, of volume 1/(t+1)!.
 * mc_density            -- counter-based Monte Carlo: coordinate (i, d)
-  depends only on (seed, i, d), and fixed sample blocks are mapped over a
-  thread pool, so the estimate is identical for any worker count.
+  depends only on (seed, i, d), so it can be drawn alone, for any subset of
+  samples.  Each coordinate is drawn only for the samples that passed every
+  constraint before it, and fixed sample blocks are dealt to forked
+  processes, so the estimate is identical for any worker count.
 * quadrature_density    -- nested integration on a cone: every constraint is
   homogeneous and every coordinate is at most x_1, so the volume is that of
   the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
@@ -30,48 +32,65 @@ performs no equation check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import fanout
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PHI = 0x9E3779B97F4A7C15
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_ROUNDS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+    (np.uint64(31), None),
+)
 _INV53 = 1.0 / (1 << 53)
-# The sampler mixes one cache-sized chunk of counters at a time, in place;
-# mc_density counts one block of _BATCH samples per pool task.
-_CHUNK = 1 << 15
+# The survivor kernel works on one chunk of _CHUNK rows at a time: no array it
+# makes holds more than _CHUNK doubles (96 KiB), below glibc's 128 KiB mmap
+# threshold, so its speed does not depend on where earlier frees have moved
+# that threshold.  mc_density counts whole blocks of _BATCH samples.
+_CHUNK = 12 * 1024
 _BATCH = 1 << 17
 
 
-def sample_block(seed: int, start: int, count: int, dims: int) -> np.ndarray:
+def _column(seed: int, start: int, dims: int, dim: int, rows: np.ndarray) -> np.ndarray:
+    """Coordinate ``dim`` of samples start + rows: the one mixing routine."""
+    z = np.empty(rows.shape, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    # counter k = (start + r) * dims + dim, and z = seed + (k + 1) * phi (mod 2^64)
+    np.multiply(rows.view(np.uint64), np.uint64(dims * _PHI & _MASK64), out=z)
+    z += np.uint64((seed + (start * dims + dim + 1) * _PHI) & _MASK64)
+    for shift, mul in _ROUNDS:
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        if mul is not None:
+            z *= mul
+    z >>= np.uint64(11)
+    out = tmp.view(np.float64)
+    np.multiply(z.view(np.int64), _INV53, out=out)  # exact below 2^53, and int64 converts faster
+    return out
+
+
+def sample_block(
+    seed: int, start: int, count: int, dims: int, *, dim: int | None = None, rows=None
+) -> np.ndarray:
     """Uniform [0,1) doubles for sample indices start..start+count-1,
     shape (count, dims); pure function of (seed, index, dimension).
 
     Counter k = index * dims + dimension maps to the splitmix64 output of
-    seed + (k + 1) * phi (mod 2^64), whose top 53 bits form the double."""
-    total = count * dims
-    out = np.empty(total, dtype=np.float64)
-    z = np.empty(min(_CHUNK, total), dtype=np.uint64)
-    tmp = np.empty_like(z)
-    steps = np.arange(len(z), dtype=np.uint64)
-    steps *= np.uint64(_PHI)  # k * phi (mod 2^64) for offset k within a chunk
-    first = start * dims + 1
-    for pos in range(0, total, _CHUNK):
-        m = min(_CHUNK, total - pos)
-        zm, tm = z[:m], tmp[:m]
-        np.add(steps[:m], np.uint64((seed + (first + pos) * _PHI) & _MASK64), out=zm)
-        for shift, mul in ((30, _MIX1), (27, _MIX2), (31, None)):
-            np.right_shift(zm, np.uint64(shift), out=tm)
-            zm ^= tm
-            if mul is not None:
-                zm *= mul
-        zm >>= np.uint64(11)
-        np.multiply(zm, _INV53, out=out[pos : pos + m])
-    return out.reshape(count, dims)
+    seed + (k + 1) * phi (mod 2^64), whose top 53 bits form the double.
+
+    With ``dim`` and ``rows`` it returns only coordinate ``dim`` of samples
+    start + r for the integer offsets r in ``rows``, equal byte for byte to
+    ``sample_block(seed, start, count, dims)[rows, dim]``."""
+    if dim is not None:
+        if not 0 <= dim < dims:
+            raise ValueError(f"dim must be in range({dims}), got {dim}")
+        return _column(seed, start, dims, dim, np.asarray(rows, dtype=np.int64))
+    rows = np.arange(count)
+    return np.stack([_column(seed, start, dims, d, rows) for d in range(dims)], axis=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,23 +149,45 @@ def indicator(point, spec: RegionSpec) -> bool:
     return True
 
 
-def _count_hits(pts: np.ndarray, spec: RegionSpec) -> int:
-    s, t = spec.s, spec.t
-    x = pts[:, :s]
-    y = pts[:, s:]
-    ok = np.ones(len(pts), dtype=bool)
-    for j in range(s - 1):
-        ok &= x[:, j] >= x[:, j + 1]
-    for i in range(t - 1):
-        ok &= y[:, i] >= y[:, i + 1]
-    k1 = x[:, 0] - y[:, 0]
-    ok &= k1 > 0
-    for j, i in enumerate(spec.pairing, start=2):
-        gap = x[:, j - 1] - y[:, i - 1]
-        ok &= gap > 0
-        if math.isfinite(spec.c):
-            ok &= gap <= spec.c * k1
-    return int(np.count_nonzero(ok))
+def _survivor_hits(spec: RegionSpec, seed: int, start: int, count: int) -> int:
+    """How many of samples start..start+count-1 lie in the region.
+
+    Each chunk of rows draws y1 and y2, then every later coordinate (y3..yt,
+    x1, x2..xs) only for the rows that passed every test before it; a y that
+    a later test reads again is drawn again for the rows still alive.  The
+    comparisons and float expressions (k1 = x1 - y1, gap <= c * k1) are
+    those of testing the whole block at once, so the hits are too."""
+    s, c = spec.s, spec.c
+    hits = 0
+    offsets = np.arange(min(_CHUNK, count))
+    for pos in range(0, count, _CHUNK):
+        rows = offsets[: count - pos]
+        at, size = start + pos, len(rows)
+
+        def draw(d: int, rows: np.ndarray) -> np.ndarray:
+            return sample_block(seed, at, size, spec.dims, dim=d, rows=rows)
+
+        # dimension j - 1 holds x_j and dimension s + i - 1 holds y_i
+        y = draw(s, rows)
+        for d in range(s + 1, spec.dims):
+            yd = draw(d, rows)
+            live = np.flatnonzero(y >= yd)
+            rows, y = rows[live], yd[live]
+        x = draw(0, rows)
+        k1 = x - draw(s, rows)
+        live = np.flatnonzero(k1 > 0)
+        rows, x, k1 = rows[live], x[live], k1[live]
+        for j, i in enumerate(spec.pairing, start=1):
+            xj = draw(j, rows)
+            gap = xj - draw(s + i - 1, rows)
+            ok = x >= xj
+            ok &= gap > 0
+            if math.isfinite(c):
+                ok &= gap <= c * k1
+            live = np.flatnonzero(ok)
+            rows, x, k1 = rows[live], xj[live], k1[live]
+        hits += len(rows)
+    return hits
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,20 +236,28 @@ def _analytic_density(spec: RegionSpec) -> Fraction | None:
 def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -> DensityEstimate:
     """Monte Carlo estimate of the region's volume.
 
-    The sample indices are cut into blocks of _BATCH, counted on a pool of
-    ``workers`` threads (numpy releases the GIL); every coordinate is a pure
-    function of (seed, sample index, dimension) and the hits are an exact
-    integer sum, so the mean is identical for any worker count or block size.
+    The sample indices are cut into blocks of _BATCH, dealt round-robin to
+    ``workers`` forked processes (``fanout.run_forked``; no more than there
+    are blocks, and a single block or a platform without fork runs
+    in-process).  Each block is counted by the survivor kernel, which draws a
+    coordinate only for the samples that passed every earlier constraint.
+    Every coordinate is a pure function of (seed, sample index, dimension)
+    and the hits are an exact integer sum, so the mean is identical for any
+    worker count or block size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
-    def hits(pos: int) -> int:
-        n = min(_BATCH, samples - pos)
-        return _count_hits(sample_block(seed, pos, n, spec.dims), spec)
+    def hits(blocks: range) -> int:
+        return sum(
+            _survivor_hits(spec, seed, pos, min(_BATCH, samples - pos)) for pos in blocks
+        )
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        mean = sum(pool.map(hits, range(0, samples, _BATCH))) / samples
+    blocks = range(0, samples, _BATCH)
+    workers = min(workers, len(blocks))
+    ctx = fanout.fork_context(workers)
+    total = hits(blocks) if ctx is None else sum(fanout.run_forked(ctx, hits, blocks, workers))
+    mean = total / samples
     stderr = math.sqrt(mean * (1.0 - mean) / samples)
     return DensityEstimate(None, mean, stderr, samples, seed, None)
 

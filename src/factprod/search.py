@@ -39,11 +39,11 @@ non-increasing.
 from __future__ import annotations
 
 import time
-import traceback
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb, inf, lgamma
 
+from . import fanout
 from .equations import (
     NONTRIVIAL,
     FactorialEquation,
@@ -423,54 +423,6 @@ def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
     return done, ""
 
 
-def _forked_slice(conn, units, indices, work, budget: _Budget) -> None:
-    """``_run_slice`` in a forked child; its result goes back through the pipe."""
-    try:
-        conn.send(("ok", _run_slice(units, indices, work, budget)))
-    except Exception:
-        conn.send(("error", traceback.format_exc()))
-    finally:
-        conn.close()
-
-
-def _run_forked(ctx, units, work, workers: int, budget: _Budget) -> tuple[dict, str]:
-    """``_run_slice`` over all units, dealt round-robin to forked workers."""
-    procs = []
-    done: dict = {}
-    reasons = []
-    try:
-        for k in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_forked_slice,
-                args=(send, units, range(k, len(units), workers), work, budget),
-                daemon=True,
-            )
-            proc.start()
-            send.close()
-            procs.append((proc, recv))
-        for proc, recv in procs:
-            try:
-                status, payload = recv.recv()
-            except EOFError:
-                raise RuntimeError("search worker exited without a result") from None
-            if status != "ok":
-                raise RuntimeError(f"search worker failed:\n{payload}")
-            part, reason = payload
-            done.update(part)
-            if reason:
-                reasons.append(reason)
-    except BaseException:
-        for proc, _ in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in procs:
-            recv.close()
-            proc.join()
-    return done, (reasons[0] if reasons else "")
-
-
 def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
     """Run independent work units ``work(unit, budget) -> list`` under one
     node/time budget; returns their results joined in unit order and sorted
@@ -479,29 +431,28 @@ def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
 
     With ``workers > 1`` the units are dealt round-robin (unit i to worker
     i mod workers, since unit cost grows with the first entry) to forked
-    processes that share one node counter, so max_nodes stays a global
-    ceiling.  Fork, not spawn: the children inherit the search tables and
-    run only the pure-Python descent, and a spawned worker would re-import
-    numpy and the package on every call.  The results cross the pipe as
-    they are; each record type defines its own compact pickling.  Without
+    processes (``fanout.run_forked``) that share one node counter, so
+    max_nodes stays a global ceiling.  The children inherit the search
+    tables and run only the pure-Python descent.  The results cross the pipe
+    as they are; each record type defines its own compact pickling.  Without
     fork the units run in-process.
     """
     units = list(units)
     workers = min(workers, len(units))
-    ctx = None
-    if workers > 1:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            pass
+    indices = range(len(units))
+    ctx = fanout.fork_context(workers)
     if ctx is None:
         budget = _Budget(guards)
-        done, reason = _run_slice(units, range(len(units)), work, budget)
+        parts = [_run_slice(units, indices, work, budget)]
     else:
         budget = _Budget(guards, ctx.Value("q", 0))
-        done, reason = _run_forked(ctx, units, work, workers, budget)
+        parts = fanout.run_forked(
+            ctx, lambda share: _run_slice(units, share, work, budget), indices, workers
+        )
+    done: dict = {}
+    for part, _ in parts:
+        done.update(part)
+    reason = next((r for _, r in parts if r), "")
     order = sorted(done)
     results = sorted((r for i in order for r in done[i]), key=key)
     if reason:

@@ -13,7 +13,8 @@ left.
 The per-window Python walk is the reference for the columnar abc window scan,
 and the per-(x, k) walk for the columnar Erdos ratio scan.
 The density section at the end counts orderings for the c = inf region volume,
-keeps the Monte Carlo sampler in its first, one-array-per-operation form, and
+keeps the Monte Carlo sampler in its first, one-array-per-operation form and
+the dense hit counter that tests every constraint on every sample, and
 states the conjectured s = 2 closed form (a conjecture the quadrature is
 tested against, not a proof).
 """
@@ -336,6 +337,27 @@ def sample_block_reference(seed: int, start: int, count: int, dims: int) -> np.n
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     u = z ^ (z >> np.uint64(31))
     return ((u >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))).reshape(count, dims)
+
+
+def count_hits_reference(pts: np.ndarray, spec) -> int:
+    """Points of a (count, s + t) block inside the region: every constraint
+    tested on every row, as the indicator writes it."""
+    s, t = spec.s, spec.t
+    x = pts[:, :s]
+    y = pts[:, s:]
+    ok = np.ones(len(pts), dtype=bool)
+    for j in range(s - 1):
+        ok &= x[:, j] >= x[:, j + 1]
+    for i in range(t - 1):
+        ok &= y[:, i] >= y[:, i + 1]
+    k1 = x[:, 0] - y[:, 0]
+    ok &= k1 > 0
+    for j, i in enumerate(spec.pairing, start=2):
+        gap = x[:, j - 1] - y[:, i - 1]
+        ok &= gap > 0
+        if math.isfinite(spec.c):
+            ok &= gap <= spec.c * k1
+    return int(np.count_nonzero(ok))
 
 
 def s2_density_conjecture(t: int, u: int, c) -> Fraction:

@@ -1,12 +1,14 @@
 import math
+import multiprocessing
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprod import density
+from factprod import density, fanout
 from factprod.density import (
     RegionSpec,
     analytic_density_t3s2,
@@ -15,7 +17,12 @@ from factprod.density import (
     quadrature_density,
     sample_block,
 )
-from oracles import ordering_density, s2_density_conjecture, sample_block_reference
+from oracles import (
+    count_hits_reference,
+    ordering_density,
+    s2_density_conjecture,
+    sample_block_reference,
+)
 
 
 # ---------------------------------------------------------------- analytic
@@ -74,12 +81,35 @@ def test_indicator_orderings():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(0, 5000))
 def test_scalar_indicator_matches_vectorized(seed, start):
-    from factprod.density import _count_hits
-
     spec = RegionSpec(t=3, s=2, c=1)
     pts = sample_block(seed, start, 64, spec.dims)
     scalar = sum(indicator(tuple(row), spec) for row in pts)
-    assert scalar == _count_hits(pts, spec)
+    assert scalar == density._survivor_hits(spec, seed, start, 64)
+
+
+def _region_shapes():
+    """Every (t, s, pairing) under the dimension guard s + t <= 6."""
+    for t in range(2, 6):
+        for s in range(1, min(t, 6 - t) + 1):
+            for pairing in permutations(range(2, t + 1), s - 1):
+                yield t, s, pairing
+
+
+@pytest.mark.parametrize("t,s,pairing", list(_region_shapes()), ids=str)
+def test_survivor_kernel_matches_dense_oracle(t, s, pairing):
+    # counts of one row, a few rows, one chunk either side and several chunks;
+    # each count is a prefix of one block, since samples are counter-based
+    chunk = density._CHUNK
+    counts = (1, 7, chunk - 1, chunk + 1, 3 * chunk + 5)
+    for seed in (0, 2**63 + 7, 2**64 - 1, -5):
+        for start in (0, 2**40 - 3, 2**40 + 3):
+            pts = sample_block(seed, start, max(counts), s + t)
+            for c in (1, 1.5, 2, 7 / 3, math.inf):
+                spec = RegionSpec(t=t, s=s, c=c, pairing=pairing)
+                for count in counts:
+                    want = count_hits_reference(pts[:count], spec)
+                    got = density._survivor_hits(spec, seed, start, count)
+                    assert got == want, (spec, seed, start, count)
 
 
 # ---------------------------------------------------------------- sampler
@@ -105,6 +135,26 @@ def test_sampler_bytes_equal_reference(dims):
                 assert got.shape == want.shape == (count, dims)
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (seed, start, count, dims)
+
+
+@pytest.mark.parametrize("dims", range(1, 7))
+def test_sampler_column_equals_block_column(dims):
+    # random offsets with repeats, the empty array, and a list
+    rng = np.random.default_rng(dims)
+    count = 20_001
+    for seed in (0, 2**63 + 7, -5):
+        for start in (0, 2**40 + 1):
+            block = sample_block(seed, start, count, dims)
+            for d in range(dims):
+                for rows in (
+                    rng.integers(0, count, size=500),
+                    np.array([], dtype=np.int64),
+                    [count - 1, 0, 5, 5],
+                ):
+                    got = sample_block(seed, start, count, dims, dim=d, rows=rows)
+                    assert got.tobytes() == block[rows, d].tobytes(), (seed, start, d)
+    with pytest.raises(ValueError):
+        sample_block(0, 0, 10, dims, dim=dims, rows=[0])
 
 
 def test_sampler_is_roughly_uniform():
@@ -133,6 +183,32 @@ def test_mc_density_worker_and_batch_invariance(monkeypatch):
     monkeypatch.setattr(density, "_BATCH", 1000)
     for workers in (1, 3):
         assert mc_density(spec, 123_457, seed=5, workers=workers).mc_mean == base.mc_mean
+
+
+def test_mc_density_single_block_runs_in_process(monkeypatch):
+    def no_fork(*args):
+        raise AssertionError("a single block was sent to a forked worker")
+
+    monkeypatch.setattr(fanout, "run_forked", no_fork)
+    spec = RegionSpec(t=3, s=2, c=2)
+    est = mc_density(spec, density._BATCH, seed=3, workers=2)
+    assert est.mc_mean == mc_density(spec, density._BATCH, seed=3, workers=1).mc_mean
+
+
+@pytest.mark.skipif(fanout.fork_context(2) is None, reason="needs fork")
+def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch):
+    # block 0 fails in the first child while the second is still counting
+    sampler = density.sample_block
+
+    def failing(seed, start, *args, **kwargs):
+        if start == 0:
+            raise ZeroDivisionError("sampler failed at block 0")
+        return sampler(seed, start, *args, **kwargs)
+
+    monkeypatch.setattr(density, "sample_block", failing)
+    with pytest.raises(RuntimeError, match="ZeroDivisionError: sampler failed at block 0"):
+        mc_density(RegionSpec(t=3, s=2, c=2), 4 * density._BATCH, seed=1, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 # mc_mean and mc_stderr of the three benchmark density shapes at seed 0 and
