@@ -26,6 +26,7 @@ from .equations import (
     verify,
 )
 from .search import (
+    CensusResult,
     CensusSummary,
     DeltaSearchSpec,
     DeltaSolution,

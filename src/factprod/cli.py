@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from . import __version__
+from . import __version__, fanout
 from .audit import (
     ABC_COLUMNS,
     abc_scan,
@@ -86,9 +86,7 @@ def _workers(args) -> int:
         if workers < 1:
             raise ValueError(f"FACTPROD_WORKERS must be >= 1, got {workers}")
         return workers
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return fanout.usable_cpus()
 
 
 def _record_obj(rec) -> dict:
@@ -102,10 +100,19 @@ def _record_obj(rec) -> dict:
     }
 
 
-def record_jsonl(records) -> str:
-    """The census payload: one compact JSON object per record, in canonical
-    order; deterministic for identical search parameters."""
-    return "".join(json.dumps(_record_obj(r), separators=(",", ":")) + "\n" for r in records)
+def record_jsonl(result) -> str:
+    """The census payload, formatted from the columns of a CensusResult: per
+    row, in canonical order, the compact json.dumps of _record_obj of its
+    record; deterministic for identical search parameters."""
+    tail = {
+        cls: f',"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
+        for cls in set(result.classification)
+    }
+    return "".join(
+        f'{{"lhs":[{",".join(map(str, lhs))}],"rhs":[{",".join(map(str, rhs))}]'
+        f'{tail[cls]}"t":{len(lhs)},"s":{len(rhs)}}}\n'
+        for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification)
+    )
 
 
 def _parse_range(flag: str, text: str, least: int) -> tuple[int, int]:
@@ -157,13 +164,12 @@ def cmd_search(args) -> int:
     guards = SearchGuards(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     workers = _workers(args)
     meta = _meta("search", {**asdict(spec), "workers": workers})
-    records = search_factorial_products(spec, guards=guards, workers=workers)
-    payload = record_jsonl(records)
+    result = search_factorial_products(spec, guards=guards, workers=workers)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps({"meta": meta}, separators=(",", ":")) + "\n")
-            fh.write(payload)
-    summary = census_report(records, c=spec.c)
+            fh.write(record_jsonl(result))
+    summary = census_report(result, c=spec.c)
     if args.census_csv:
         with open(args.census_csv, "w") as fh:
             fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")

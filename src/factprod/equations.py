@@ -12,7 +12,7 @@ factorials out; big-integer products belong to the test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
@@ -147,44 +147,6 @@ class SolutionRecord:
     delta_form: "DeltaForm | None" = None
     adjacent: tuple[tuple[int, int], ...] = ()
     census_note: str | None = None
-
-    def with_delta_form(self, df: "DeltaForm | None") -> "SolutionRecord":
-        return replace(self, delta_form=df)
-
-    def __reduce__(self):
-        # plain tuples: half the pickle round trip of the default reduction
-        return SolutionRecord.from_tuple, (self.to_tuple(),)
-
-    def to_tuple(self) -> tuple:
-        """The record as plain tuples; ``from_tuple`` rebuilds it."""
-        df = self.delta_form
-        return (
-            self.eq.lhs,
-            self.eq.rhs,
-            self.holds,
-            self.classification,
-            None if df is None else (df.blocks, df.leftover),
-            self.adjacent,
-            self.census_note,
-        )
-
-    @classmethod
-    def from_tuple(cls, row: tuple) -> "SolutionRecord":
-        """Rebuild a record from a ``to_tuple`` row.  Its equation was
-        validated when the row was made, so it is rebuilt as unpickling
-        does, without running __post_init__ again."""
-        lhs, rhs, holds, classification, df, adjacent, note = row
-        eq = object.__new__(FactorialEquation)
-        object.__setattr__(eq, "lhs", lhs)
-        object.__setattr__(eq, "rhs", rhs)
-        return cls(
-            eq,
-            holds,
-            classification,
-            None if df is None else DeltaForm(*df),
-            adjacent,
-            note,
-        )
 
 
 def verify(eq: FactorialEquation) -> SolutionRecord:

@@ -8,13 +8,23 @@ platform has no fork the callers run their work in-process.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import traceback
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fork_context(workers: int):
-    """The fork start method when more than one worker is asked for and the
-    platform has it; None means run in-process."""
-    if workers > 1:
+    """The fork start method when more than one worker is asked for, more
+    than one CPU is usable and the platform has fork; None means run
+    in-process."""
+    if min(workers, usable_cpus()) > 1:
         try:
             return multiprocessing.get_context("fork")
         except ValueError:
@@ -33,11 +43,13 @@ def _child(conn, job, share) -> None:
 
 def run_forked(ctx, job, items, workers: int) -> list:
     """``job(items[k::workers])`` for k in range(workers), each in its own
-    forked child; returns the results in order of k.
+    forked child; returns the results in order of k.  No more children are
+    forked than there are usable CPUs: ``workers`` is capped first.
 
     A child that raises, or exits without a result, raises RuntimeError
     carrying its traceback; every child is then terminated, and every child
     is joined before this returns or raises."""
+    workers = min(workers, usable_cpus())
     procs = []
     try:
         for k in range(workers):

@@ -29,18 +29,19 @@ A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
 whose target is prod n_j!, or a start vector x, whose target is
 prod (x_j + k_j - 1)! / (x_j - 1)!.  ``_Tables.left_sides`` descends the
 target; the units fan out over forked processes that share one node counter,
-their results come back unchanged (each record type defines its own compact
-pickling), and they are merged in unit order and sorted on a canonical key
-((n1, rhs, lhs) for the census), so results are identical for any worker
-count.  Enumeration is structurally duplicate-free: both sides are generated
-non-increasing.
+a census unit sends back plain (lhs, rhs, classification) rows, and they are
+merged in unit order and sorted on a canonical key ((n1, rhs, lhs) for the
+census), so results are identical for any worker count.  The census returns
+its rows as columns (``CensusResult``) and builds SolutionRecords only when
+they are read.  Enumeration is structurally duplicate-free: both sides are
+generated non-increasing.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, inf, lgamma
 
 from . import fanout
@@ -51,7 +52,6 @@ from .equations import (
     all_pairings,
     default_pairing,
     gap_ratio_ok,
-    in_nc,
     to_delta_form,
     verify,
 )
@@ -137,11 +137,12 @@ class DeltaSolution:
 
 class ResourceGuardError(RuntimeError):
     """A guard tripped.  ``records`` holds the results of the work units in
-    ``completed`` (in unit order), out of ``total_units``; ``nodes`` is the
-    number of descent nodes spent.  The message reports them once units ran."""
+    ``completed`` (in unit order; a CensusResult for the census), out of
+    ``total_units``; ``nodes`` is the number of descent nodes spent.  The
+    message reports them once units ran."""
 
     def __init__(
-        self, reason: str, records: list, completed=(), total_units: int = 0, nodes: int = 0
+        self, reason: str, records, completed=(), total_units: int = 0, nodes: int = 0
     ) -> None:
         self.reason = reason
         self.records = records
@@ -378,37 +379,53 @@ def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
         yield from grow((first,))
 
 
-def _passes_nc(rec: SolutionRecord, c: int) -> bool:
-    if rec.classification != NONTRIVIAL:
-        return False
-    return any(
-        gap_ratio_ok([k for _, k in to_delta_form(rec.eq, pairing).blocks], c)
-        for pairing in all_pairings(rec.eq)
-    )
+def _gaps(lhs, rhs, pairing) -> list[int]:
+    """The block lengths k_j = n_j - a_{i_j} of the gap form for ``pairing``."""
+    return [n - lhs[i - 1] for n, i in zip(rhs, pairing.indices)]
 
 
-def _attach_delta_form(rec: SolutionRecord) -> SolutionRecord:
-    pairing = default_pairing(rec.eq)
-    if pairing is None:
-        return rec
-    return rec.with_delta_form(to_delta_form(rec.eq, pairing))
-
-
-def _census_unit(
-    rhs: tuple[int, ...], spec: SearchSpec, tables: _Tables, budget: _Budget
-) -> list[SolutionRecord]:
-    """The records of one right-hand side: its left sides that share no
-    entry with it, verified and filtered."""
-    records: list[SolutionRecord] = []
+def _census_unit(rhs: tuple[int, ...], spec: SearchSpec, tables: _Tables, budget: _Budget):
+    """The (lhs, rhs, classification) rows of one right-hand side: its left
+    sides that share no entry with it, verified and filtered."""
+    rows = []
     target = [(n, 1) for n in rhs]
     for lhs in tables.left_sides(target, rhs[0] - 1, budget, frozenset(rhs)):
-        rec = _attach_delta_form(verify(FactorialEquation(lhs, rhs)))
-        if spec.nontrivial_only and rec.classification != NONTRIVIAL:
+        rec = verify(FactorialEquation(lhs, rhs))
+        cls = rec.classification
+        if cls != NONTRIVIAL and (spec.nontrivial_only or spec.c is not None):
             continue
-        if spec.c is not None and not _passes_nc(rec, spec.c):
+        if spec.c is not None and not any(
+            gap_ratio_ok(_gaps(lhs, rhs, p), spec.c) for p in all_pairings(rec.eq)
+        ):
             continue
-        records.append(rec)
-    return records
+        rows.append((lhs, rhs, cls))
+    return rows
+
+
+@dataclass(frozen=True, slots=True)
+class CensusResult:
+    """The census rows as columns in canonical (n1, rhs, lhs) order: row i is
+    the identity lhs[i]! = rhs[i]! with the classification ``verify`` gave it
+    (None if it does not hold).  ``records`` builds the SolutionRecords on
+    each read, verified again and with the default delta form."""
+
+    lhs: tuple[tuple[int, ...], ...] = ()
+    rhs: tuple[tuple[int, ...], ...] = ()
+    classification: tuple[str | None, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.lhs)
+
+    @property
+    def records(self) -> list[SolutionRecord]:
+        out = []
+        for lhs, rhs in zip(self.lhs, self.rhs):
+            rec = verify(FactorialEquation(lhs, rhs))
+            pairing = default_pairing(rec.eq)
+            if pairing is not None:
+                rec = replace(rec, delta_form=to_delta_form(rec.eq, pairing))
+            out.append(rec)
+        return out
 
 
 def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
@@ -423,19 +440,18 @@ def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
     return done, ""
 
 
-def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
+def _run_units(units, work, workers: int, guards: SearchGuards, key, collect=list):
     """Run independent work units ``work(unit, budget) -> list`` under one
-    node/time budget; returns their results joined in unit order and sorted
-    stably on ``key``.  A tripped guard raises ResourceGuardError carrying
-    the results of the completed units.
+    node/time budget; returns ``collect`` of their results joined in unit
+    order and sorted stably on ``key``.  A tripped guard raises
+    ResourceGuardError carrying ``collect`` of the completed units' results.
 
     With ``workers > 1`` the units are dealt round-robin (unit i to worker
     i mod workers, since unit cost grows with the first entry) to forked
     processes (``fanout.run_forked``) that share one node counter, so
     max_nodes stays a global ceiling.  The children inherit the search
-    tables and run only the pure-Python descent.  The results cross the pipe
-    as they are; each record type defines its own compact pickling.  Without
-    fork the units run in-process.
+    tables and run only the pure-Python descent; their results cross the
+    pipe as they are.  Without fork the units run in-process.
     """
     units = list(units)
     workers = min(workers, len(units))
@@ -454,7 +470,7 @@ def _run_units(units, work, workers: int, guards: SearchGuards, key) -> list:
         done.update(part)
     reason = next((r for _, r in parts if r), "")
     order = sorted(done)
-    results = sorted((r for i in order for r in done[i]), key=key)
+    results = collect(sorted((r for i in order for r in done[i]), key=key))
     if reason:
         raise ResourceGuardError(
             reason, results, [units[i] for i in order], len(units), budget.spent()
@@ -467,7 +483,7 @@ def search_factorial_products(
     *,
     guards: SearchGuards | None = None,
     workers: int = 1,
-) -> list[SolutionRecord]:
+) -> CensusResult:
     """All identities within the requested bounds, canonically ordered.
 
     Raises ResourceGuardError when the tables or the work units exceed their
@@ -482,7 +498,8 @@ def search_factorial_products(
         lambda rhs, budget: _census_unit(rhs, spec, tables, budget),
         workers,
         guards,
-        key=lambda r: (r.eq.rhs[0], r.eq.rhs, r.eq.lhs),
+        key=lambda row: (row[1][0], row[1], row[0]),
+        collect=lambda rows: CensusResult(*zip(*rows)),
     )
 
 
@@ -548,23 +565,23 @@ class CensusSummary:
         }
 
 
-def census_report(records, c: int | None = None) -> CensusSummary:
+def census_report(result: CensusResult, c: int | None = None) -> CensusSummary:
     """Counts by (t, s, classification), the extremal n1, the nontrivial
     identities, and (when c is given) N(c) membership tallies per pairing."""
-    records = list(records)
     counts: dict[tuple[int, int, str], int] = {}
     extremal = None
     nontrivial: list[str] = []
     tallies: dict[str, tuple[int, int]] = {}
-    for rec in records:
-        key = (rec.eq.t, rec.eq.s, rec.classification or "non-solution")
+    for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification):
+        key = (len(lhs), len(rhs), cls or "non-solution")
         counts[key] = counts.get(key, 0) + 1
-        if rec.holds:
-            extremal = max(extremal or 0, rec.eq.rhs[0])
-        if rec.classification == NONTRIVIAL:
-            nontrivial.append(str(rec.eq))
+        if cls is not None:
+            extremal = max(extremal or 0, rhs[0])
+        if cls == NONTRIVIAL:
+            eq = FactorialEquation(lhs, rhs)
+            nontrivial.append(str(eq))
             if c is not None:
-                pairings = list(all_pairings(rec.eq))
-                member = sum(1 for p in pairings if in_nc(rec.eq, p, c))
-                tallies[str(rec.eq)] = (len(pairings), member)
-    return CensusSummary(len(records), counts, extremal, nontrivial, c, tallies)
+                pairings = list(all_pairings(eq))
+                member = sum(1 for p in pairings if gap_ratio_ok(_gaps(lhs, rhs, p), c))
+                tallies[str(eq)] = (len(pairings), member)
+    return CensusSummary(len(result), counts, extremal, nontrivial, c, tallies)

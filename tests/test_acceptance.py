@@ -71,7 +71,7 @@ def test_criterion_1_known_identity_regression(capsys):
 
 def test_criterion_2_census_completeness():
     t0 = time.monotonic()
-    recs16 = search_factorial_products(SearchSpec(n1_max=16, t_max=5, s_max=1))
+    recs16 = search_factorial_products(SearchSpec(n1_max=16, t_max=5, s_max=1)).records
     got16 = {(r.eq.lhs, r.eq.rhs): r.classification for r in recs16}
     nontrivial = {k for k, cls in got16.items() if cls == NONTRIVIAL}
     assert nontrivial == {
@@ -87,7 +87,7 @@ def test_criterion_2_census_completeness():
     oracle16 = brute_census(16, 5, 1)
     assert set(got16) == oracle16
 
-    recs12 = search_factorial_products(SearchSpec(n1_max=12, t_max=4, s_max=2))
+    recs12 = search_factorial_products(SearchSpec(n1_max=12, t_max=4, s_max=2)).records
     got12 = {(r.eq.lhs, r.eq.rhs): r.classification for r in recs12}
     oracle12 = brute_census(12, 4, 2)
     assert set(got12) == oracle12
@@ -193,7 +193,7 @@ def test_criterion_5_exact_arithmetic_core():
 # ------------------------------------------------------------------ 6
 
 def test_criterion_6_solution_window_properties():
-    recs = search_factorial_products(SearchSpec(n1_max=16, t_max=5, s_max=1))
+    recs = search_factorial_products(SearchSpec(n1_max=16, t_max=5, s_max=1)).records
     checked = 0
     for rec in recs:
         if rec.classification != NONTRIVIAL or rec.delta_form is None:

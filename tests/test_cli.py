@@ -4,7 +4,8 @@ import re
 import pytest
 
 from factprod import factorint
-from factprod.cli import main
+from factprod.cli import _record_obj, main
+from factprod.search import SearchSpec, search_factorial_products
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,54 @@ def test_search_payload_identical_across_workers(capsys, tmp_path):
         assert code == 0
         payloads.append(p.read_text().split("\n", 1)[1])  # skip metadata line
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+CENSUS_SHAPES = [
+    ("16", "5", "1"),
+    ("12", "4", "2"),
+    ("24", "6", "3"),
+    ("16", "5", "2", "--c", "1", "--nontrivial-only"),
+]
+
+
+@pytest.mark.parametrize("shape", CENSUS_SHAPES)
+def test_search_payload_is_the_records_json(capsys, tmp_path, shape):
+    # the columns are formatted directly; the bytes must be those of the
+    # records the result builds, at any worker count
+    n1, t, s, *flags = shape
+    c = int(flags[1]) if flags else None
+    spec = SearchSpec(int(n1), int(t), int(s), c=c, nontrivial_only=bool(flags))
+    want = "".join(
+        json.dumps(_record_obj(r), separators=(",", ":")) + "\n"
+        for r in search_factorial_products(spec).records
+    )
+    assert want
+    for w in ("1", "2", "3"):
+        p = tmp_path / f"census_{w}.jsonl"
+        argv = ["search", "--n1-max", n1, "--t-max", t, "--s-max", s, *flags]
+        code, _, _ = run_cli(capsys, *argv, "--workers", w, "--out", str(p))
+        assert code == 0
+        assert p.read_text().split("\n", 1)[1] == want
+
+
+@pytest.mark.parametrize("flags", [(), ("--c", "1", "--nontrivial-only"), ("--c", "2")])
+def test_search_builds_no_delta_form_and_pickles_no_record(capsys, monkeypatch, tmp_path, flags):
+    from factprod import equations, search
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built on the search command's path")
+
+    for module in (equations, search):
+        monkeypatch.setattr(module, "to_delta_form", boom)
+        monkeypatch.setattr(module, "default_pairing", boom)
+    monkeypatch.setattr(equations.SolutionRecord, "__reduce_ex__", boom)
+    for w in ("1", "2"):
+        code, out, err = run_cli(
+            capsys, "search", "--n1-max", "24", "--t-max", "6", "--s-max", "3", *flags,
+            "--workers", w, "--out", str(tmp_path / "census.jsonl"),
+        )
+        assert code == 0, err
+        assert parse_doc(out)[1]["total"] > 0
 
 
 def test_search_guard_exit_3(capsys):

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from factprod.equations import (
     EquationError,
     FactorialEquation,
     Pairing,
-    SolutionRecord,
     adjacent_pairs,
     all_pairings,
     default_pairing,
@@ -111,7 +111,7 @@ def test_verify_examples():
     assert not rec.holds and rec.classification is None
 
 
-def test_solution_record_tuple_round_trip():
+def test_solution_record_pickle_round_trip():
     for eq in (
         FactorialEquation((7, 6), (10,)),
         FactorialEquation((15, 2, 2, 2, 2), (16,)),  # trivial, with a census note
@@ -119,10 +119,7 @@ def test_solution_record_tuple_round_trip():
     ):
         rec = verify(eq)
         pairing = default_pairing(eq)
-        for r in (rec, rec.with_delta_form(to_delta_form(eq, pairing))):
-            row = r.to_tuple()
-            assert SolutionRecord.from_tuple(row) == r
-            assert all(type(v) in (tuple, bool, str, type(None)) for v in row)
+        for r in (rec, replace(rec, delta_form=to_delta_form(eq, pairing))):
             assert pickle.loads(pickle.dumps(r)) == r
     sol = DeltaSolution((35, 34), (36, 3))
     assert pickle.loads(pickle.dumps(sol)) == sol

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from factprod.equations import NONTRIVIAL, TRIVIAL, SolutionRecord, verify
 from factprod.search import (
+    CensusResult,
     DeltaSearchSpec,
     ResourceGuardError,
     SearchGuards,
@@ -61,7 +62,7 @@ def literal_fields(t, n):
 def test_census_n10_nontrivial_matches_known_list():
     recs = search_factorial_products(
         SearchSpec(n1_max=10, t_max=4, s_max=1, nontrivial_only=True)
-    )
+    ).records
     assert keyset(recs) == {
         ((7, 3, 3, 2), (9,)),
         ((7, 6), (10,)),
@@ -70,7 +71,7 @@ def test_census_n10_nontrivial_matches_known_list():
 
 
 def test_census_n16_formal_rule():
-    recs = search_factorial_products(SearchSpec(n1_max=16, t_max=5, s_max=1))
+    recs = search_factorial_products(SearchSpec(n1_max=16, t_max=5, s_max=1)).records
     nontrivial = {(r.eq.lhs, r.eq.rhs) for r in recs if r.classification == NONTRIVIAL}
     assert nontrivial == {
         ((7, 3, 3, 2), (9,)),
@@ -85,7 +86,7 @@ def test_census_n16_formal_rule():
 
 def test_census_oracle_equivalence_small():
     spec = SearchSpec(n1_max=10, t_max=4, s_max=2)
-    recs = search_factorial_products(spec)
+    recs = search_factorial_products(spec).records
     want = brute_census(10, 4, 2)
     assert keyset(recs) == want
     for r in recs:
@@ -93,7 +94,7 @@ def test_census_oracle_equivalence_small():
 
 
 def test_every_record_verifies_and_no_duplicates():
-    recs = search_factorial_products(SearchSpec(n1_max=12, t_max=4, s_max=2))
+    recs = search_factorial_products(SearchSpec(n1_max=12, t_max=4, s_max=2)).records
     seen = set()
     for r in recs:
         assert r.holds and verify(r.eq).holds
@@ -104,38 +105,35 @@ def test_every_record_verifies_and_no_duplicates():
 
 def test_canonical_order_and_worker_determinism():
     spec = SearchSpec(n1_max=12, t_max=4, s_max=2)
-    base = search_factorial_products(spec, workers=1)
+    base = search_factorial_products(spec, workers=1).records
     keys = [(r.eq.rhs[0], r.eq.rhs, r.eq.lhs) for r in base]
     assert keys == sorted(keys)
     for w in (2, 5):
         assert [
-            (r.eq.lhs, r.eq.rhs) for r in search_factorial_products(spec, workers=w)
+            (r.eq.lhs, r.eq.rhs) for r in search_factorial_products(spec, workers=w).records
         ] == [(r.eq.lhs, r.eq.rhs) for r in base]
 
 
 def test_forked_records_equal_in_process_records():
-    # forked workers send plain tuples; the parent rebuilds equal records,
-    # also on a guard trip
+    # forked workers send plain rows; the parent's columns build records
+    # equal to the serial ones (a guard trip: see the workers=2 trip test)
     spec = SearchSpec(n1_max=24, t_max=6, s_max=3)
     base = search_factorial_products(spec, workers=1)
-    assert search_factorial_products(spec, workers=2) == base
-    with pytest.raises(ResourceGuardError) as e:
-        search_factorial_products(spec, guards=SearchGuards(max_nodes=15_000), workers=2)
-    assert e.value.records and all(type(r) is SolutionRecord for r in e.value.records)
-    assert e.value.records == [r for r in base if r.eq.rhs in set(e.value.completed)]
+    forked = search_factorial_products(spec, workers=2)
+    assert forked == base and forked.records == base.records
     dspec = DeltaSearchSpec((2, 3), 30, 5)
     assert search_delta(dspec, workers=2) == search_delta(dspec, workers=1)
 
 
 def test_nc_filter():
     spec = SearchSpec(n1_max=10, t_max=4, s_max=2, c=1, nontrivial_only=True)
-    recs = search_factorial_products(spec)
+    recs = search_factorial_products(spec).records
     # (7,7,6,6)=(10,10) is the nontrivial s=2 solution and has a ratio-1 pairing
     assert ((7, 7, 6, 6), (10, 10)) in keyset(recs)
 
 
 def test_delta_form_attached_to_solutions():
-    recs = search_factorial_products(SearchSpec(n1_max=10, t_max=4, s_max=1))
+    recs = search_factorial_products(SearchSpec(n1_max=10, t_max=4, s_max=1)).records
     for r in recs:
         assert r.delta_form is not None
         assert r.delta_form.m1 == r.eq.lhs[0] + 1
@@ -143,7 +141,7 @@ def test_delta_form_attached_to_solutions():
 
 def test_cancelling_diagnostics_off_by_default():
     spec = SearchSpec(n1_max=8, t_max=4, s_max=2)
-    recs = search_factorial_products(spec)
+    recs = search_factorial_products(spec).records
     assert all(not (set(r.eq.lhs) & set(r.eq.rhs)) for r in recs)
 
 
@@ -155,7 +153,7 @@ def test_cancelling_diagnostics_off_by_default():
     workers=st.integers(1, 3),
 )
 def test_census_invariants_property(n1_max, t_max, s_max, workers):
-    recs = search_factorial_products(SearchSpec(n1_max, t_max, s_max), workers=workers)
+    recs = search_factorial_products(SearchSpec(n1_max, t_max, s_max), workers=workers).records
     keys = [(r.eq.rhs[0], r.eq.rhs, r.eq.lhs) for r in recs]
     assert keys == sorted(set(keys))  # canonical order, each record once
     for r in recs:
@@ -193,7 +191,7 @@ def test_right_hand_entry_rule_is_exact():
 @pytest.mark.parametrize("bounds", [(24, 6, 3), (60, 6, 2)])
 def test_census_matches_full_vector_oracle(bounds):
     want, nodes = full_vector_census(*bounds)
-    recs = search_factorial_products(SearchSpec(*bounds))
+    recs = search_factorial_products(SearchSpec(*bounds)).records
     assert [(r.eq.lhs, r.eq.rhs) for r in recs] == want
     assert_node_count(
         lambda g, w: search_factorial_products(SearchSpec(*bounds), guards=g, workers=w),
@@ -279,7 +277,7 @@ def test_census_at_the_table_bound_is_pinned():
 
     spec = SearchSpec(7876, 12, 1)
     recs = search_factorial_products(spec)
-    pairs = [(r.eq.lhs, r.eq.rhs) for r in recs]
+    pairs = [(r.eq.lhs, r.eq.rhs) for r in recs.records]
     assert len(pairs) == 89
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
         "5fb02e8461b073abafeb588419fc461d4a9a1d46f64f8b81b3b1db9d78a96f2f"
@@ -493,7 +491,7 @@ def test_guard_node_budget_carries_partial():
             SearchSpec(n1_max=16, t_max=5, s_max=2),
             guards=SearchGuards(max_nodes=500),  # of the 938 nodes it spends
         )
-    assert isinstance(e.value.records, list)
+    assert isinstance(e.value.records, CensusResult)
     assert e.value.completed_units >= 0
 
 
@@ -520,9 +518,12 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
     assert 0 < err.completed_units < err.total_units
     done = set(err.completed)
     assert len(done) == err.completed_units
-    assert [(r.eq.lhs, r.eq.rhs) for r in err.records] == [
-        (r.eq.lhs, r.eq.rhs) for r in full if r.eq.rhs in done
-    ]
+    # exactly the completed units' rows, and the records the serial run builds
+    rows = zip(full.lhs, full.rhs, full.classification)
+    assert err.records == CensusResult(*zip(*(row for row in rows if row[1] in done)))
+    part = err.records.records
+    assert part and all(type(r) is SolutionRecord for r in part)
+    assert part == [r for r in full.records if r.eq.rhs in done]
 
 
 def test_search_delta_guard_workers_2_keeps_completed_units():
@@ -614,6 +615,6 @@ def test_census_report_counts():
 
 
 def test_census_report_empty():
-    summary = census_report([])
+    summary = census_report(CensusResult())
     assert summary.total == 0 and summary.extremal_n1 is None
     assert summary.nontrivial == []
