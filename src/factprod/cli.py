@@ -38,7 +38,6 @@ from .density import (
     QuadratureBudgetError,
     RegionSpec,
     _analytic_density,
-    _quad_resolution,
     mc_density,
     quadrature_density,
 )
@@ -189,9 +188,9 @@ def cmd_density(args) -> int:
     workers = _workers(args)
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    _quad_resolution(spec, args.resolution)  # reject what the quadrature cannot run before sampling
-    est = mc_density(spec, args.samples, args.seed, workers=workers)
+    # the quadrature refuses what it cannot run before any sampling
     quad = quadrature_density(spec, args.resolution)
+    est = mc_density(spec, args.samples, args.seed, workers=workers)
     analytic = _analytic_density(spec)
     est = DensityEstimate(analytic, est.mc_mean, est.mc_stderr, est.samples, est.seed, quad)
     config = {**asdict(spec), "samples": args.samples, "seed": args.seed, "workers": workers}

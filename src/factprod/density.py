@@ -13,8 +13,8 @@ Three routes to its volume:
 * mc_density            -- counter-based Monte Carlo: coordinate (i, d)
   depends only on (seed, i, d), so it can be drawn alone, for any subset of
   samples.  Each coordinate is drawn only for the samples that passed every
-  constraint before it, and fixed sample blocks are dealt to forked
-  processes, so the estimate is identical for any worker count.
+  constraint before it, and fixed sample blocks are dealt out by
+  ``fanout.deal``, so the estimate is identical for any worker count.
 * quadrature_density    -- nested integration on a cone: every constraint is
   homogeneous and every coordinate is at most x_1, so the volume is that of
   the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
@@ -236,11 +236,11 @@ def _analytic_density(spec: RegionSpec) -> Fraction | None:
 def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -> DensityEstimate:
     """Monte Carlo estimate of the region's volume.
 
-    The sample indices are cut into blocks of _BATCH, dealt round-robin to
-    ``workers`` forked processes (``fanout.run_forked``; no more than there
-    are blocks, and a single block or a platform without fork runs
-    in-process).  Each block is counted by the survivor kernel, which draws a
-    coordinate only for the samples that passed every earlier constraint.
+    The sample indices are cut into blocks of _BATCH and dealt round-robin
+    to ``workers`` by ``fanout.deal``, which decides how many forked
+    processes share them or whether they run in-process.  Each block is
+    counted by the survivor kernel, which draws a coordinate only for the
+    samples that passed every earlier constraint.
     Every coordinate is a pure function of (seed, sample index, dimension)
     and the hits are an exact integer sum, so the mean is identical for any
     worker count or block size.
@@ -253,10 +253,7 @@ def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -
             _survivor_hits(spec, seed, pos, min(_BATCH, samples - pos)) for pos in blocks
         )
 
-    blocks = range(0, samples, _BATCH)
-    workers = min(workers, len(blocks))
-    ctx = fanout.fork_context(workers)
-    total = hits(blocks) if ctx is None else sum(fanout.run_forked(ctx, hits, blocks, workers))
+    total = sum(fanout.deal(hits, range(0, samples, _BATCH), workers))
     mean = total / samples
     stderr = math.sqrt(mean * (1.0 - mean) / samples)
     return DensityEstimate(None, mean, stderr, samples, seed, None)

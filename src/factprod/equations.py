@@ -253,8 +253,7 @@ def to_delta_form(eq: FactorialEquation, pairing: Pairing) -> DeltaForm:
     """Rewrite the identity as prod(leftover!) = prod of consecutive blocks."""
     pairing.validate_for(eq)
     blocks = tuple(
-        (eq.lhs[i - 1] + 1, eq.rhs[j] - eq.lhs[i - 1])
-        for j, i in enumerate(pairing.indices)
+        (eq.lhs[i - 1] + 1, k) for i, k in zip(pairing.indices, block_gaps(eq, pairing))
     )
     used = set(pairing.indices)
     leftover = tuple(a for i, a in enumerate(eq.lhs, start=1) if i not in used)
@@ -296,6 +295,19 @@ def all_pairings(eq: FactorialEquation) -> Iterator[Pairing]:
             yield Pairing(indices)
 
 
+def block_gaps(eq: FactorialEquation, pairing: Pairing) -> list[int]:
+    """The block lengths k_j = n_j - a_{i_j} of the gap form for ``pairing``,
+    which is not validated."""
+    return [n - eq.lhs[i - 1] for n, i in zip(eq.rhs, pairing.indices)]
+
+
+def nc_pairings(eq: FactorialEquation, c) -> list[bool]:
+    """For each pairing of ``all_pairings(eq)``, in order, whether its block
+    gaps meet the gap-ratio condition of N(c): ``in_nc`` over every valid
+    pairing of a solution already verified nontrivial."""
+    return [gap_ratio_ok(block_gaps(eq, p), c) for p in all_pairings(eq)]
+
+
 def gap_ratio_ok(ks, c) -> bool:
     """The gap-ratio condition of N(c) on block lengths k_1..k_s:
     max(k_2..k_s) <= c * k_1, vacuous when s = 1."""
@@ -314,4 +326,4 @@ def in_nc(eq: FactorialEquation, pairing: Pairing, c) -> bool:
     pairing.validate_for(eq)
     if rec.classification != NONTRIVIAL:
         return False
-    return gap_ratio_ok([k for _, k in to_delta_form(eq, pairing).blocks], c)
+    return gap_ratio_ok(block_gaps(eq, pairing), c)

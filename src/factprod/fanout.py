@@ -1,8 +1,11 @@
 """One way to fan work out: round-robin shares on forked processes.
 
-Fork, not spawn: a child inherits the parent's tables and imports, and a
-spawned one would re-import numpy and the package on every call.  Where the
-platform has no fork the callers run their work in-process.
+``deal`` is the only place that decides how work fans out: how many children
+to fork (no more than the workers asked for, the items to share or the
+usable CPUs) and whether to fork at all.  Fork, not spawn: a child inherits
+the parent's tables and imports, and a spawned one would re-import numpy and
+the package on every call.  With one share, or where the platform has no
+fork, the work runs in-process.
 """
 
 from __future__ import annotations
@@ -20,18 +23,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fork_context(workers: int):
-    """The fork start method when more than one worker is asked for, more
-    than one CPU is usable and the platform has fork; None means run
-    in-process."""
-    if min(workers, usable_cpus()) > 1:
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            pass
-    return None
-
-
 def _child(conn, job, share) -> None:
     try:
         conn.send(("ok", job(share)))
@@ -41,20 +32,27 @@ def _child(conn, job, share) -> None:
         conn.close()
 
 
-def run_forked(ctx, job, items, workers: int) -> list:
-    """``job(items[k::workers])`` for k in range(workers), each in its own
-    forked child; returns the results in order of k.  No more children are
-    forked than there are usable CPUs: ``workers`` is capped first.
+def deal(job, items, workers: int) -> list:
+    """``job(items[k::n])`` for k in range(n), each in its own forked child,
+    with n = min(workers, len(items), usable CPUs); returns the results in
+    order of k.  With n <= 1, or where the platform has no fork, returns
+    ``[job(items)]``, run in-process.
 
     A child that raises, or exits without a result, raises RuntimeError
     carrying its traceback; every child is then terminated, and every child
     is joined before this returns or raises."""
-    workers = min(workers, usable_cpus())
+    n = min(workers, len(items), usable_cpus())
+    try:
+        ctx = multiprocessing.get_context("fork") if n > 1 else None
+    except ValueError:
+        ctx = None
+    if ctx is None:
+        return [job(items)]
     procs = []
     try:
-        for k in range(workers):
+        for k in range(n):
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_child, args=(send, job, items[k::workers]), daemon=True)
+            proc = ctx.Process(target=_child, args=(send, job, items[k::n]), daemon=True)
             proc.start()
             send.close()
             procs.append((proc, recv))

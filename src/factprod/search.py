@@ -28,19 +28,21 @@ The census and the fixed-gap search are two target builders on one driver.
 A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
 whose target is prod n_j!, or a start vector x, whose target is
 prod (x_j + k_j - 1)! / (x_j - 1)!.  ``_Tables.left_sides`` descends the
-target; the units fan out over forked processes that share one node counter,
-a census unit sends back plain (lhs, rhs, classification) rows, and they are
-merged in unit order and sorted on a canonical key ((n1, rhs, lhs) for the
-census), so results are identical for any worker count.  The census returns
-its rows as columns (``CensusResult``) and builds SolutionRecords only when
-they are read.  Enumeration is structurally duplicate-free: both sides are
-generated non-increasing.
+target; ``fanout.deal`` shares the units out, over forked processes that
+share one node counter or in-process, a census unit sends back plain (lhs,
+rhs, classification) rows, and they are merged in unit order and sorted on
+a canonical key ((n1, rhs, lhs) for the census), so results are identical
+for any worker count.  The census returns its rows as columns
+(``CensusResult``) and builds SolutionRecords only when they are read.
+Enumeration is structurally duplicate-free: both sides are generated
+non-increasing.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from math import comb, inf, lgamma
 
@@ -49,9 +51,9 @@ from .equations import (
     NONTRIVIAL,
     FactorialEquation,
     SolutionRecord,
-    all_pairings,
     default_pairing,
     gap_ratio_ok,
+    nc_pairings,
     to_delta_form,
     verify,
 )
@@ -164,7 +166,8 @@ class _GuardTrip(Exception):
 
 class _Budget:
     """Node/time budget polled by the descent in batches.  ``shared`` is a
-    multiprocessing integer Value when forked workers draw on one budget."""
+    multiprocessing integer Value when more than one worker may draw on the
+    budget, and None for a plain counter that takes no lock."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "shared", "reason")
 
@@ -246,23 +249,21 @@ class _Tables:
     ``primes`` lists the primes up to ``n_max`` by rank.  An exponent vector
     is one integer: prime rank r owns the ``width`` bits at offset r * width.
     ``step[a]`` and ``fact[a]`` pack factorize(a) and a!, and ``logfact[a]``
-    is log(a!), for the entries a <= ``n_max`` the descent can place; left
-    sides have at most ``t_max`` entries.  A residual holds each exponent e
-    as e + 2^(width-1), and ``zero`` packs the exponent-free residual, so
-    R & zero == zero says that no exponent is negative and R == zero that
-    R = 1.  A target divides ``terms`` factorials of at most max(n_max, end);
-    the width holds their summed exponents, and the exponent of one
-    subtracted a!, with a sign bit to spare, so no field ever borrows from
-    its neighbour; it is rounded up to 8, 16, 32 or 64 bits.  Tables over
-    the _TABLE_PAIRS budget, or for a search of ``units`` work units (from
-    _unit_count) over _UNIT_BUDGET, raise ResourceGuardError before
-    anything is built."""
+    is log(a!), for every a <= ``n_max``: the entries the descent can place
+    and every factorial a target reads; left sides have at most ``t_max``
+    entries.  A residual holds each exponent e as e + 2^(width-1), and
+    ``zero`` packs the exponent-free residual, so R & zero == zero says that
+    no exponent is negative and R == zero that R = 1.  A target divides
+    ``terms`` factorials of at most n_max; the width holds their summed
+    exponents, and the exponent of one subtracted a!, with a sign bit to
+    spare, so no field ever borrows from its neighbour; it is rounded up to
+    8, 16, 32 or 64 bits.  Tables over the _TABLE_PAIRS budget, or for a
+    search of ``units`` work units (from _unit_count) over _UNIT_BUDGET,
+    raise ResourceGuardError before anything is built."""
 
     __slots__ = ("primes", "width", "zero", "step", "fact", "logfact", "t_max")
 
-    def __init__(
-        self, n_max: int, t_max: int, units: int = 0, terms: int = 1, end: int = 0
-    ) -> None:
+    def __init__(self, n_max: int, t_max: int, units: int = 0, terms: int = 1) -> None:
         pairs = _table_pairs(n_max)
         if pairs > _TABLE_PAIRS:
             raise ResourceGuardError(
@@ -278,7 +279,7 @@ class _Tables:
             )
         self.primes = [int(p) for p in table(n_max).primes_upto(n_max)]
         # 2 has the largest exponent in any factorial
-        bits = (terms * _legendre(max(n_max, end), 2)).bit_length() + 1
+        bits = (terms * _legendre(n_max, 2)).bit_length() + 1
         w = self.width = max(8, 1 << (bits - 1).bit_length())
         self.zero = int.from_bytes(
             (1 << (w - 1)).to_bytes(w // 8, "little") * len(self.primes), "little"
@@ -293,21 +294,13 @@ class _Tables:
         self.logfact = [lgamma(a + 1) for a in range(n_max + 1)]
         self.t_max = t_max
 
-    def residual(self, target) -> tuple[int, float] | None:
+    def residual(self, target) -> tuple[int, float]:
         """The packed exponent vector and the logarithm of the target, the
-        integer prod(n! ** sign) over its (n, sign) terms; None when it has a
-        prime factor above n_max, which no left side can supply.  Past n_max
-        lie only search_delta's block ends x + k - 1: such an n! is n_max!
-        times one packed factorize(j) per j in (n_max, n]."""
-        R, log_r, top = self.zero, 0.0, len(self.fact) - 1
+        integer prod(n! ** sign) over its (n, sign) terms, each n <= n_max."""
+        R, log_r = self.zero, 0.0
         for n, sign in target:
-            R += sign * self.fact[min(n, top)]
-            log_r += sign * lgamma(n + 1)
-            for j in range(top + 1, n + 1):
-                for p, e in factorize(j):
-                    if p > top:
-                        return None
-                    R += e << (bisect_left(self.primes, p) * self.width)
+            R += sign * self.fact[n]
+            log_r += sign * self.logfact[n]
         return R, log_r
 
     def left_sides(
@@ -318,9 +311,8 @@ class _Tables:
         target.  The budget is settled before returning, so a unit's nodes
         are all counted before it completes."""
         out: list[tuple[int, ...]] = []
-        res = self.residual(target)
-        if res is not None and res[0] != self.zero:
-            R, log_r = res
+        R, log_r = self.residual(target)
+        if R != self.zero:
             budget.spend(_descend(self, budget, out, R, [], ub, log_r, 0, skip))
         return out
 
@@ -379,11 +371,6 @@ def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
         yield from grow((first,))
 
 
-def _gaps(lhs, rhs, pairing) -> list[int]:
-    """The block lengths k_j = n_j - a_{i_j} of the gap form for ``pairing``."""
-    return [n - lhs[i - 1] for n, i in zip(rhs, pairing.indices)]
-
-
 def _census_unit(rhs: tuple[int, ...], spec: SearchSpec, tables: _Tables, budget: _Budget):
     """The (lhs, rhs, classification) rows of one right-hand side: its left
     sides that share no entry with it, verified and filtered."""
@@ -394,9 +381,7 @@ def _census_unit(rhs: tuple[int, ...], spec: SearchSpec, tables: _Tables, budget
         cls = rec.classification
         if cls != NONTRIVIAL and (spec.nontrivial_only or spec.c is not None):
             continue
-        if spec.c is not None and not any(
-            gap_ratio_ok(_gaps(lhs, rhs, p), spec.c) for p in all_pairings(rec.eq)
-        ):
+        if spec.c is not None and not any(nc_pairings(rec.eq, spec.c)):
             continue
         rows.append((lhs, rhs, cls))
     return rows
@@ -446,25 +431,19 @@ def _run_units(units, work, workers: int, guards: SearchGuards, key, collect=lis
     order and sorted stably on ``key``.  A tripped guard raises
     ResourceGuardError carrying ``collect`` of the completed units' results.
 
-    With ``workers > 1`` the units are dealt round-robin (unit i to worker
-    i mod workers, since unit cost grows with the first entry) to forked
-    processes (``fanout.run_forked``) that share one node counter, so
-    max_nodes stays a global ceiling.  The children inherit the search
-    tables and run only the pure-Python descent; their results cross the
-    pipe as they are.  Without fork the units run in-process.
+    ``fanout.deal`` deals the units round-robin (unit i to share i mod n,
+    since unit cost grows with the first entry) to forked processes, or runs
+    them in-process.  With ``workers > 1`` the shares draw on one shared node
+    counter, so max_nodes stays a global ceiling; with one worker the
+    counter is a plain integer and takes no lock.  The children inherit the
+    search tables and run only the pure-Python descent; their results cross
+    the pipe as they are.
     """
     units = list(units)
-    workers = min(workers, len(units))
-    indices = range(len(units))
-    ctx = fanout.fork_context(workers)
-    if ctx is None:
-        budget = _Budget(guards)
-        parts = [_run_slice(units, indices, work, budget)]
-    else:
-        budget = _Budget(guards, ctx.Value("q", 0))
-        parts = fanout.run_forked(
-            ctx, lambda share: _run_slice(units, share, work, budget), indices, workers
-        )
+    budget = _Budget(guards, multiprocessing.Value("q", 0) if workers > 1 else None)
+    parts = fanout.deal(
+        lambda share: _run_slice(units, share, work, budget), range(len(units)), workers
+    )
     done: dict = {}
     for part, _ in parts:
         done.update(part)
@@ -515,14 +494,22 @@ def search_delta(
     if not spec.ratio_ok():
         return []
     shape = (spec.x_max, 1, len(spec.k_list), len(spec.k_list))
-    # the largest factorial in any target is x + k - 1 <= x_max + max(k) - 1
-    end = spec.x_max + max(spec.k_list) - 1
-    tables = _Tables(spec.x_max, spec.t_max, _unit_count(*shape), len(spec.k_list), end)
+    # A block x(x+1)...(x+k-1) = (x+k-1)! / (x-1)! ends at most at
+    # x_max + max(k) - 1.  One that reaches q, the first prime above x_max,
+    # has no solution, since no left side can supply q; so the tables end
+    # below q, and hold no prime above x_max.  The scan reads the shared
+    # sieve without growing it: tables past its limit are refused anyway.
+    sieve, top = table(), spec.x_max
+    end = min(spec.x_max + max(spec.k_list) - 1, sieve.limit)
+    while top < end and not sieve.is_prime(top + 1):
+        top += 1
+    tables = _Tables(top, spec.t_max, _unit_count(*shape), len(spec.k_list))
 
     def unit(xs: tuple[int, ...], budget: _Budget) -> list[DeltaSolution]:
-        # the block x(x+1)...(x+k-1) is (x+k-1)! / (x-1)!
-        target = [(x + k - 1, 1) for x, k in zip(xs, spec.k_list)]
-        target += [(x - 1, -1) for x in xs]
+        ends = [x + k - 1 for x, k in zip(xs, spec.k_list)]
+        if max(ends) > top:
+            return []
+        target = [(n, 1) for n in ends] + [(x - 1, -1) for x in xs]
         return [DeltaSolution(xs, lhs) for lhs in tables.left_sides(target, xs[0] - 1, budget)]
 
     return _run_units(
@@ -581,7 +568,6 @@ def census_report(result: CensusResult, c: int | None = None) -> CensusSummary:
             eq = FactorialEquation(lhs, rhs)
             nontrivial.append(str(eq))
             if c is not None:
-                pairings = list(all_pairings(eq))
-                member = sum(1 for p in pairings if gap_ratio_ok(_gaps(lhs, rhs, p), c))
-                tallies[str(eq)] = (len(pairings), member)
+                member = nc_pairings(eq, c)
+                tallies[str(eq)] = (len(member), sum(member))
     return CensusSummary(len(result), counts, extremal, nontrivial, c, tallies)

@@ -307,10 +307,13 @@ def test_density_rejects_before_estimating(capsys, monkeypatch):
     def estimate_ran(*args, **kwargs):
         raise AssertionError("an estimate ran on rejected input")
 
+    # the quadrature validates its inputs before it integrates anything, and
+    # runs before the Monte Carlo
     monkeypatch.setattr("factprod.cli.mc_density", estimate_ran)
+    for name in ("_slice_s2", "_slice_s3"):
+        monkeypatch.setattr(f"factprod.density.{name}", estimate_ran)
     code, _, err = run_cli(capsys, "density", "--t", "4", "--s", "3", "--c", "1")
     assert code == 2 and "dimension guard" in err
-    monkeypatch.setattr("factprod.cli.quadrature_density", estimate_ran)
     code, _, err = run_cli(
         capsys, "density", "--t", "3", "--s", "2", "--c", "1", "--samples", "0"
     )

@@ -189,13 +189,16 @@ def test_mc_density_single_block_runs_in_process(monkeypatch):
     def no_fork(*args):
         raise AssertionError("a single block was sent to a forked worker")
 
-    monkeypatch.setattr(fanout, "run_forked", no_fork)
+    monkeypatch.setattr(fanout.multiprocessing, "get_context", no_fork)
     spec = RegionSpec(t=3, s=2, c=2)
     est = mc_density(spec, density._BATCH, seed=3, workers=2)
     assert est.mc_mean == mc_density(spec, density._BATCH, seed=3, workers=1).mc_mean
 
 
-@pytest.mark.skipif(fanout.fork_context(2) is None, reason="needs fork")
+@pytest.mark.skipif(
+    fanout.usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork and two usable CPUs",
+)
 def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch):
     # block 0 fails in the first child while the second is still counting
     sampler = density.sample_block

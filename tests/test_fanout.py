@@ -1,11 +1,13 @@
-"""The fork fan-out never starts more children than there are usable CPUs.
+"""The one fork fan-out, ``fanout.deal``: how many children it starts, and
+when it runs in-process.
 
 A fake context runs each "process" inline when it is started and counts the
 starts, so no process is ever forked here."""
 
+import ast
 import json
 import os
-import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,15 +27,6 @@ class _Conn:
 
     def close(self) -> None:
         pass
-
-
-class _Value:
-    def __init__(self, typecode, value) -> None:
-        self.value = value
-        self._lock = threading.Lock()
-
-    def get_lock(self):
-        return self._lock
 
 
 class _Process:
@@ -62,9 +55,6 @@ class FakeContext:
     def Process(self, target, args, daemon):
         return _Process(self, target, args)
 
-    def Value(self, typecode, value):
-        return _Value(typecode, value)
-
 
 @pytest.fixture
 def three_cpus(monkeypatch):
@@ -84,16 +74,62 @@ def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):
     assert fanout.usable_cpus() == 1
 
 
-def test_run_forked_caps_children_at_usable_cpus(three_cpus):
+def test_deal_forks_one_child_per_share_in_order(three_cpus):
     items = range(10)
-    out = fanout.run_forked(fanout.fork_context(10_000), list, items, 10_000)
-    assert three_cpus.started == 3
-    assert out == [list(items[k::3]) for k in range(3)]
+    # n = min(workers, len(items), usable CPUs)
+    for workers, n, started in ((10_000, 3, 3), (2, 2, 5)):
+        out = fanout.deal(list, items, workers)
+        assert three_cpus.started == started
+        assert out == [list(items[k::n]) for k in range(n)]
+    assert fanout.deal(list, range(2), 10_000) == [[0], [1]]
+    assert three_cpus.started == 7
 
 
-def test_one_usable_cpu_runs_in_process(monkeypatch):
+def test_deal_runs_in_process_for_one_share(three_cpus):
+    for items, workers in ((range(1), 10_000), (range(0), 10_000), (range(10), 1)):
+        assert fanout.deal(list, items, workers) == [list(items)]
+    assert three_cpus.started == 0
+
+
+def test_one_usable_cpu_runs_in_process(three_cpus, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert fanout.fork_context(10_000) is None
+    assert fanout.deal(list, range(10), 10_000) == [list(range(10))]
+    assert three_cpus.started == 0
+
+
+def test_no_fork_runs_in_process(three_cpus, monkeypatch):
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(fanout.multiprocessing, "get_context", no_fork)
+    assert fanout.deal(list, range(10), 3) == [list(range(10))]
+    assert three_cpus.started == 0
+
+
+def test_deal_raises_a_failing_share_with_its_traceback(three_cpus):
+    def job(share):
+        if 1 in share:
+            raise ZeroDivisionError("share 1 failed")
+        return list(share)
+
+    with pytest.raises(RuntimeError, match="ZeroDivisionError: share 1 failed"):
+        fanout.deal(job, range(10), 3)
+    assert three_cpus.started == 3
+
+
+def test_only_fanout_starts_processes():
+    """One way to fan out: no other module of the package picks a start
+    method, starts a process, forks or makes a pool."""
+    starters = {"get_context", "Process", "fork"}
+    calls = {}
+    for path in sorted(Path(fanout.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+                if name in starters or "Pool" in name:
+                    calls.setdefault(path.stem, set()).add(name)
+    assert calls == {"fanout": {"get_context", "Process"}}
 
 
 def test_search_and_density_fork_at_most_usable_cpus(three_cpus, capsys, tmp_path):

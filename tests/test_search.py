@@ -212,31 +212,27 @@ def test_search_delta_matches_full_vector_oracle():
 # ---------------------------------------------------------------- size cap
 
 def test_size_cap_keeps_every_dividing_factorial():
-    """Over random integer targets (products of factorials, divided by
-    smaller factorials, as in search_delta's blocks) the residual is refused
-    exactly when the literal integer has a prime factor above n_max, and
-    otherwise decodes to its exponents; the cap is at least every a <= ub
-    with a! | R, decided on the literal integer, and a! <= R at the cap
-    itself, so the cap is also as low as it may be."""
+    """Over random integer targets inside the tables (products of
+    factorials, divided by smaller factorials, as in search_delta's blocks)
+    the residual decodes to the exponents of the literal integer; the cap
+    is at least every a <= ub with a! | R, decided on the literal integer,
+    and a! <= R at the cap itself, so the cap is also as low as it may be."""
     from factprod import search
 
     rng = random.Random(8)
-    t = search._Tables(200, 8, terms=5, end=399)  # block ends up to 399 lie past n_max
-    binding = refused = 0
+    t = search._Tables(200, 8, terms=5)
+    binding = 0
     for _ in range(300):
         target = [(rng.randint(2, 200), 1) for _ in range(rng.randint(0, 2))]
         for _ in range(rng.randint(0 if target else 1, 3)):
             x = rng.randint(1, 200)
-            target += [(x + rng.randint(1, rng.choice((8, 200))) - 1, 1), (x - 1, -1)]
+            k = rng.randint(1, min(rng.choice((8, 200)), 201 - x))
+            target += [(x + k - 1, 1), (x - 1, -1)]
         R_int = math.prod(math.factorial(n) for n, sign in target if sign > 0)
         R_int //= math.prod(math.factorial(n) for n, sign in target if sign < 0)
         exps, rest = literal_fields(t, R_int)
-        res = t.residual(target)
-        assert (res is None) == (rest > 1)
-        if res is None:
-            refused += 1
-            continue
-        R, log_r = res
+        assert rest == 1
+        R, log_r = t.residual(target)
         assert fields(t, R) == exps
         ub = rng.randint(2, 200)
         cap = search._size_cap(t.logfact, log_r, ub)
@@ -244,7 +240,7 @@ def test_size_cap_keeps_every_dividing_factorial():
         assert cap >= max(dividing, default=1)
         assert cap <= ub and math.factorial(cap) <= R_int
         binding += cap < ub
-    assert binding > 50 and refused > 50
+    assert binding > 50
 
 
 def test_size_cap_at_the_table_bound():
@@ -289,14 +285,16 @@ def test_census_at_the_table_bound_is_pinned():
     assert e.value.nodes == nodes and e.value.records == recs
 
 
-def test_packed_fields_hold_the_widest_exponents():
+def test_packed_fields_hold_the_widest_exponents(monkeypatch):
     """Every field of the largest residuals the searches can form decodes
     to the exponent of the literal integer: three 7876! on the right (s = 3
     at the table bound), that residual less 7876! (the deepest a level
     subtracts from a residual of 2), and the search_delta blocks that end
-    below the first prime q above x_max, in tables sized for blocks of
-    k = 2000 and 100000 terms, whose fields are 16 and 32 bits wide.  A
-    block that reaches q is refused: no left side can supply q."""
+    below the first prime q above x_max, in the tables search_delta builds
+    for blocks of k = 2000 and 100000 terms.  Those tables end at q - 1, so
+    their fields are 8 bits wide.  A unit whose block reaches q has no
+    solution, since no left side can supply q: it builds no residual and
+    spends no node."""
     from factprod import search
     from factprod.factorint import _legendre
 
@@ -307,21 +305,34 @@ def test_packed_fields_hold_the_widest_exponents():
     R, _ = t.residual([(2, 1)])
     assert fields(t, R - t.fact[7876]) == [(p == 2) - e for p, e in zip(t.primes, v)]
     assert R & t.zero == t.zero and (R - t.fact[7876]) & t.zero != t.zero
-    for x_max, k, q, width in ((114, 2000, 127, 16), (20, 100_000, 23, 32)):
-        t = search._Tables(x_max, 4, end=x_max + k - 1)
-        assert t.width == width
+
+    built = []
+    tables = search._Tables
+
+    class Recorded(tables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def reached(*args):
+        raise AssertionError("a unit whose block reaches q built a residual")
+
+    shapes = ((114, 2000, 127), (20, 100_000, 23))
+    with monkeypatch.context() as m:
+        m.setattr(search, "_Tables", Recorded)
+        m.setattr(tables, "residual", reached)
+        for x_max, k, _ in shapes:
+            spec = DeltaSearchSpec((k,), x_max, 4)
+            assert search_delta(spec, guards=SearchGuards(max_nodes=1)) == []
+    for t, (x_max, k, q) in zip(built, shapes, strict=True):
+        assert len(t.fact) == q and t.primes[-1] <= x_max and t.width == 8
         top, _ = literal_fields(t, math.factorial(x_max))
         for x in (1, 2, 17, x_max):
-            assert t.residual([(x + k - 1, 1), (x - 1, -1)]) is None
-            for end in range(x_max, q + 1):
-                res = t.residual([(end, 1), (x - 1, -1)])
+            for end in range(x_max, q):
+                R, _ = t.residual([(end, 1), (x - 1, -1)])
                 block, rest = literal_fields(t, math.prod(range(x, end + 1)))
-                assert (res is None) == (rest > 1) == (end == q)
-                if res is not None:
-                    assert fields(t, res[0]) == block
-                    assert fields(t, res[0] - t.fact[x_max]) == [
-                        e - f for e, f in zip(block, top)
-                    ]
+                assert rest == 1 and fields(t, R) == block
+                assert fields(t, R - t.fact[x_max]) == [e - f for e, f in zip(block, top)]
 
 
 # ---------------------------------------------------------------- guards
@@ -378,7 +389,11 @@ def test_table_guard_builds_nothing_first(monkeypatch):
         monkeypatch.setattr(search, name, built)
     for run, bound in (
         (lambda: search_factorial_products(SearchSpec(10**9, 4, 1), workers=2), 10**9),
-        (lambda: search_delta(DeltaSearchSpec((2, 3), 8000, 5), workers=2), 8000),
+        # search_delta's tables reach the longest block end below the first
+        # prime above x_max: 8000 + 3 - 1, since 8001 and 8002 are composite
+        (lambda: search_delta(DeltaSearchSpec((2, 3), 8000, 5), workers=2), 8002),
+        # past the shared sieve's limit the prime scan stops at x_max
+        (lambda: search_delta(DeltaSearchSpec((2, 3), 10**25, 5)), 10**25),
     ):
         with pytest.raises(ResourceGuardError) as e:
             run()
@@ -455,8 +470,7 @@ def test_tables_build_factorials_without_factorial_expvec():
     from factprod import search
     from factprod.factorint import factorial_expvec
 
-    # the search reads every factorial from its own tables, and packs
-    # search_delta's block terms past x_max one factorize(j) at a time
+    # the search reads every factorial from its own tables
     assert not hasattr(search, "factorial_expvec")
     t = search._Tables(120, 4)
     assert [expvec(t, f, bias=False) for f in t.fact] == [
@@ -473,15 +487,13 @@ def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
         got = search_delta(DeltaSearchSpec(k_list, x_max, 4))
         assert set(factorint._fact_cache) == {0, 1}
         assert {(d.x, d.a) for d in got} == brute_delta_search(k_list, x_max, 4)
-    # an n! past x_max = 24 decodes to the literal exponents until n reaches
-    # 29, the first prime above x_max, and is refused from there on
-    t = search._Tables(24, 4, end=2011)
-    for n in (*range(20, 40), 1000, 2011):
-        res = t.residual([(n, 1)])
+    # search_delta's tables for x_max = 24 end at 28, below 29, the first
+    # prime above x_max; every n! they hold decodes to its literal exponents
+    t = search._Tables(28, 4)
+    for n in range(20, 29):
+        R, log_r = t.residual([(n, 1)])
         exps, rest = literal_fields(t, math.factorial(n))
-        assert (res is None) == (rest > 1) == (n >= 29)
-        if res is not None:
-            assert fields(t, res[0]) == exps and res[1] == math.lgamma(n + 1)
+        assert rest == 1 and fields(t, R) == exps and log_r == math.lgamma(n + 1)
     assert set(factorint._fact_cache) == {0, 1}
 
 
