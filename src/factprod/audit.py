@@ -22,10 +22,24 @@ reports the outcome with its margin; nothing here proves anything.  Checks:
 Every strict real-valued bound lhs < rhs (the prefix sums, the Stirling
 bounds, the abc window bound and chain inequalities 4 and 5) is decided by
 one helper, ``_bound``, with the same float slack and margin rhs - lhs.  The
-prefix audits return their rows as columns (``PrefixAudit``); AuditFinding
-rows are built from them only on request.  The chain_ineq4 bound has one
-definition shared by the abc report and the proof chain, and the
-(2/7) k log k bound one shared by the Erdos scan and chain_ineq5.
+chain_ineq4 bound has one definition shared by the abc report and the proof
+chain, and the (2/7) k log k bound one shared by the Erdos scan and
+chain_ineq5.
+
+The prefix audits return a ``PrefixAudit``: its violations and min_margin,
+and columns built only when read, from which AuditFinding rows are built
+only on request.  The columns sum with ``_prefix_sums`` (Kahan) and take
+logs with math.log, one Python call per point; the summary needs neither
+over every point.  It is a float prefilter plus an exact fallback, like the
+abc decision below.  With T_k the exact sum of the first k summands, all
+nonnegative, np.cumsum of the same summands is within gamma_{k-1} T_k of
+it and the Kahan sum within (2u + O(k u^2)) T_k (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 4), and np.log is within a relative
+_LOG_BAND of math.log (a test guards it); so each point's estimated margin
+lies in a known band around the column's.  A point whose band leaves out
+-SLACK and cannot hold the least margin is decided from the estimates; the
+columns are computed exactly up to the last point that is not, and
+min_margin is read from them.
 
 The Erdos ratio scan is columnar too: ``audit_erdos_pdelta`` takes, for
 blocks of x at once, the running max of the lpf table along k over each x's
@@ -33,19 +47,24 @@ run of composites, and returns the eligible windows as columns
 (``ErdosScanResult``); its AuditFinding rows are built only when read.
 
 The abc window scan is columnar: ``abc_scan`` yields ``AbcBlock``s of
-consecutive m1 rows, each from one numpy walk (``_smallest_pairs``) that
-keeps the two smallest (radical, offset) pairs along k for every row at
-once, and ``abc_window_report`` is the one-row view of the same code.  The
-scan reads log(c) from one table of math.log up to m1_max + k1_max.  The
-explicit-abc test is a float prefilter on 7*log N - 4*log c plus an exact
-c**4 < N**7 on Python ints for every row near the boundary, so the decision
-is made on integers.
+consecutive m1 rows, each from two running minima along k
+(``_smallest_pairs``) over (radical, offset) keys for every row at once,
+and ``abc_window_report`` is the one-row view of the same code.  A block
+holds each distinct triple once with the run of rows it covers; its
+summaries (the first row of the largest quality, the rows failing the
+explicit-abc test) are read off the triples, and its per-row columns are
+built only when read.  The scan reads log(c) from one table of math.log up
+to m1_max + k1_max.  The explicit-abc test is a float prefilter on
+7*log N - 4*log c plus an exact c**4 < N**7 on Python ints for every triple
+near the boundary, so the decision is made on integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -106,34 +125,54 @@ def _log(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, values.tolist()), np.float64, count=len(values))
 
 
-@dataclass(frozen=True, slots=True)
+_U = 2.0**-53  # unit roundoff of float64
+# Relative bound on |np.log(x) - math.log(x)| for the x the prefix audits
+# read: the prefilter estimates math.log columns by np.log within it.
+_LOG_BAND = 1e-14
+
+
+def _sum_band(sums: np.ndarray) -> np.ndarray:
+    """Bound on |np.cumsum(x) - _prefix_sums(x)| at every prefix of
+    nonnegative summands x, given sums = np.cumsum(x).
+
+    With T_k the exact sum of the first k summands, recursive summation errs
+    by at most gamma_{k-1} T_k and compensated summation by
+    (2u + O(k u^2)) T_k (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4), and T_k <= sums_k / (1 - gamma_{k-1}).  Twice
+    gamma_{k+2} = 2 (k+2) u / (1 - (k+2) u) covers the lot while k u is small."""
+    ku = np.arange(3, len(sums) + 3) * _U
+    return 2 * ku / (1 - ku) * sums
+
+
+@dataclass(frozen=True, eq=False)
 class PrefixAudit:
-    """One prefix-sum bound lhs < rhs (up to SLACK) evaluated at every point,
-    as columns; margin is rhs - lhs.  ``points`` holds the parameter values
-    (an object array when a float end point follows integer ones)."""
+    """One prefix-sum bound lhs < rhs (up to SLACK) evaluated at ``size``
+    points: its violations and min_margin, and the columns points, lhs, rhs,
+    ok and margin (rhs - lhs), built on first read as build(size).  build(m)
+    returns (points, lhs, rhs) of the first m points; ``points`` holds the
+    parameter values (an object array when a float end point follows
+    integer ones)."""
 
     check_id: str
     param: str
-    points: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    ok: np.ndarray
-    margin: np.ndarray
-
-    @classmethod
-    def of(cls, check_id: str, param: str, points, lhs, rhs) -> "PrefixAudit":
-        return cls(check_id, param, points, lhs, rhs, *_bound(lhs, rhs))
+    size: int
+    violations: int
+    min_margin: float | None
+    build: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.size
 
-    @property
-    def violations(self) -> int:
-        return len(self) - int(np.count_nonzero(self.ok))
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        points, lhs, rhs = self.build(self.size)
+        return (points, lhs, rhs, *_bound(lhs, rhs))
 
-    @property
-    def min_margin(self) -> float | None:
-        return float(self.margin.min()) if len(self) else None
+    points = property(lambda self: self._columns[0])
+    lhs = property(lambda self: self._columns[1])
+    rhs = property(lambda self: self._columns[2])
+    ok = property(lambda self: self._columns[3])
+    margin = property(lambda self: self._columns[4])
 
     def findings(self, violations_only: bool = False) -> list[AuditFinding]:
         """The rows as AuditFindings (all, or only those not ok)."""
@@ -156,12 +195,40 @@ def _primes(nu_max: float) -> np.ndarray:
     return table(int(nu_max) + 1).primes_upto(nu_max)
 
 
+def _prefix_audit(check_id: str, param: str, build, lhs, rhs, err) -> PrefixAudit:
+    """The PrefixAudit of build (see PrefixAudit), with violations and
+    min_margin decided from estimates lhs and rhs of its columns at every
+    point, where err bounds |lhs - column lhs| + |rhs - column rhs|.
+
+    Widened by 4u (|lhs| + |rhs| + |SLACK|), err also covers the rounding of
+    both margins and of rhs + SLACK, so it bounds the distance from the
+    estimated margin to the column's.  A point is decided when that band
+    leaves out -SLACK and the point cannot hold the least margin; build runs
+    up to the last point that is not, and the points after it are read off
+    the estimates."""
+    if not len(lhs):
+        return PrefixAudit(check_id, param, 0, 0, None, build)
+    margin = rhs - lhs
+    err = err + 4 * _U * (np.abs(lhs) + np.abs(rhs) + abs(SLACK))
+    undecided = (np.abs(margin + SLACK) <= err) | (margin - err <= (margin + err).min())
+    m = int(np.flatnonzero(undecided)[-1]) + 1
+    ok, exact = _bound(*build(m)[1:])
+    violations = m - int(np.count_nonzero(ok)) + int(np.count_nonzero(margin[m:] < -SLACK))
+    return PrefixAudit(check_id, param, len(lhs), violations, float(exact.min()), build)
+
+
 def audit_theta(nu_max: float) -> PrefixAudit:
     """Check theta(nu) < 1.00008 * nu at every prime <= nu_max (the only
     points where the left side jumps)."""
     ps = _primes(nu_max)
-    lhs = _prefix_sums(np.log(ps.astype(np.float64)))
-    return PrefixAudit.of("theta_upper", "nu", ps, lhs, THETA_COEFF * ps)
+    x = np.log(ps.astype(np.float64))
+    rhs = THETA_COEFF * ps
+
+    def build(m):
+        return ps[:m], _prefix_sums(x[:m]), rhs[:m]
+
+    lhs = np.cumsum(x)
+    return _prefix_audit("theta_upper", "nu", build, lhs, rhs, _sum_band(lhs))
 
 
 def audit_mertens(nu_max: float) -> PrefixAudit:
@@ -169,12 +236,23 @@ def audit_mertens(nu_max: float) -> PrefixAudit:
     nu = nu_max itself."""
     ps = _primes(nu_max)
     arr = ps.astype(np.float64)
-    points, lhs, rhs = ps, _prefix_sums(np.log(arr) / arr), _log(ps)
+    log_p = np.log(arr)
+    x = log_p / arr
+
+    def build(m):
+        points, lhs, rhs = ps[:m], _prefix_sums(x[:m]), _log(ps[:m])
+        if m > len(ps):  # the float end point
+            points = np.array([*ps.tolist(), float(nu_max)], dtype=object)
+            lhs = np.append(lhs, lhs[-1])
+            rhs = np.append(rhs, math.log(nu_max))
+        return points, lhs, rhs
+
+    lhs = np.cumsum(x)
+    err = _sum_band(lhs) + _LOG_BAND * log_p
     if len(ps) and float(nu_max) > float(ps[-1]):
-        points = np.array([*ps.tolist(), float(nu_max)], dtype=object)
-        lhs = np.append(lhs, lhs[-1])
-        rhs = np.append(rhs, math.log(nu_max))
-    return PrefixAudit.of("mertens_upper", "nu", points, lhs, rhs)
+        lhs, err = np.append(lhs, lhs[-1]), np.append(err, err[-1])
+        log_p = np.append(log_p, math.log(nu_max))
+    return _prefix_audit("mertens_upper", "nu", build, lhs, log_p, err)
 
 
 def audit_stirling_lower(n_max: int) -> PrefixAudit:
@@ -184,7 +262,17 @@ def audit_stirling_lower(n_max: int) -> PrefixAudit:
         raise ValueError("n_max must be >= 2")
     a = np.arange(2, n_max + 1, dtype=np.int64)
     af = a.astype(np.float64)
-    return PrefixAudit.of("stirling_lower", "a", a, af * _log(a) - af, _prefix_sums(np.log(af)))
+    x = np.log(af)
+
+    def build(m):
+        return a[:m], af[:m] * _log(a[:m]) - af[:m], _prefix_sums(x[:m])
+
+    # a*log(a) - a from np.log errs by _LOG_BAND a log(a), plus the rounding
+    # of the product and the difference on either side
+    a_log_a = af * x
+    rhs = np.cumsum(x)
+    err = _sum_band(rhs) + (_LOG_BAND + 5 * _U) * a_log_a
+    return _prefix_audit("stirling_lower", "a", build, a_log_a - af, rhs, err)
 
 
 def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
@@ -340,42 +428,79 @@ def audit_erdos_pdelta(
 # Radical products below this fit int64.
 _INT64_BOUND = 2**63
 # Relative band around 4*log(c) = 7*log(N) inside which float logs cannot
-# decide c < N^(7/4); rows there are decided by c**4 < N**7 on Python ints.
+# decide c < N^(7/4); triples there are decided by c**4 < N**7 on Python ints.
 _EXACT_BAND = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
+# The columns of a distinct abc triple, and of an abc window row, in output order.
+_TRIPLE_COLUMNS = ("d", "a", "b", "c", "radical_abc", "quality", "explicit_ok")
+ABC_COLUMNS = ("m1", "k1", "j1", "j2", *_TRIPLE_COLUMNS)
+
+
+@dataclass(frozen=True, eq=False)
 class AbcBlock:
     """Smallest-radical abc triples of consecutive windows, as columns in
-    (m1, k1) order.  Row i is the window [m1, m1 + k1): with terms
-    u = m1 + j1 and v = m1 + j2 of the two smallest radicals (ties broken by
-    smaller offset) and d = gcd(u, v), c is the larger of u/d, v/d, a the
-    smaller and b = |j1 - j2| / d, so a + b = c with a, b, c pairwise coprime.
+    (m1, k1) order: one row per window start in ``starts`` and per
+    k1_min <= k1 < k1_min + len(self) / len(starts).  Row i is the window
+    [m1, m1 + k1): with terms u = m1 + j1 and v = m1 + j2 of the two
+    smallest radicals (ties broken by smaller offset) and d = gcd(u, v), c is
+    the larger of u/d, v/d, a the smaller and b = |j1 - j2| / d, so a + b = c
+    with a, b, c pairwise coprime.
 
     quality = log(c) / log(N(abc)); explicit_ok records c < N(abc)^(7/4).
     radical_abc is int64, or an object array of Python ints where the
     product could overflow int64.  The explicit-abc inequality is
     conjectural: a False here is a reportable event, not an error.
+
+    Along k the pair, and with it the triple, changes only when a new term
+    enters the two smallest, so each distinct triple is held once:
+    ``triples`` maps each name of _TRIPLE_COLUMNS to one entry per triple,
+    and triple t covers the rows first[t] to first[t + 1] - 1.  j1 and j2 are
+    held per row; the per-row columns m1, k1 and those of ``triples`` are
+    built on first read.
     """
 
-    m1: np.ndarray
-    k1: np.ndarray
+    starts: np.ndarray
+    k1_min: int
     j1: np.ndarray
     j2: np.ndarray
-    d: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    radical_abc: np.ndarray
-    quality: np.ndarray
-    explicit_ok: np.ndarray
+    first: np.ndarray
+    triples: dict[str, np.ndarray] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.m1)
+        return len(self.j1)
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        # called only for names not set yet: build a per-row column once
+        if name in _TRIPLE_COLUMNS:
+            runs = np.diff(self.first, append=len(self))
+            col = self.triples[name][np.repeat(np.arange(len(self.first)), runs)]
+        elif name in ("m1", "k1"):
+            n_k = len(self) // len(self.starts)
+            k1 = np.arange(self.k1_min, self.k1_min + n_k, dtype=np.int64)
+            col = np.repeat(self.starts, n_k) if name == "m1" else np.tile(k1, len(self.starts))
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = col
+        return col
 
-# The columns of an abc window row, in output order.
-ABC_COLUMNS = tuple(f.name for f in fields(AbcBlock))
+    def _windows(self, rows: np.ndarray) -> list[tuple[int, int]]:
+        """(m1, k1) of each of the given row indices."""
+        n_k = len(self) // len(self.starts)
+        return list(zip(self.starts[rows // n_k].tolist(), (rows % n_k + self.k1_min).tolist()))
+
+    def max_quality(self) -> tuple[float, tuple[int, int]]:
+        """The largest quality and the (m1, k1) of the first row that has it."""
+        quality = self.triples["quality"]
+        t = int(quality.argmax())  # the first triple of the maximum
+        return float(quality[t]), self._windows(self.first[t : t + 1])[0]
+
+    def explicit_failures(self) -> list[tuple[int, int]]:
+        """(m1, k1) of every row whose triple fails c < N(abc)^(7/4), in row order."""
+        bad = np.flatnonzero(~self.triples["explicit_ok"]).tolist()
+        ends = np.append(self.first[1:], len(self))
+        rows = [row for t in bad for row in range(self.first[t], ends[t])]
+        return self._windows(np.array(rows, dtype=np.int64))
 
 
 @dataclass(frozen=True, slots=True)
@@ -401,33 +526,32 @@ class AbcTripleReport:
 def _smallest_pairs(win: np.ndarray, k1_min: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets (j1, j2) of the two lexicographically smallest (radical,
     offset) pairs among the first k terms of every row of ``win`` (radicals
-    of the terms m1, m1 + 1, ...), for k1_min <= k <= win.shape[1]; each
-    result has one row per window row and one column per k."""
-    rows, k1_max = win.shape
-    r0, o0 = win[:, 0].copy(), np.zeros(rows, dtype=np.int64)
-    r1, o1 = np.full(rows, np.iinfo(np.int64).max), np.zeros(rows, dtype=np.int64)
-    j1 = np.empty((rows, k1_max - k1_min + 1), dtype=np.int64)
-    j2 = np.empty_like(j1)
-    for k in range(2, k1_max + 1):
-        r = win[:, k - 1]
-        # a later offset never wins a tie, so only a strictly smaller radical moves
-        new0, new1 = r < r0, r < r1
-        r1 = np.where(new0, r0, np.where(new1, r, r1))
-        o1 = np.where(new0, o0, np.where(new1, k - 1, o1))
-        r0 = np.where(new0, r, r0)
-        o0 = np.where(new0, k - 1, o0)
-        if k >= k1_min:
-            j1[:, k - k1_min] = o0
-            j2[:, k - k1_min] = o1
-    return j1, j2
+    of the terms m1, m1 + 1, ...), for k1_min <= k <= win.shape[1] and
+    k1_min >= 2; each result has one row per window row and one column per k.
+
+    Each pair is one int64 key (radical << bits) | offset, so the smallest
+    among the first k is a running minimum s1, and the second smallest is the
+    least over 0 < j < k of max(s1 at j - 1, key j).  The keys must stay
+    below 2^63: the scan's radicals and offsets are below the sieve ceiling,
+    2^28, and abc_window_report passes ranks."""
+    k1_max = win.shape[1]
+    bits = (k1_max - 1).bit_length()
+    key = (win << bits) | np.arange(k1_max)
+    s1 = np.minimum.accumulate(key, axis=1)
+    below = np.empty_like(s1)  # s1 one column back; nothing below offset 0
+    below[:, 0] = np.iinfo(np.int64).max
+    below[:, 1:] = s1[:, :-1]
+    s2 = np.minimum.accumulate(np.maximum(below, key), axis=1)
+    offset = (1 << bits) - 1
+    return s1[:, k1_min - 1 :] & offset, s2[:, k1_min - 1 :] & offset
 
 
 def _abc_decision(c: np.ndarray, n: np.ndarray, log_of=_log) -> tuple[np.ndarray, np.ndarray]:
-    """quality log(c) / log(n) and the explicit-abc test c < n^(7/4) per row;
-    log_of maps c to its math.log values.
+    """quality log(c) / log(n) and the explicit-abc test c < n^(7/4) per
+    entry; log_of maps c to its math.log values.
 
     The test is read off 7*log(n) - 4*log(c) outside a relative _EXACT_BAND
-    of 7*log(n), far wider than the logs' rounding; every row inside it is
+    of 7*log(n), far wider than the logs' rounding; every entry inside it is
     decided exactly by c**4 < n**7 on Python ints.
     """
     log_c, log_n = log_of(c), _log(n)
@@ -444,25 +568,18 @@ def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of, log_of) -> 
     rad_of maps an int64 array to its radicals (int64 or Python ints) and
     log_of maps the int64 column c to its math.log values."""
     j1, j2 = _smallest_pairs(win, k1_min)
-    # Along k the pair, and with it the triple, changes only when a new term
-    # enters the two smallest: build each distinct triple once, then expand.
-    new = np.ones(j1.shape, dtype=bool)
+    new = np.ones(j1.shape, dtype=bool)  # the first row of each triple's run
     new[:, 1:] = (j1[:, 1:] != j1[:, :-1]) | (j2[:, 1:] != j2[:, :-1])
     n_k = j1.shape[1]
-    m1 = np.repeat(m1, n_k)
-    k1 = np.tile(np.arange(k1_min, k1_min + n_k, dtype=np.int64), len(win))
-    j1, j2, new = j1.ravel(), j2.ravel(), new.ravel()
-    at = np.flatnonzero(new)
-    lo, diff = m1[at] + np.minimum(j1[at], j2[at]), np.abs(j1[at] - j2[at])
+    j1, j2 = j1.ravel(), j2.ravel()
+    first = np.flatnonzero(new)
+    lo, diff = m1[first // n_k] + np.minimum(j1[first], j2[first]), np.abs(j1[first] - j2[first])
     d = np.gcd(lo, diff)  # gcd(u, v) = gcd(lo, hi - lo)
     a, b, c = lo // d, diff // d, (lo + diff) // d
     radical_abc = rad_of(a) * rad_of(b) * rad_of(c)
     quality, explicit_ok = _abc_decision(c, radical_abc, log_of)
-    row = np.cumsum(new) - 1
-    return AbcBlock(
-        m1, k1, j1, j2,
-        *(col[row] for col in (d, a, b, c, radical_abc, quality, explicit_ok)),
-    )
+    triples = dict(zip(_TRIPLE_COLUMNS, (d, a, b, c, radical_abc, quality, explicit_ok)))
+    return AbcBlock(m1, k1_min, j1, j2, first, triples)
 
 
 def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
@@ -500,9 +617,12 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         raise ValueError("a2 must be >= 2")
     rad = _Radicals()
     window = [rad[m1 + j] for j in range(k1)]
+    # the selection reads only the order of the radicals: their ranks keep
+    # the selection keys small however large the radicals are
+    ranks = np.unique(window, return_inverse=True)[1]
     block = _abc_block(
         np.array([m1], dtype=np.int64),
-        np.array([window], dtype=np.int64),
+        ranks.reshape(1, k1),
         k1,
         lambda xs: np.array([rad[x] for x in xs.tolist()], dtype=object),
         _log,

@@ -295,12 +295,10 @@ def cmd_audit(args) -> int:
         keep_rows = args.out is not None
         for block in abc_scan(args.m1_max, k_lo, k_hi):
             count += len(block)
-            i = int(block.quality.argmax())  # the first row of the block's maximum
-            if block.quality[i] > best_quality:
-                best_quality = float(block.quality[i])
-                best_at = (int(block.m1[i]), int(block.k1[i]))
-            bad = ~block.explicit_ok
-            explicit_failures.extend(zip(block.m1[bad].tolist(), block.k1[bad].tolist()))
+            quality, at = block.max_quality()
+            if quality > best_quality:
+                best_quality, best_at = quality, at
+            explicit_failures.extend(block.explicit_failures())
             if keep_rows:
                 cols = [getattr(block, name).tolist() for name in ABC_COLUMNS]
                 cols[-1] = ["true" if ok else "false" for ok in cols[-1]]

@@ -1,9 +1,14 @@
+import json
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factprod import audit
+from factprod.cli import main
 from factprod.audit import (
     ERDOS_COEFF,
     THETA_COEFF,
@@ -18,7 +23,7 @@ from factprod.audit import (
     findings_csv,
 )
 from factprod.equations import DeltaForm, FactorialEquation, Pairing, to_delta_form
-from factprod.factorint import delta, radical
+from factprod.factorint import delta, radical, table
 
 from oracles import abc_scan_rows, abc_window_row, erdos_pdelta_reference, factor_literal
 
@@ -77,6 +82,109 @@ def test_prefix_findings_are_the_columns():
     )
     assert me.min_margin == min(f.margin for f in rows)
     assert me.findings(violations_only=True) == []
+
+
+# ---------------------------------------------------------------- prefix summaries
+
+PREFIX_AUDITS = {"theta": audit_theta, "mertens": audit_mertens, "stirling": audit_stirling_lower}
+
+
+def _run_prefix(name, x):
+    return PREFIX_AUDITS[name](int(x) if name == "stirling" else x)
+
+
+def _from_columns(res):
+    """violations and min_margin recomputed from the full Kahan columns."""
+    return len(res) - int(np.count_nonzero(res.ok)), float(res.margin.min())
+
+
+def _decided_prefixes(mp):
+    """The m of every build(m) the prefix audits run, the decision's first."""
+    calls = []
+    decide = audit._prefix_audit
+
+    def spy(check_id, param, build, *estimates):
+        def counted(m):
+            calls.append(m)
+            return build(m)
+
+        return decide(check_id, param, counted, *estimates)
+
+    mp.setattr(audit, "_prefix_audit", spy)
+    return calls
+
+
+prefix_names = st.sampled_from(sorted(PREFIX_AUDITS))
+prefix_points = st.one_of(
+    st.integers(min_value=2, max_value=30000), st.floats(min_value=2, max_value=30000)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_names, prefix_points)
+def test_prefix_summary_equals_the_full_columns(name, x):
+    # a float nu above its last prime adds the Mertens float end point
+    res = _run_prefix(name, x)
+    assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_names, prefix_points, st.floats(min_value=0, max_value=1))
+def test_prefix_summary_decided_exactly_inside_the_band(name, x, where):
+    # SLACK = -margin of point i puts point i on the boundary, inside any
+    # band: the exact fallback must run through it
+    margins = _run_prefix(name, x).margin
+    i = int(where * (len(margins) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "SLACK", -float(margins[i]))
+        calls = _decided_prefixes(mp)
+        res = _run_prefix(name, x)
+        assert calls[0] > i
+        assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+@pytest.mark.parametrize("coeff", [0.97, 0.99, 0.995])
+def test_theta_violations_decided_over_many_points(monkeypatch, coeff):
+    # below 1 the coefficient makes theta(nu) cross it: the band is decided
+    # exactly up to the last crossing, thousands of points in
+    monkeypatch.setattr(audit, "THETA_COEFF", coeff)
+    calls = _decided_prefixes(monkeypatch)
+    res = audit_theta(30000)
+    assert calls[0] > 2000 and res.violations > 0
+    assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+def test_mertens_float_end_point_in_the_exact_prefix(monkeypatch):
+    # one ulp above 2 the end point's margin is within the band of the
+    # least margin, at p = 2: the exact prefix must include the end point
+    nu = math.nextafter(2.0, 3.0)
+    calls = _decided_prefixes(monkeypatch)
+    res = audit_mertens(nu)
+    assert res.points.tolist() == [2, nu] and calls[0] == 2
+    assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+def test_mertens_minimum_at_the_float_end_point(monkeypatch):
+    # log is increasing, so the end point never holds the least margin on
+    # its own; a math.log that lowers log(nu_max) alone puts it there
+    nu = 1000.5
+
+    def log(v):
+        return math.log(v) - (1.0 if v == nu else 0.0)
+
+    monkeypatch.setattr(audit, "math", types.SimpleNamespace(log=log))
+    calls = _decided_prefixes(monkeypatch)
+    res = audit_mertens(nu)
+    assert int(res.margin.argmin()) == len(res) - 1 and calls[0] == len(res)
+    assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+def test_np_log_stays_inside_the_prefilter_band():
+    # the prefix audits estimate their math.log columns by np.log within
+    # _LOG_BAND; a libm or numpy build outside it must fail here, not decide
+    for xs in (table(10**6 + 1).primes_upto(10**6), np.arange(2, 10**4 + 1)):
+        est = np.log(xs.astype(np.float64))
+        assert (np.abs(est - audit._log(xs)) <= audit._LOG_BAND * est).all()
 
 
 # ---------------------------------------------------------------- stirling
@@ -336,6 +444,62 @@ def test_abc_window_report_matches_python_walk(m1, k1):
     rep = abc_window_report(m1, k1)
     assert tuple(getattr(rep, name) for name in audit.ABC_COLUMNS) == abc_window_row(m1, k1)
     assert type(rep.radical_abc) is int and type(rep.explicit_ok) is bool
+
+
+@pytest.mark.parametrize("shape,block_windows", ABC_SHAPES, ids=[str(s) for s, _ in ABC_SHAPES])
+def test_abc_triple_summary_matches_the_rows(monkeypatch, shape, block_windows):
+    if block_windows is not None:
+        monkeypatch.setattr(audit, "_BLOCK_WINDOWS", block_windows)
+    for block in abc_scan(*shape):
+        i = int(block.quality.argmax())
+        bad = ~block.explicit_ok
+        assert block.max_quality() == (float(block.quality[i]), (int(block.m1[i]), int(block.k1[i])))
+        assert block.explicit_failures() == list(zip(block.m1[bad].tolist(), block.k1[bad].tolist()))
+
+
+def test_abc_explicit_failures_list_every_row_of_their_triples(monkeypatch, capsys):
+    decide = audit._abc_decision
+
+    def fail_c_divisible_by_5(c, n, log_of=audit._log):
+        quality, ok = decide(c, n, log_of)
+        return quality, ok & (c % 5 != 0)
+
+    monkeypatch.setattr(audit, "_abc_decision", fail_c_divisible_by_5)
+    monkeypatch.setattr(audit, "_BLOCK_WINDOWS", 1000)
+    blocks = list(abc_scan(300, 3, 30))
+    rows = list(_block_rows(blocks, "m1", "k1", "c", "explicit_ok"))
+    failed = [(m1, k1) for m1, k1, c, ok in rows if not ok]
+    assert failed == [(m1, k1) for m1, k1, c, _ in rows if c % 5 == 0]
+    assert sum(len(b.first) for b in blocks) < len(rows)  # triples span many rows
+    assert [w for b in blocks for w in b.explicit_failures()] == failed
+    assert main(["audit", "--check", "window", "--m1-max", "300", "--k1", "3:30"]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["explicit_abc_failures"] == [
+        list(w) for w in failed
+    ]
+
+
+def test_abc_max_quality_tie_goes_to_the_first_row(monkeypatch, capsys):
+    # (125, 3, 128) holds the maximum in 525 rows of 34 windows starts, over
+    # many blocks: the first row must win
+    monkeypatch.setattr(audit, "_BLOCK_WINDOWS", 500)
+    rows = list(_block_rows(abc_scan(300, 3, 30), "m1", "k1", "quality"))
+    best = max(q for _, _, q in rows)
+    tied = [(m1, k1) for m1, k1, q in rows if q == best]
+    assert len({m1 for m1, _ in tied}) > 1
+    assert main(["audit", "--check", "window", "--m1-max", "300", "--k1", "3:30"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["max_quality"], result["max_quality_at"]) == (best, list(tied[0]))
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
+def test_smallest_pairs_break_ties_by_the_smaller_offset(width):
+    # widths 2^m and 2^m + 1 bracket a change in the offset's bit width
+    win = np.random.default_rng(width).integers(1, 4, size=(100, width))
+    j1, j2 = audit._smallest_pairs(win, 2)
+    for row, o1, o2 in zip(win.tolist(), j1.tolist(), j2.tolist()):
+        for k in range(2, width + 1):
+            first, second = sorted((r, j) for j, r in enumerate(row[:k]))[:2]
+            assert (o1[k - 2], o2[k - 2]) == (first[1], second[1])
 
 
 def test_explicit_abc_boundary_decided_on_integers():

@@ -450,6 +450,36 @@ def test_audit_erdos_builds_no_rows_without_out(capsys, monkeypatch):
     assert result["eligible_windows"] == 4250
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--check", "theta", "--nu-max", "100000"),
+        ("--check", "mertens", "--nu-max", "100000.5"),
+        ("--check", "stirling", "--n-max", "10000"),
+        ("--check", "window", "--m1-max", "2000", "--k1", "3:30"),
+    ],
+)
+def test_audit_summary_builds_no_rows_without_out(capsys, monkeypatch, argv):
+    from factprod import audit
+
+    kahan = audit._prefix_sums
+
+    def short_kahan(values):
+        if len(values) > 100:
+            raise AssertionError(f"a Kahan pass over {len(values)} points without --out")
+        return kahan(values)
+
+    def no_rows(self, name):
+        raise AssertionError(f"the per-row column {name} was built without --out")
+
+    monkeypatch.setattr(audit, "_prefix_sums", short_kahan)
+    monkeypatch.setattr(audit.AbcBlock, "__getattr__", no_rows)
+    code, out, err = run_cli(capsys, "audit", *argv)
+    assert code == 0, err
+    _, result = parse_doc(out)
+    assert result.get("checked", result.get("windows")) > 1000
+
+
 def test_audit_chain_requires_equation(capsys):
     code, _, err = run_cli(capsys, "audit", "--check", "chain")
     assert code == 2 and "--equation" in err
