@@ -53,10 +53,12 @@ and ``abc_window_report`` is the one-row view of the same code.  A block
 holds each distinct triple once with the run of rows it covers; its
 summaries (the first row of the largest quality, the rows failing the
 explicit-abc test) are read off the triples, and its per-row columns are
-built only when read.  The scan reads log(c) from one table of math.log up
-to m1_max + k1_max.  The explicit-abc test is a float prefilter on
-7*log N - 4*log c plus an exact c**4 < N**7 on Python ints for every triple
-near the boundary, so the decision is made on integers.
+built only when read.  The triples' logs are np.log estimates; the
+explicit-abc test is a float prefilter on 7*log N - 4*log c plus an exact
+c**4 < N**7 on Python ints for every triple near the boundary, so the
+decision is made on integers.  The quality column is math.log, built when
+read; the largest quality is found among the estimates and made exact only
+for the triples within a few _QUALITY_BAND of the estimated maximum.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ def _log(values: np.ndarray) -> np.ndarray:
 
 _U = 2.0**-53  # unit roundoff of float64
 # Relative bound on |np.log(x) - math.log(x)| for the x the prefix audits
-# read: the prefilter estimates math.log columns by np.log within it.
+# read: the prefilter estimates math.log columns by np.log within it.  Both
+# take the log of the same float64 (math.log converts an int first), and
+# differ only by their libraries' rounding, an ulp or two.
 _LOG_BAND = 1e-14
 
 
@@ -430,6 +434,11 @@ _INT64_BOUND = 2**63
 # Relative band around 4*log(c) = 7*log(N) inside which float logs cannot
 # decide c < N^(7/4); triples there are decided by c**4 < N**7 on Python ints.
 _EXACT_BAND = 1e-9
+# Relative bound on |estimate - quality| of an abc triple, where quality is
+# math.log(c) / math.log(N) and the estimate the same ratio of np.log values:
+# with both logs within _LOG_BAND, the ratio is within about 2 * _LOG_BAND,
+# far inside this band (a test guards it on the scan's triples).
+_QUALITY_BAND = 1e-12
 
 
 # The columns of a distinct abc triple, and of an abc window row, in output order.
@@ -447,17 +456,21 @@ class AbcBlock:
     the larger of u/d, v/d, a the smaller and b = |j1 - j2| / d, so a + b = c
     with a, b, c pairwise coprime.
 
-    quality = log(c) / log(N(abc)); explicit_ok records c < N(abc)^(7/4).
-    radical_abc is int64, or an object array of Python ints where the
-    product could overflow int64.  The explicit-abc inequality is
-    conjectural: a False here is a reportable event, not an error.
+    quality = math.log(c) / math.log(N(abc)); explicit_ok records
+    c < N(abc)^(7/4).  radical_abc is int64, or an object array of Python
+    ints where the product could overflow int64.  The explicit-abc
+    inequality is conjectural: a False here is a reportable event, not an
+    error.
 
     Along k the pair, and with it the triple, changes only when a new term
     enters the two smallest, so each distinct triple is held once:
     ``triples`` maps each name of _TRIPLE_COLUMNS to one entry per triple,
     and triple t covers the rows first[t] to first[t + 1] - 1.  j1 and j2 are
     held per row; the per-row columns m1, k1 and those of ``triples`` are
-    built on first read.
+    built on first read, and so is triples["quality"].  ``_estimate`` holds
+    the np.log quality of each triple, within a relative _QUALITY_BAND of
+    its quality: max_quality reads it, and takes math.log only of the
+    triples near its maximum.
     """
 
     starts: np.ndarray
@@ -466,6 +479,7 @@ class AbcBlock:
     j2: np.ndarray
     first: np.ndarray
     triples: dict[str, np.ndarray] = field(repr=False)
+    _estimate: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.j1)
@@ -490,10 +504,25 @@ class AbcBlock:
         return list(zip(self.starts[rows // n_k].tolist(), (rows % n_k + self.k1_min).tolist()))
 
     def max_quality(self) -> tuple[float, tuple[int, int]]:
-        """The largest quality and the (m1, k1) of the first row that has it."""
-        quality = self.triples["quality"]
-        t = int(quality.argmax())  # the first triple of the maximum
-        return float(quality[t]), self._windows(self.first[t : t + 1])[0]
+        """The largest quality and the (m1, k1) of the first row that has it.
+
+        Qualities are positive and their estimates within a relative
+        _QUALITY_BAND b, so a triple of the largest quality Q has an estimate
+        of at least Q (1 - b) >= top (1 - b) / (1 + b) > top (1 - 3b), top
+        the largest estimate, with room to spare for rounding: only the
+        triples above that are made exact.  Most of them repeat one (c, N)
+        from neighbouring window starts, so math.log runs once per distinct
+        pair, at the first triple that has it."""
+        near = np.flatnonzero(self._estimate > self._estimate.max() * (1 - 3 * _QUALITY_BAND))
+        pairs = zip(self.triples["c"][near].tolist(), self.triples["radical_abc"][near].tolist())
+        first_of: dict[tuple[int, int], int] = {}
+        for i, pair in enumerate(pairs):
+            first_of.setdefault(pair, i)
+        c, n = (np.array(col, dtype=object) for col in zip(*first_of))
+        quality = _quality(c, n)
+        best = int(quality.argmax())  # the first pair, and so the first triple, of the maximum
+        t = int(near[list(first_of.values())[best]])
+        return float(quality[best]), self._windows(self.first[t : t + 1])[0]
 
     def explicit_failures(self) -> list[tuple[int, int]]:
         """(m1, k1) of every row whose triple fails c < N(abc)^(7/4), in row order."""
@@ -546,15 +575,33 @@ def _smallest_pairs(win: np.ndarray, k1_min: int) -> tuple[np.ndarray, np.ndarra
     return s1[:, k1_min - 1 :] & offset, s2[:, k1_min - 1 :] & offset
 
 
-def _abc_decision(c: np.ndarray, n: np.ndarray, log_of=_log) -> tuple[np.ndarray, np.ndarray]:
-    """quality log(c) / log(n) and the explicit-abc test c < n^(7/4) per
-    entry; log_of maps c to its math.log values.
+def _quality(c: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The exact quality math.log(c) / math.log(n) per entry."""
+    return _log(c) / _log(n)
+
+
+class _Triples(dict):
+    """The columns of an AbcBlock's triples; "quality" is built on first read."""
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name != "quality":
+            raise KeyError(name)
+        self[name] = q = _quality(self["c"], self["radical_abc"])
+        return q
+
+
+def _abc_decision(c: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quality estimate log(c) / log(n) and the explicit-abc test
+    c < n^(7/4) per entry, from np.log of the float64 values of c and n
+    (Python ints too).
 
     The test is read off 7*log(n) - 4*log(c) outside a relative _EXACT_BAND
     of 7*log(n), far wider than the logs' rounding; every entry inside it is
-    decided exactly by c**4 < n**7 on Python ints.
+    decided exactly by c**4 < n**7 on Python ints.  np.log and math.log take
+    the log of the same float64 and both land within that rounding, so the
+    test is the one the math.log values gave.
     """
-    log_c, log_n = log_of(c), _log(n)
+    log_c, log_n = np.log(c.astype(np.float64)), np.log(n.astype(np.float64))
     gap = 7 * log_n - 4 * log_c
     ok = gap > 0
     for i in np.flatnonzero(np.abs(gap) <= _EXACT_BAND * 7 * log_n).tolist():
@@ -562,11 +609,10 @@ def _abc_decision(c: np.ndarray, n: np.ndarray, log_of=_log) -> tuple[np.ndarray
     return log_c / log_n, ok
 
 
-def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of, log_of) -> AbcBlock:
+def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of) -> AbcBlock:
     """The AbcBlock of windows starting at each m1 (int64) with
-    k1_min <= k1 <= win.shape[1]; win[i, j] is the radical of m1[i] + j,
-    rad_of maps an int64 array to its radicals (int64 or Python ints) and
-    log_of maps the int64 column c to its math.log values."""
+    k1_min <= k1 <= win.shape[1]; win[i, j] is the radical of m1[i] + j and
+    rad_of maps an int64 array to its radicals (int64 or Python ints)."""
     j1, j2 = _smallest_pairs(win, k1_min)
     new = np.ones(j1.shape, dtype=bool)  # the first row of each triple's run
     new[:, 1:] = (j1[:, 1:] != j1[:, :-1]) | (j2[:, 1:] != j2[:, :-1])
@@ -577,9 +623,9 @@ def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of, log_of) -> 
     d = np.gcd(lo, diff)  # gcd(u, v) = gcd(lo, hi - lo)
     a, b, c = lo // d, diff // d, (lo + diff) // d
     radical_abc = rad_of(a) * rad_of(b) * rad_of(c)
-    quality, explicit_ok = _abc_decision(c, radical_abc, log_of)
-    triples = dict(zip(_TRIPLE_COLUMNS, (d, a, b, c, radical_abc, quality, explicit_ok)))
-    return AbcBlock(m1, k1_min, j1, j2, first, triples)
+    estimate, explicit_ok = _abc_decision(c, radical_abc)
+    triples = _Triples(d=d, a=a, b=b, c=c, radical_abc=radical_abc, explicit_ok=explicit_ok)
+    return AbcBlock(m1, k1_min, j1, j2, first, triples, estimate)
 
 
 def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
@@ -625,7 +671,6 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         ranks.reshape(1, k1),
         k1,
         lambda xs: np.array([rad[x] for x in xs.tolist()], dtype=object),
-        _log,
     )
     rep = AbcTripleReport(*(getattr(block, name).tolist()[0] for name in ABC_COLUMNS))
     # selection invariant: the chosen radicals are <= every other in the window
@@ -656,9 +701,6 @@ def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     if m1_max < 1:
         raise ValueError("m1_max must be >= 1")
     rad = radical_table(m1_max + k1_max)
-    # c < m1 + k1, so every log(c) is read from one table: logs[i] = math.log(i)
-    logs = np.zeros(m1_max + k1_max + 1)
-    logs[1:] = _log(np.arange(1, m1_max + k1_max + 1, dtype=np.int64))
     if (m1_max + k1_max) ** 2 * k1_max < _INT64_BOUND:
         rad_of = rad.__getitem__
     else:
@@ -668,7 +710,7 @@ def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     for lo in range(1, m1_max + 1, rows):
         hi = min(lo + rows, m1_max + 1)
         win = np.lib.stride_tricks.sliding_window_view(rad[lo : hi + k1_max - 1], k1_max)
-        yield _abc_block(np.arange(lo, hi, dtype=np.int64), win, k1_min, rad_of, logs.__getitem__)
+        yield _abc_block(np.arange(lo, hi, dtype=np.int64), win, k1_min, rad_of)
 
 
 def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFinding]:

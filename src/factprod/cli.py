@@ -14,6 +14,7 @@ line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -339,7 +340,11 @@ def cmd_abc(args) -> int:
     return EXIT_OK if rep.explicit_ok else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The factprod argument parser, built once per process: parse_args
+    leaves it unchanged (no argument has a mutable default or an append
+    action), so every call of main parses on the same one."""
     p = argparse.ArgumentParser(prog="factprod", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -342,27 +342,56 @@ def mertens_log_sum(nu: float) -> float:
     return float(math.fsum(np.log(ps) / ps))
 
 
+def _sieve_primes(limit: int):
+    """The primes up to limit, split for the radical and lpf sieves: the
+    small ones, p <= isqrt(limit), as Python ints in increasing order, one
+    strided op each; and one pass per multiplier j = 1 .. limit //
+    (isqrt(limit) + 1) over the large primes q with j*q <= limit, as arrays
+    (j*q, q).  An n <= limit has at most one prime factor above
+    isqrt(limit), since two would multiply past limit: so the indices j*q
+    are distinct within a pass and over all passes, and q is the largest
+    prime factor of j*q."""
+    primes = table(limit).primes_upto(limit)
+    root = math.isqrt(limit)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    large = primes[cut:]
+    counts = np.searchsorted(large, limit // np.arange(1, limit // (root + 1) + 1), side="right")
+    passes = ((j * large[:n], large[:n]) for j, n in enumerate(counts.tolist(), 1))
+    return primes[:cut].tolist(), passes
+
+
 def radical_table(limit: int) -> np.ndarray:
-    """rad[i] for 0 <= i <= limit by sieve; rad[0] = 0 and rad[1] = 1."""
+    """rad[i] for 0 <= i <= limit by sieve; rad[0] = 0 and rad[1] = 1.
+    Each small prime multiplies into its multiples by a strided op; the
+    large primes, each at most once a factor of any n <= limit, go in one
+    fancy-indexed pass per multiplier (see _sieve_primes)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     _check_ceiling(limit)
     rad = np.ones(limit + 1, dtype=np.int64)
     rad[0] = 0
-    for p in table(limit).primes_upto(limit):
-        p = int(p)
+    small, passes = _sieve_primes(limit)
+    for p in small:
         rad[p::p] *= p
+    for at, q in passes:
+        rad[at] *= q
     return rad
 
 
 def lpf_table(limit: int) -> np.ndarray:
-    """Largest-prime-factor table for 0 <= i <= limit; entry 1 is 1."""
+    """Largest-prime-factor table for 0 <= i <= limit; entry 1 is 1.
+    The small primes write their multiples in increasing order, so a larger
+    prime overwrites a smaller; then each large prime, the largest factor of
+    every n <= limit it divides, writes its multiples in one fancy-indexed
+    pass per multiplier (see _sieve_primes)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     _check_ceiling(limit)
     lpf = np.zeros(limit + 1, dtype=np.int64)
     lpf[1] = 1
-    for p in table(limit).primes_upto(limit):
-        p = int(p)
+    small, passes = _sieve_primes(limit)
+    for p in small:
         lpf[p::p] = p
+    for at, q in passes:
+        lpf[at] = q
     return lpf

@@ -11,7 +11,9 @@ is the engine's without the engine's float size cap, including the census
 rule that a right-hand entry is walked (one node) but never placed on the
 left.
 The per-window Python walk is the reference for the columnar abc window scan,
-and the per-(x, k) walk for the columnar Erdos ratio scan.
+and the per-(x, k) walk for the columnar Erdos ratio scan; both read radical
+and largest-prime-factor tables built here, one strided op per prime, not
+the package's tables.
 The density section at the end counts orderings for the c = inf region volume,
 keeps the Monte Carlo sampler in its first, one-array-per-operation form and
 the dense hit counter that tests every constraint on every sample, and
@@ -26,7 +28,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from factprod.audit import ERDOS_COEFF, AuditFinding
-from factprod.factorint import factorial_expvec, lpf_table, radical, radical_table, table
+from factprod.factorint import factorial_expvec, radical, table
 
 
 def factor_literal(n: int) -> dict[int, int]:
@@ -219,6 +221,35 @@ def full_vector_delta(k_list, x_max: int, t_max: int):
     return sols, nodes[0]
 
 
+def _primes_upto(limit: int) -> list[int]:
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
+
+
+def radical_table_reference(limit: int) -> np.ndarray:
+    """rad[i] for 0 <= i <= limit: every prime multiplies into all its
+    multiples, one strided op per prime; rad[0] = 0."""
+    rad = np.ones(limit + 1, dtype=np.int64)
+    rad[0] = 0
+    for p in _primes_upto(limit):
+        rad[p::p] *= p
+    return rad
+
+
+def lpf_table_reference(limit: int) -> np.ndarray:
+    """The largest prime factor of each i <= limit: every prime, in
+    increasing order, writes all its multiples; lpf[0] = 0 and lpf[1] = 1."""
+    lpf = np.zeros(limit + 1, dtype=np.int64)
+    lpf[1] = 1
+    for p in _primes_upto(limit):
+        lpf[p::p] = p
+    return lpf
+
+
 def _abc_walk(rad, m1s, k1_min: int, k1_max: int):
     """(m1, k1, j1, j2, d, a, b, c, radical_abc, quality, explicit_ok) for
     every m1 in m1s and k1_min <= k1 <= k1_max, one window at a time.
@@ -252,7 +283,7 @@ def _abc_walk(rad, m1s, k1_min: int, k1_max: int):
 
 def abc_scan_rows(m1_max: int, k1_min: int, k1_max: int) -> list[tuple]:
     """Every window row of the scan over m1 <= m1_max, from a list radical table."""
-    rad = radical_table(m1_max + k1_max).tolist()
+    rad = radical_table_reference(m1_max + k1_max).tolist()
     return list(_abc_walk(rad, range(1, m1_max + 1), k1_min, k1_max))
 
 
@@ -274,7 +305,7 @@ def erdos_pdelta_reference(x_range, k_range):
     x_lo, x_hi = x_range
     k_lo, k_hi = k_range
     limit = x_hi + k_hi - 1
-    lpf = lpf_table(limit)
+    lpf = lpf_table_reference(limit)
     flags = table(limit).flags
     findings = []
     min_ratio = None

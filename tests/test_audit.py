@@ -446,7 +446,13 @@ def test_abc_window_report_matches_python_walk(m1, k1):
     assert type(rep.radical_abc) is int and type(rep.explicit_ok) is bool
 
 
-@pytest.mark.parametrize("shape,block_windows", ABC_SHAPES, ids=[str(s) for s, _ in ABC_SHAPES])
+# the summary shapes add the benchmark-scale scan, too large for the Python walk
+SUMMARY_SHAPES = [*ABC_SHAPES, ((100000, 3, 50), None)]
+
+
+@pytest.mark.parametrize(
+    "shape,block_windows", SUMMARY_SHAPES, ids=[str(s) for s, _ in SUMMARY_SHAPES]
+)
 def test_abc_triple_summary_matches_the_rows(monkeypatch, shape, block_windows):
     if block_windows is not None:
         monkeypatch.setattr(audit, "_BLOCK_WINDOWS", block_windows)
@@ -457,12 +463,57 @@ def test_abc_triple_summary_matches_the_rows(monkeypatch, shape, block_windows):
         assert block.explicit_failures() == list(zip(block.m1[bad].tolist(), block.k1[bad].tolist()))
 
 
+def test_abc_quality_estimate_stays_inside_its_band(monkeypatch):
+    # max_quality reads np.log estimates within _QUALITY_BAND of the math.log
+    # quality; a libm or numpy build outside it must fail here, not decide
+    band = audit._QUALITY_BAND
+    for block in abc_scan(10**5, 3, 50):
+        quality = block.triples["quality"]
+        assert (np.abs(block._estimate - quality) <= band * quality).all()
+    # the Python-int radical products of a single window near 10^12
+    decide = audit._abc_decision
+    seen = []
+
+    def keep(c, n):
+        estimate, ok = decide(c, n)
+        seen.append((c, n, estimate))
+        return estimate, ok
+
+    monkeypatch.setattr(audit, "_abc_decision", keep)
+    for m1 in range(10**12, 10**12 + 30, 3):
+        rep = abc_window_report(m1, 12)
+        c, n, estimate = seen[-1]
+        assert n.dtype == object
+        assert abs(float(estimate[0]) - rep.quality) <= band * rep.quality
+        assert rep.quality == math.log(int(c[0])) / math.log(int(n[0]))
+
+
+def test_abc_max_quality_is_exact_when_the_estimate_errs(monkeypatch):
+    # an estimate error inside the band, rising along each block, moves the
+    # estimated maximum onto the last of the tied triples of (125, 3, 128);
+    # the exact quality still gives the first row of the first of them
+    decide = audit._abc_decision
+
+    def rising_error(c, n):
+        estimate, ok = decide(c, n)
+        return estimate * (1 + 0.5 * audit._QUALITY_BAND * np.linspace(0, 1, len(c))), ok
+
+    monkeypatch.setattr(audit, "_abc_decision", rising_error)
+    monkeypatch.setattr(audit, "_BLOCK_WINDOWS", 500)
+    moved = 0
+    for block in abc_scan(300, 3, 30):
+        i = int(block.quality.argmax())
+        assert block.max_quality() == (float(block.quality[i]), (int(block.m1[i]), int(block.k1[i])))
+        moved += int(block.first[block._estimate.argmax()]) != i
+    assert moved > 0
+
+
 def test_abc_explicit_failures_list_every_row_of_their_triples(monkeypatch, capsys):
     decide = audit._abc_decision
 
-    def fail_c_divisible_by_5(c, n, log_of=audit._log):
-        quality, ok = decide(c, n, log_of)
-        return quality, ok & (c % 5 != 0)
+    def fail_c_divisible_by_5(c, n):
+        estimate, ok = decide(c, n)
+        return estimate, ok & (c % 5 != 0)
 
     monkeypatch.setattr(audit, "_abc_decision", fail_c_divisible_by_5)
     monkeypatch.setattr(audit, "_BLOCK_WINDOWS", 1000)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -478,6 +479,70 @@ def test_audit_summary_builds_no_rows_without_out(capsys, monkeypatch, argv):
     assert code == 0, err
     _, result = parse_doc(out)
     assert result.get("checked", result.get("windows")) > 1000
+
+
+def test_audit_window_summary_takes_no_per_triple_log(capsys, monkeypatch, tmp_path):
+    from factprod import audit
+
+    logged = [0]
+    log = audit._log
+
+    def counting_log(values):
+        logged[0] += len(values)
+        return log(values)
+
+    monkeypatch.setattr(audit, "_log", counting_log)
+    argv = ("audit", "--check", "window", "--m1-max", "10000", "--k1", "3:50")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and parse_doc(out)[1]["windows"] == 480_000
+    # 58,269 distinct triples: math.log runs only for those near the maximum
+    assert logged[0] < 100
+    # --out still prints the math.log quality of every row
+    path = tmp_path / "windows.csv"
+    argv = ("audit", "--check", "window", "--m1-max", "300", "--k1", "3:50", "--out", str(path))
+    assert run_cli(capsys, *argv)[0] == 0
+    rows = path.read_text().splitlines()[2:]
+    assert len(rows) == 300 * 48
+    for row in rows:
+        c, radical_abc, quality = row.split(",")[7:10]
+        assert quality == repr(math.log(int(c)) / math.log(int(radical_abc)))
+
+
+def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
+    from factprod import cli
+
+    timestamp = re.compile(r'"timestamp": ?"[^"]*"')
+    path = tmp_path / "out.txt"
+    window = ("audit", "--check", "window", "--m1-max", "200", "--k1", "3:20")
+    search = ("search", "--n1-max", "16", "--t-max", "5", "--s-max", "2", "--c", "1", "--workers", "1")
+    calls = [
+        (*window, "--out", str(path)),
+        window,
+        (*search, "--nontrivial-only"),
+        search,
+        ("search", "--n1-max", "16"),  # argparse error: exit 2
+        ("abc", "--m1", "8", "--k1", "3"),
+    ]
+
+    def run(argv):
+        """(exit code, stdout or argparse's stderr, --out file), timestamps masked."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr().err, None
+        text = path.read_text() if path.exists() else None
+        path.unlink(missing_ok=True)
+        return code, timestamp.sub("", capsys.readouterr().out), text and timestamp.sub("", text)
+
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, 0]
+    assert reused[0][2] is not None and reused[1][2] is None
+    assert reused[2][1] != reused[3][1]  # --nontrivial-only did not stick
 
 
 def test_audit_chain_requires_equation(capsys):

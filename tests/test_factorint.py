@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,12 @@ from factprod.factorint import (
     vp_factorial,
 )
 
-from oracles import exponent_in_literal_factorial, factor_literal
+from oracles import (
+    exponent_in_literal_factorial,
+    factor_literal,
+    lpf_table_reference,
+    radical_table_reference,
+)
 
 
 # ---------------------------------------------------------------- primes
@@ -135,6 +141,28 @@ def test_tables_match_pointwise():
     for n in range(1, 501):
         assert int(rad[n]) == radical(n)
         assert int(lpf[n]) == largest_prime_factor(n)
+
+
+# every small limit, the limits on either side of each prime square (where
+# isqrt(limit) and with it the split into small and large primes moves), and
+# the benchmark's tables
+_SQUARES = [p * p + e for p in range(2, 1010) if largest_prime_factor(p) == p for e in (-1, 0, 1)]
+TABLE_LIMITS = [*range(1, 201), *_SQUARES, 10**5 + 49, 10**6 + 50]
+
+
+@functools.cache
+def _reference_tables() -> tuple[np.ndarray, np.ndarray]:
+    # rad(n) and P(n) do not depend on the limit: one reference table at the
+    # largest limit, sliced, serves every limit
+    top = max(TABLE_LIMITS)
+    return radical_table_reference(top), lpf_table_reference(top)
+
+
+@pytest.mark.parametrize("limit", TABLE_LIMITS)
+def test_tables_match_the_stride_reference(limit):
+    rad, lpf = _reference_tables()
+    assert np.array_equal(radical_table(limit), rad[: limit + 1])
+    assert np.array_equal(lpf_table(limit), lpf[: limit + 1])
 
 
 def test_tables_check_ceiling_before_allocating(monkeypatch):
