@@ -12,6 +12,7 @@ factorials out; big-integer products belong to the test oracles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -48,11 +49,11 @@ def _check_side(name: str, seq: tuple[int, ...]) -> None:
     if not seq:
         raise EquationError("empty", f"{name} side is empty")
     for v in seq:
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise EquationError("entries", f"{name} entry {v!r} is not an integer")
         if v < 2:
             raise EquationError("entries", f"{name} entry {v} is below 2")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+    if any(map(operator.lt, seq, seq[1:])):
         raise EquationError("ordering", f"{name} side not non-increasing: {seq}")
 
 
@@ -129,11 +130,28 @@ def residual(eq: FactorialEquation) -> ExpVec:
     return raw_residual(eq.lhs, eq.rhs)
 
 
+_packed_cache: dict[int, int] = {}
+
+
+def _packed(n: int) -> int:
+    """factorial_expvec(n) as one integer, the exponent of the i-th prime in its
+    i-th 64-bit field, memoized.  No field of a sum of fewer than 2^36 of them
+    carries: the sieve ceiling keeps every exponent below 2^28."""
+    if n not in _packed_cache:
+        fields = b"".join(e.to_bytes(8, "little") for _, e in factorial_expvec(n).entries)
+        _packed_cache[n] = int.from_bytes(fields, "little")
+    return _packed_cache[n]
+
+
+def _sides_equal(lhs, rhs) -> bool:
+    """raw_residual(lhs, rhs).is_zero(), decided on the packed vectors."""
+    return sum(map(_packed, lhs)) == sum(map(_packed, rhs))
+
+
 def adjacent_pairs(eq: FactorialEquation) -> tuple[tuple[int, int], ...]:
     """Distinct (a, n) value pairs with |a - n| = 1, sorted."""
-    found = {
-        (a, n) for a in set(eq.lhs) for n in set(eq.rhs) if abs(a - n) == 1
-    }
+    rhs = set(eq.rhs)
+    found = {(a, n) for a in set(eq.lhs) for n in (a - 1, a + 1) if n in rhs}
     return tuple(sorted(found))
 
 
@@ -157,7 +175,7 @@ def verify(eq: FactorialEquation) -> SolutionRecord:
     customary label disagrees with the adjacent-pair rule, census_note records
     the discrepancy.
     """
-    holds = residual(eq).is_zero()
+    holds = _sides_equal(eq.lhs, eq.rhs)
     if not holds:
         return SolutionRecord(eq, False, None)
     adj = adjacent_pairs(eq)
@@ -264,7 +282,7 @@ def delta_form_holds(df: DeltaForm) -> bool:
     """True iff prod(leftover!) equals prod of the blocks on exponent vectors:
     block (m, k) is (m + k - 1)! / (m - 1)!."""
     lhs = [*df.leftover, *(m - 1 for m, _ in df.blocks)]
-    return raw_residual(lhs, [m + k - 1 for m, k in df.blocks]).is_zero()
+    return _sides_equal(lhs, [m + k - 1 for m, k in df.blocks])
 
 
 def default_pairing(eq: FactorialEquation) -> Pairing | None:

@@ -1,50 +1,40 @@
 """Complete enumeration of factorial-product identities within bounds.
 
-The engine enumerates right-hand multisets, forms the target exponent vector,
-and extends the left side depth-first while maintaining the residual R.  Four
-prunes keep it exact and fast: (a) any negative exponent kills the branch,
-(b) the largest outstanding prime p* forces the next entry to be >= p* (only
-a! with a >= p* can supply p*), (c) depth is capped by t_max, and (d) the
-size cap: a! | R needs a! <= R, so a level starts at the largest a with
-log(a!) <= log R (plus a small float margin) instead of at its upper bound
-ub.  Orientation (rhs[0] > lhs[0]) is built into the descent bound.  In
-the census a left side may share no entry with its right side, so a walked
-value that is a right-hand entry is counted as a node but never placed.
-
-The residual is one Python integer: prime rank r owns a fixed-width bit
-field holding its exponent plus a bias, wide enough that no field ever
-borrows from its neighbour.  One integer add then updates every prime at
-once, prune (a) is one AND against the packed biases, R = 1 is one compare,
-and p* is read off the bit length; beside R the descent carries log R as a
-float.  One descent level subtracts cap! once and then walks a = cap,
-cap-1, ..., p*; since a! = a * (a-1)!, each step adds the packed factorize(a).
-R is immutable, so nothing is restored on the way back.  The float cap only
-skips values that cannot divide R; every value walked is still decided
-exactly on exponents.  One node is one value a level walks, cap >= a >= p*:
-a level charges its cap - p* + 1 nodes on entry, and the node budget is
-settled whenever _POLL or more are pending, so it bounds the work done.
-
-The census and the fixed-gap search are two target builders on one driver.
 A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
-whose target is prod n_j!, or a start vector x, whose target is
-prod (x_j + k_j - 1)! / (x_j - 1)!.  ``_Tables.left_sides`` descends the
-target; ``fanout.deal`` shares the units out, over forked processes that
-share one node counter or in-process, a census unit sends back plain (lhs,
-rhs, classification) rows, and they are merged in unit order and sorted on
-a canonical key ((n1, rhs, lhs) for the census), so results are identical
-for any worker count.  The census returns its rows as columns
-(``CensusResult``) and builds SolutionRecords only when they are read.
-Enumeration is structurally duplicate-free: both sides are generated
-non-increasing.
+whose target is prod n_j!, or a start vector x of the fixed-gap search,
+whose target is prod (x_j + k_j - 1)! / (x_j - 1)!.  A left side is found
+by a descent over the residual R, the target over the factorials placed so
+far.  A state's next entry a is at least p*, the largest prime dividing R
+(only a! with a >= p* supplies it), and at most its size cap, the largest a
+up to the last entry with log(a!) <= log R (plus a float margin); those
+cap - p* + 1 values are its nodes, charged to the node budget before its
+children are built.  A child is built only where a! | R, a zero child is a
+left side, depth is capped by t_max, and in the census a right-hand entry
+is walked but never placed.  Orientation (rhs[0] > lhs[0]) is built into
+the bound of the first entry, and both sides are non-increasing, so the
+enumeration is duplicate-free.
+
+The residual is a dense row of exponents over the primes up to n_max, and
+``_Tables`` expands every live state of a level at once in numpy, a batch
+of units at a time, depth first over chunks of at most _CELLS cells.
+``fanout.deal`` shares the units out over forked processes that share one
+node counter, or runs them in-process.  Each census left side is checked
+by ``verify`` on the equation's own exponent vectors, and the rows are
+merged in unit order and sorted on a canonical key ((n1, rhs, lhs) for the
+census), so results are identical for any worker count.  The census
+returns its rows as columns (``CensusResult``) and builds SolutionRecords
+only when they are read.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from math import comb, inf, lgamma
+from math import comb, inf, isqrt, lgamma
+
+import numpy as np
 
 from . import fanout
 from .equations import (
@@ -57,7 +47,7 @@ from .equations import (
     to_delta_form,
     verify,
 )
-from .factorint import _legendre, factorize, table
+from .factorint import _legendre, lpf_table, table
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,18 +192,20 @@ class _Budget:
         return self.nodes if self.shared is None else self.shared.value
 
 
-_POLL = 2048  # budget poll granularity, in descent nodes
-
 # Slack on the size cap log(a!) <= log R, whose two sides are sums of float
 # lgamma values.  The cap binds only where log R < log(n_max!) <= log(7876!)
 # ~ 6.3e4, and there each sum errs by well under 1e-9 (7e-12 for a! * b! at
 # the table bound).  With no slack at all, exact ties lose records.
 _LOG_MARGIN = 1e-6
 
-# Most (rank, exponent) pairs the tables of every a! with a <= n_max may hold.
-# The packed row of a! spends one field of _Tables.width bits (16 at n_max =
-# 7876 with s = 3) on each of its pi(a) pairs, so a pair takes at most 8 bytes.
+# Most (rank, exponent) pairs the tables of every a! with a <= n_max may hold:
+# the nonzero entries of the dense rows, so the tables stay below 16 MiB.
 _TABLE_PAIRS = 1 << 22
+
+# Most rows x columns one chunk of children may hold, and the units one
+# batch of the descent starts together.
+_CELLS = 1 << 17
+_UNIT_BATCH = 512
 
 
 def _table_pairs(n_max: int) -> int:
@@ -243,25 +235,42 @@ def _unit_count(first_max: int, least: int, min_len: int, max_len: int) -> int:
     return count
 
 
-class _Tables:
-    """Packed-residual lookup tables, built once per search.
+def _size_cap(logfact: np.ndarray, log_r, ub):
+    """The largest a <= ub with log(a!) <= log_r, up to _LOG_MARGIN, for
+    each entry: a! can divide a residual R = exp(log_r) only if a! <= R."""
+    return np.minimum(np.searchsorted(logfact, log_r + _LOG_MARGIN, "right"), ub + 1) - 1
 
-    ``primes`` lists the primes up to ``n_max`` by rank.  An exponent vector
-    is one integer: prime rank r owns the ``width`` bits at offset r * width.
-    ``step[a]`` and ``fact[a]`` pack factorize(a) and a!, and ``logfact[a]``
-    is log(a!), for every a <= ``n_max``: the entries the descent can place
-    and every factorial a target reads; left sides have at most ``t_max``
-    entries.  A residual holds each exponent e as e + 2^(width-1), and
-    ``zero`` packs the exponent-free residual, so R & zero == zero says that
-    no exponent is negative and R == zero that R = 1.  A target divides
-    ``terms`` factorials of at most n_max; the width holds their summed
-    exponents, and the exponent of one subtracted a!, with a sign bit to
-    spare, so no field ever borrows from its neighbour; it is rounded up to
-    8, 16, 32 or 64 bits.  Tables over the _TABLE_PAIRS budget, or for a
+
+def _ranks(count):
+    """0, 1, ..., count[i] - 1 for each i, concatenated."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count, count)
+
+
+class _Chunk:
+    """Charged live states of one depth: state i placed ``lhs[i]``; its children are
+    ``count[i]`` values down from ``high[i]`` (at the census root, its ``kids``)."""
+
+    def __init__(self, unit, rows, logr, lhs, high, count, width, kids=None):
+        self.unit, self.rows, self.logr, self.lhs, self.high = unit, rows, logr, lhs, high
+        self.count, self.width, self.kids = count, width, kids
+        self.ends, self.start = np.cumsum(count), 0
+
+
+class _Tables:
+    """Dense factorial tables, built once per search, and the descent.
+
+    ``fact[a]`` is the Legendre row of a!: its exponent of each prime up to
+    ``n_max``, by rank, for every a <= n_max (the entries the descent can
+    place and every factorial a target reads), and ``logfact[a]`` is
+    log(a!).  ``most[off[r] + e]`` is the largest a with v_p(a!) <= e for
+    the prime p of rank r.  A target divides ``terms`` factorials and a
+    residual is never negative, so the dtype holds ``terms`` times the
+    exponent of 2 in n_max!.  Tables over the _TABLE_PAIRS budget, or for a
     search of ``units`` work units (from _unit_count) over _UNIT_BUDGET,
     raise ResourceGuardError before anything is built."""
 
-    __slots__ = ("primes", "width", "zero", "step", "fact", "logfact", "t_max")
+    __slots__ = ("primes", "fact", "logfact", "top", "off", "most", "below", "lpf", "t_max")
 
     def __init__(self, n_max: int, t_max: int, units: int = 0, terms: int = 1) -> None:
         pairs = _table_pairs(n_max)
@@ -277,83 +286,158 @@ class _Tables:
                 f"above the budget of {_UNIT_BUDGET}",
                 [],
             )
-        self.primes = [int(p) for p in table(n_max).primes_upto(n_max)]
-        # 2 has the largest exponent in any factorial
-        bits = (terms * _legendre(n_max, 2)).bit_length() + 1
-        w = self.width = max(8, 1 << (bits - 1).bit_length())
-        self.zero = int.from_bytes(
-            (1 << (w - 1)).to_bytes(w // 8, "little") * len(self.primes), "little"
-        )
-        shift = {p: r * w for r, p in enumerate(self.primes)}
-        self.step = [0, 0] + [
-            sum(e << shift[p] for p, e in factorize(a)) for a in range(2, n_max + 1)
-        ]
-        self.fact = [0, 0]
-        for step in self.step[2:]:  # a! = (a-1)! * a
-            self.fact.append(self.fact[-1] + step)
-        self.logfact = [lgamma(a + 1) for a in range(n_max + 1)]
+        primes = self.primes = table(n_max).primes_upto(n_max)
+        # 2 has the largest exponent in any factorial; the guards keep it < 2^31
+        dtype = np.int16 if (terms * _legendre(n_max, 2)).bit_length() < 16 else np.int32
+        self.fact = np.zeros((n_max + 1, 0), dtype)
+        small = int(np.searchsorted(primes, isqrt(n_max), "right"))
+        fact = self.columns(small)
+        # v_p(a!) = a // p for p > sqrt(n_max), so there A = p(e + 1) - 1
+        top = self.top = n_max // primes
+        top[:small] = fact[-1]
+        self.off = np.cumsum(top + 1) - top - 1
+        self.most = np.minimum(np.repeat(primes, top + 1) * (_ranks(top + 1) + 1) - 1, n_max)
+        for j, e in enumerate(top[:small].tolist()):
+            run = np.searchsorted(fact[:, j], np.arange(e + 1), "right") - 1
+            self.most[self.off[j] : self.off[j] + e + 1] = run
+        self.logfact = np.array([lgamma(a + 1) for a in range(n_max + 1)])
+        lpf = self.lpf = lpf_table(max(n_max, 1))
+        n = np.arange(len(lpf))
+        self.below = np.maximum.accumulate(np.where(lpf == n, n, 0))  # largest prime <= n
         self.t_max = t_max
 
-    def residual(self, target) -> tuple[int, float]:
-        """The packed exponent vector and the logarithm of the target, the
-        integer prod(n! ** sign) over its (n, sign) terms, each n <= n_max."""
-        R, log_r = self.zero, 0.0
+    def columns(self, width: int) -> np.ndarray:
+        """``fact`` with at least ``width`` columns: a level reads only those up to
+        its largest cap, so they are built when first read, twice as many each time."""
+        if width > self.fact.shape[1]:
+            ps = self.primes[: min(len(self.primes), max(width, 2 * self.fact.shape[1]))]
+            a = np.arange(len(self.fact), dtype=self.fact.dtype)
+            self.fact = a[:, None] // ps.astype(a.dtype)
+            for j, p in enumerate(ps[ps * ps < len(a)].tolist()):
+                q = p * p
+                while q < len(a):
+                    self.fact[:, j] += a // q
+                    q *= p
+        return self.fact
+
+    def residual(self, target, width=None):
+        """The rows (``width`` columns) and logarithms of the targets prod(n! ** sign)
+        over (n, sign) terms, n <= n_max an array with one entry per target, or an int."""
+        fact = self.columns(len(self.primes) if width is None else width)
+        rows, log_r = 0, 0.0
         for n, sign in target:
-            R += sign * self.fact[n]
-            log_r += sign * self.logfact[n]
-        return R, log_r
+            rows = rows + sign * fact[n, :width]
+            log_r = log_r + sign * self.logfact[n]
+        return rows, log_r
 
-    def left_sides(
-        self, target, ub: int, budget: _Budget, skip=frozenset()
-    ) -> list[tuple[int, ...]]:
-        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2,
-        t <= t_max and no entry in ``skip`` whose factorials multiply to the
-        target.  The budget is settled before returning, so a unit's nodes
-        are all counted before it completes."""
-        out: list[tuple[int, ...]] = []
-        R, log_r = self.residual(target)
-        if R != self.zero:
-            budget.spend(_descend(self, budget, out, R, [], ub, log_r, 0, skip))
-        return out
+    def left_sides(self, target, ub, budget: _Budget, unit):
+        """Every non-increasing (a_1, ..., a_t) with ub >= a_1, a_t >= 2 and t <= t_max
+        whose factorials multiply to the target (> 1) of each ``unit``; see _walk."""
+        rows, logr = self.residual(target)
+        lhs = np.zeros((len(unit), 0), np.intp)
+        return self._walk(unit, budget, lambda: self._expand(unit, rows, logr, ub, lhs, budget))
 
+    def census(self, batch, budget: _Budget):
+        """The left sides of each right-hand side in ``batch`` that place no right-hand
+        entry; see _walk.  The root runs on scalars: (n_1, ..., n_s) has p* = p(n_1), the
+        largest prime <= n_1, and cap n_1 - 1; its child a_1 is the block (a_1 + 1)...n_1
+        times n_2! ... n_s!, whose p* is the larger of the block's largest prime factor
+        (a running max of ``lpf``) and p(n_2), so a dead child (cap < p*) builds no row."""
+        s = max(map(len, batch)) + 1  # a zero column: n_2 = 0 when s = 1
+        rhs = np.array([r + (0,) * (s - len(r)) for r in batch])
+        unit = np.arange(len(batch))
+        logr = self.residual([(n, 1) for n in rhs.T], 0)[1]
 
-def _size_cap(logfact: list[float], log_r: float, ub: int) -> int:
-    """The largest a <= ub with log(a!) <= log_r, up to _LOG_MARGIN: a! can
-    divide a residual R = exp(log_r) only if a! <= R."""
-    return bisect_right(logfact, log_r + _LOG_MARGIN, 0, ub + 1) - 1
+        def root():
+            count = np.maximum(rhs[:, 0] - self.below[rhs[:, 0]], 0)
+            budget.spend(int(count.sum()))
+            rep = np.repeat(unit, count)
+            a = rhs[rep, 0] - 1 - _ranks(count)
+            shift = rep * len(self.lpf)
+            block = np.maximum.accumulate(self.lpf[a + 1] + shift) - shift
+            low = np.maximum(block, self.below[rhs[rep, 1]])
+            cap = _size_cap(self.logfact, logr[rep] - self.logfact[a], a)
+            live = cap >= low
+            width = np.searchsorted(self.primes, cap[live].max(initial=0), "right")
+            count = np.bincount(rep[live], minlength=len(unit))
+            return _Chunk(unit, None, logr, rhs[:, :0], None, count, width, a[live])
 
+        return self._walk(unit, budget, root, rhs)
 
-def _descend(t: _Tables, budget: _Budget, out, R, lhs, ub, log_r, pending, skip) -> int:
-    """One level of the descent over a packed residual R != 1 with no
-    negative exponent and logarithm ``log_r``; appends every completed left
-    side to ``out``.  It walks a = cap, ..., p* and charges those values as
-    nodes on entry; a walked value in ``skip`` is never placed.  Returns the
-    count of nodes not yet charged to the budget."""
-    Z = t.zero
-    # p*, the prime of the top nonzero field: only a! with a >= p* supplies it
-    lo = t.primes[((R ^ Z).bit_length() - 1) // t.width]
-    cap = _size_cap(t.logfact, log_r, ub)
-    if cap < lo:
-        return pending
-    pending += cap - lo + 1
-    if pending >= _POLL:
-        budget.spend(pending)
-        pending = 0
-    step = t.step
-    deeper = len(lhs) + 1 < t.t_max
-    R -= t.fact[cap]
-    for a in range(cap, lo - 1, -1):
-        if R & Z == Z and a not in skip:
-            lhs.append(a)
-            if R == Z:
-                out.append(tuple(lhs))
-            elif deeper:
-                pending = _descend(
-                    t, budget, out, R, lhs, a, log_r - t.logfact[a], pending, skip
-                )
-            lhs.pop()
-        R += step[a]  # R - a! becomes R - (a-1)!
-    return pending
+    def _expand(self, unit, rows, logr, ub, lhs, budget: _Budget):
+        """Charge each state its cap - p* + 1 nodes and keep the live ones
+        (cap >= p*), on the columns up to their largest cap.  Children a
+        run down from min(cap, A), A the largest a with a! | R; at the last
+        level only R = A! completes a left side."""
+        width = rows.shape[1]
+        low = self.primes[width - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)]
+        cap = _size_cap(self.logfact, logr, ub)
+        live = np.flatnonzero(cap >= low)
+        budget.spend(int((cap[live] - low[live]).sum()) + len(live))
+        if not len(live):
+            return None
+        low, cap = low[live], cap[live]
+        width = np.searchsorted(self.primes, cap.max(), "right")
+        rows = rows[live, :width]
+        most = self.most[self.off[:width] + np.minimum(rows, self.top[:width])].min(1)
+        # no live row has a nonzero column past its cap, so the prime after
+        # the columns kept (or n_max + 1) bounds A
+        most = np.minimum(most, np.append(self.primes, len(self.logfact))[width] - 1)
+        high = np.minimum(cap, most)
+        if lhs.shape[1] + 1 < self.t_max:
+            count = np.maximum(high - low + 1, 0)
+        else:
+            count = ((most <= cap) & (most >= low)).astype(np.intp)
+        return _Chunk(unit[live], rows, logr[live], lhs[live], high, count, width)
+
+    def _walk(self, unit, budget: _Budget, root, rhs=None):
+        """Run the descent from ``root()`` depth first over chunks: the top chunk builds
+        the children of its next states, as many as fit in _CELLS cells; a zero row is a
+        left side.  Returns ({unit: [lhs, ...]}, the units with a state left on the stack
+        or in the current chunk), the second empty unless the budget tripped."""
+        found, stack, current = defaultdict(list), [], unit
+
+        def push(chunk):
+            if chunk is not None and chunk.ends[-1]:
+                stack.append(chunk)
+
+        try:
+            push(root())
+            while stack:
+                par = stack[-1]
+                s0 = par.start
+                limit = (par.ends[s0 - 1] if s0 else 0) + _CELLS // max(par.width, 1)
+                par.start = max(s0 + 1, int(np.searchsorted(par.ends, limit, "right")))
+                if par.start == len(par.ends):
+                    stack.pop()
+                count = par.count[s0 : par.start]
+                rep = np.repeat(np.arange(s0, par.start), count)
+                if par.kids is None:
+                    a = par.high[rep] - _ranks(count)
+                else:
+                    first = par.ends[s0] - count[0]
+                    a = par.kids[first : first + len(rep)]
+                if rhs is not None:  # the census never places a right-hand entry
+                    keep = (a[:, None] != rhs[par.unit[rep]]).all(1)
+                    rep, a = rep[keep], a[keep]
+                u = par.unit[rep]
+                if par.rows is None:
+                    rows = self.residual([(n, 1) for n in rhs[u].T], par.width)[0]
+                else:
+                    rows = par.rows[rep]
+                rows -= self.columns(par.width)[a, : par.width]
+                lhs = np.column_stack((par.lhs[rep], a))
+                go = rows.any(1)
+                for k, left in zip(u[~go].tolist(), lhs[~go].tolist()):
+                    found[k].append(tuple(left))
+                if lhs.shape[1] < self.t_max and go.any():
+                    current = u[go]
+                    logr = par.logr[rep[go]] - self.logfact[a[go]]
+                    push(self._expand(current, rows[go], logr, a[go], lhs[go], budget))
+        except _GuardTrip:
+            left = {k for par in stack for k in par.unit[par.start :].tolist()}
+            return found, left | set(current.tolist())
+        return found, set()
 
 
 def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
@@ -371,12 +455,11 @@ def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
         yield from grow((first,))
 
 
-def _census_unit(rhs: tuple[int, ...], spec: SearchSpec, tables: _Tables, budget: _Budget):
-    """The (lhs, rhs, classification) rows of one right-hand side: its left
-    sides that share no entry with it, verified and filtered."""
+def _census_rows(rhs: tuple[int, ...], found, spec: SearchSpec):
+    """The (lhs, rhs, classification) rows of one right-hand side from the
+    left sides the descent ``found`` for it, verified and filtered."""
     rows = []
-    target = [(n, 1) for n in rhs]
-    for lhs in tables.left_sides(target, rhs[0] - 1, budget, frozenset(rhs)):
+    for lhs in found:
         rec = verify(FactorialEquation(lhs, rhs))
         cls = rec.classification
         if cls != NONTRIVIAL and (spec.nontrivial_only or spec.c is not None):
@@ -413,36 +496,36 @@ class CensusResult:
         return out
 
 
-def _run_slice(units, indices, work, budget: _Budget) -> tuple[dict, str]:
-    """Run the units at ``indices`` in order until the budget trips; returns
-    ({index: result} for the completed units, trip reason or "")."""
+def _run_slice(units, indices, descend, finish, budget: _Budget) -> tuple[dict, str]:
+    """Run the units at ``indices`` in order, _UNIT_BATCH at a time, until the budget
+    trips; returns ({index: result} for the completed units, trip reason or "")."""
     done = {}
-    for i in indices:
-        try:
-            done[i] = work(units[i], budget)
-        except _GuardTrip:
+    for k in range(0, len(indices), _UNIT_BATCH):
+        batch = indices[k : k + _UNIT_BATCH]
+        found, left = descend([units[i] for i in batch], budget)
+        for j, i in enumerate(batch):
+            if j not in left:
+                done[i] = finish(units[i], found.get(j, ()))
+        if left:
             return done, budget.reason
     return done, ""
 
 
-def _run_units(units, work, workers: int, guards: SearchGuards, key, collect=list):
-    """Run independent work units ``work(unit, budget) -> list`` under one
-    node/time budget; returns ``collect`` of their results joined in unit
-    order and sorted stably on ``key``.  A tripped guard raises
+def _run_units(units, descend, finish, workers: int, guards: SearchGuards, key, collect=list):
+    """Run independent work units under one node/time budget: ``descend(batch,
+    budget)`` gives each unit's left sides and the units a trip left unfinished, and
+    ``finish(unit, left sides) -> list`` its results.  Returns ``collect`` of the
+    results joined in unit order and sorted stably on ``key``; a tripped guard raises
     ResourceGuardError carrying ``collect`` of the completed units' results.
 
-    ``fanout.deal`` deals the units round-robin (unit i to share i mod n,
-    since unit cost grows with the first entry) to forked processes, or runs
-    them in-process.  With ``workers > 1`` the shares draw on one shared node
-    counter, so max_nodes stays a global ceiling; with one worker the
-    counter is a plain integer and takes no lock.  The children inherit the
-    search tables and run only the pure-Python descent; their results cross
-    the pipe as they are.
-    """
+    ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
+    to forked children, which inherit the tables, run the descent and the exact check
+    and draw on one shared node counter, or runs them in-process, where the counter is
+    a plain integer that takes no lock."""
     units = list(units)
     budget = _Budget(guards, multiprocessing.Value("q", 0) if workers > 1 else None)
     parts = fanout.deal(
-        lambda share: _run_slice(units, share, work, budget), range(len(units)), workers
+        lambda share: _run_slice(units, share, descend, finish, budget), range(len(units)), workers
     )
     done: dict = {}
     for part, _ in parts:
@@ -474,7 +557,8 @@ def search_factorial_products(
     tables = _Tables(spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
     return _run_units(
         _non_increasing(*shape),
-        lambda rhs, budget: _census_unit(rhs, spec, tables, budget),
+        tables.census,
+        lambda rhs, found: _census_rows(rhs, found, spec),
         workers,
         guards,
         key=lambda row: (row[1][0], row[1], row[0]),
@@ -505,16 +589,18 @@ def search_delta(
         top += 1
     tables = _Tables(top, spec.t_max, _unit_count(*shape), len(spec.k_list))
 
-    def unit(xs: tuple[int, ...], budget: _Budget) -> list[DeltaSolution]:
-        ends = [x + k - 1 for x, k in zip(xs, spec.k_list)]
-        if max(ends) > top:
-            return []
-        target = [(n, 1) for n in ends] + [(x - 1, -1) for x in xs]
-        return [DeltaSolution(xs, lhs) for lhs in tables.left_sides(target, xs[0] - 1, budget)]
+    def descend(batch, budget: _Budget):
+        xs = np.array(batch)
+        ends = xs + np.array(spec.k_list) - 1
+        unit = np.flatnonzero(ends.max(1) <= top)  # the others have no state
+        xs, ends = xs[unit], ends[unit]
+        target = [(n, 1) for n in ends.T] + [(x - 1, -1) for x in xs.T]
+        return tables.left_sides(target, xs[:, 0] - 1, budget, unit)
 
     return _run_units(
         _non_increasing(*shape),
-        unit,
+        descend,
+        lambda xs, found: [DeltaSolution(xs, lhs) for lhs in found],
         workers,
         guards,
         key=lambda r: (r.x[0], r.x, r.a),

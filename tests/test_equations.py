@@ -268,3 +268,88 @@ def test_in_nc_rejects_trivial_solution():
     eq = FactorialEquation((23, 4), (24,))
     assert verify(eq).classification == TRIVIAL
     assert not in_nc(eq, Pairing((1,)), 5)
+
+
+# ---------------------------------------------------------------- exact check
+
+class _IntSub(int):
+    pass
+
+
+# (lhs, rhs, (code, message) or None), as FactorialEquation raised them
+# before its side check took the fast path: the same checks, entry by entry
+BAD_SIDES = [
+    ((), (7,), ("empty", "lhs side is empty")),
+    ((7,), (), ("empty", "rhs side is empty")),
+    ((7, 8), (10,), ("ordering", "lhs side not non-increasing: (7, 8)")),
+    ((7, 1), (10,), ("entries", "lhs entry 1 is below 2")),
+    ((1, "x"), (10,), ("entries", "lhs entry 1 is below 2")),
+    (("x", 1), (10,), ("entries", "lhs entry 'x' is not an integer")),
+    ((7, 2.0), (10,), ("entries", "lhs entry 2.0 is not an integer")),
+    ((True,), (10,), ("entries", "lhs entry True is not an integer")),
+    ((7, None), (10,), ("entries", "lhs entry None is not an integer")),
+    ((7, 0), (10,), ("entries", "lhs entry 0 is below 2")),
+    ((7, -3), (10,), ("entries", "lhs entry -3 is below 2")),
+    ((3, 3, 4, 2), (10,), ("ordering", "lhs side not non-increasing: (3, 3, 4, 2)")),
+    ((7, 5, 3), (10, 11), ("ordering", "rhs side not non-increasing: (10, 11)")),
+    ((7, 5), (10, 1), ("entries", "rhs entry 1 is below 2")),
+    ((7, 5), (10, 2.5), ("entries", "rhs entry 2.5 is not an integer")),
+    ((7, 5), (10, False), ("entries", "rhs entry False is not an integer")),
+    ((7, 5), (10, 5), ("overlap", "entries on both sides: [5]")),
+    ((10, 2), (7,), ("orientation", "rhs[0] = 7 must exceed lhs[0] = 10")),
+    ((7, 6), (7,), ("overlap", "entries on both sides: [7]")),
+    ((_IntSub(7), _IntSub(6)), (_IntSub(10),), None),
+    ((2, 2, 1, 5), (10,), ("entries", "lhs entry 1 is below 2")),
+    ((7, 6), (10, 3, 1, "y"), ("entries", "rhs entry 1 is below 2")),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs, want", BAD_SIDES)
+def test_side_check_codes_and_messages_are_pinned(lhs, rhs, want):
+    if want is None:
+        assert FactorialEquation(lhs, rhs).lhs == tuple(lhs)
+        return
+    with pytest.raises(EquationError) as e:
+        FactorialEquation(lhs, rhs)
+    assert (e.value.code, str(e.value)) == want
+
+
+_IDENTITIES = [((7, 3, 3, 2), (9,)), ((7, 6), (10,)), ((14, 5, 2), (16,)), ((7, 7, 6, 6), (10, 10))]
+_entries = st.lists(st.integers(0, 10_000), max_size=36)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    common=_entries,
+    left=_entries,
+    right=_entries,
+    identity=st.sampled_from(_IDENTITIES),
+    order=st.randoms(use_true_random=False),
+)
+def test_exact_check_matches_the_residual(common, left, right, identity, order):
+    """The packed-vector comparison decides exactly what the per-prime
+    residual decides, on equations made to hold (a known identity plus a
+    shared multiset, in any order) and on arbitrary sides, with repeats;
+    each side has at most 40 entries up to 10^4."""
+    from factprod.equations import _sides_equal
+
+    lhs, rhs = common + list(identity[0]), common + list(identity[1])
+    order.shuffle(lhs)
+    order.shuffle(rhs)
+    assert _sides_equal(lhs, rhs) and raw_residual(lhs, rhs).is_zero()
+    for lhs, rhs in ((common + left[:4], common + right[:4]), (left, right), (left, left[::-1])):
+        assert _sides_equal(lhs, rhs) == raw_residual(lhs, rhs).is_zero()
+
+
+def test_verify_and_delta_form_use_the_exact_check(monkeypatch):
+    # neither builds the per-prime defect vector any more
+    from factprod import equations
+
+    def boom(*args):
+        raise AssertionError("raw_residual called")
+
+    monkeypatch.setattr(equations, "raw_residual", boom)
+    assert verify(FactorialEquation((14, 5, 2), (16,))).holds
+    assert not verify(FactorialEquation((14, 5, 3), (16,))).holds
+    eq = FactorialEquation((7, 7, 6, 6), (10, 10))
+    assert delta_form_holds(to_delta_form(eq, default_pairing(eq)))

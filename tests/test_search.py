@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,25 +31,36 @@ def keyset(records):
     return {(r.eq.lhs, r.eq.rhs) for r in records}
 
 
-def fields(t, packed, bias=True):
-    """The exponents packed in ``packed`` by ``_Tables`` t, one per prime
-    rank; residuals carry the bias 2^(width-1) in every field, and the
-    ``fact``/``step`` rows carry none."""
-    w = t.width
-    off = 1 << (w - 1) if bias else 0
-    return [((packed >> (r * w)) & ((1 << w) - 1)) - off for r in range(len(t.primes))]
+def fields(t, row):
+    """The exponents of a dense row of ``_Tables`` t (a residual or a
+    Legendre row of ``fact``), one per prime rank, as Python ints."""
+    assert len(row) == len(t.primes)
+    return [int(e) for e in row]
 
 
-def expvec(t, packed, bias=True):
+def expvec(t, row):
     """``fields`` as the (prime, exponent) pairs of its nonzero entries."""
-    return tuple((p, e) for p, e in zip(t.primes, fields(t, packed, bias)) if e)
+    return tuple((p, e) for p, e in zip(t.primes.tolist(), fields(t, row)) if e)
+
+
+def full_fact(t):
+    """Every column of t's Legendre rows, which it builds on demand."""
+    return t.columns(len(t.primes))
+
+
+def left_sides(t, target, ub, budget):
+    """The engine's left sides of one target given as (n, sign) terms."""
+    terms = [(np.array([n]), sign) for n, sign in target]
+    found, left = t.left_sides(terms, np.array([ub]), budget, np.array([0]))
+    assert not left
+    return found.get(0, [])
 
 
 def literal_fields(t, n):
     """The exponents of the literal integer n over the primes of ``_Tables``
     t, found by division, and the cofactor left once they are divided out."""
     out = []
-    for p in t.primes:
+    for p in t.primes.tolist():
         e = 0
         while n % p == 0:
             n //= p
@@ -235,7 +247,7 @@ def test_size_cap_keeps_every_dividing_factorial():
         R, log_r = t.residual(target)
         assert fields(t, R) == exps
         ub = rng.randint(2, 200)
-        cap = search._size_cap(t.logfact, log_r, ub)
+        cap = int(search._size_cap(t.logfact, log_r, ub))
         dividing = [a for a in range(2, ub + 1) if R_int % math.factorial(a) == 0]
         assert cap >= max(dividing, default=1)
         assert cap <= ub and math.factorial(cap) <= R_int
@@ -260,15 +272,23 @@ def test_size_cap_at_the_table_bound():
         assert search._size_cap(t.logfact, log_r, a) == a
         assert search._size_cap(t.logfact, log_r - t.logfact[a], b) == b
         if a % 16 == 0:
-            assert (a,) in t.left_sides([(a, 1)], a, budget)
-            assert (a, b) in t.left_sides([(a, 1), (b, 1)], a, budget)
+            assert (a,) in left_sides(t, [(a, 1)], a, budget)
+            assert (a, b) in left_sides(t, [(a, 1), (b, 1)], a, budget)
+
+
+def rows_of(result, done):
+    """The rows of a CensusResult whose right-hand side is in ``done``."""
+    rows = zip(result.lhs, result.rhs, result.classification)
+    return CensusResult(*zip(*(row for row in rows if row[1] in done)))
 
 
 def test_census_at_the_table_bound_is_pinned():
     """The s = 1 census up to 7876, the largest n_max the table guard
     admits: record count and a digest of its (lhs, rhs) list, pinned from
     the dense-residual engine that preceded the packed one, and its nodes,
-    the values the size-capped descent walks.  It fits the default guards."""
+    the values the size-capped descent walks.  It fits the default guards.
+    One node less trips at the last chunk charged, which holds a state of
+    the rhs (7776,) before it reached its record 7775! (3!)^5 = 7776!."""
     import hashlib
 
     spec = SearchSpec(7876, 12, 1)
@@ -282,40 +302,46 @@ def test_census_at_the_table_bound_is_pinned():
     search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes))
     with pytest.raises(ResourceGuardError) as e:
         search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes - 1))
-    assert e.value.nodes == nodes and e.value.records == recs
+    units = [(n,) for n in range(3, 7877)]
+    assert e.value.nodes == nodes and e.value.total_units == len(units)
+    assert list(e.value.completed) == [u for u in units if u != (7776,)]
+    assert e.value.records == rows_of(recs, set(units) - {(7776,)})
+    assert len(e.value.records) == 88
 
 
-def test_packed_fields_hold_the_widest_exponents(monkeypatch):
-    """Every field of the largest residuals the searches can form decodes
-    to the exponent of the literal integer: three 7876! on the right (s = 3
-    at the table bound), that residual less 7876! (the deepest a level
-    subtracts from a residual of 2), and the search_delta blocks that end
-    below the first prime q above x_max, in the tables search_delta builds
-    for blocks of k = 2000 and 100000 terms.  Those tables end at q - 1, so
-    their fields are 8 bits wide.  A unit whose block reaches q has no
-    solution, since no left side can supply q: it builds no residual and
-    spends no node."""
+def test_table_fields_hold_the_widest_exponents(monkeypatch):
+    """Every column of the largest residuals the searches can form decodes
+    to the exponent of the literal integer, in the dtype the width rule
+    picks: three 7876! on the right (s = 3 at the table bound) fit int16
+    and five need int32, and so does that residual less 7876!, the most a
+    level subtracts (it subtracts a! only where a! divides the residual, so
+    no residual is negative).  So do the search_delta blocks that end below
+    the first prime q above x_max, in the tables search_delta builds for
+    blocks of k = 2000 and 100000 terms; those tables end at q - 1 and hold
+    int16.  A unit whose block reaches q has no solution, since no left side
+    can supply q: it builds no row and spends no node."""
     from factprod import search
     from factprod.factorint import _legendre
 
-    t = search._Tables(7876, 4, terms=3)
-    v = [_legendre(7876, p) for p in t.primes]
-    R, _ = t.residual([(7876, 1)] * 3)
-    assert fields(t, R) == [3 * e for e in v]
-    R, _ = t.residual([(2, 1)])
-    assert fields(t, R - t.fact[7876]) == [(p == 2) - e for p, e in zip(t.primes, v)]
-    assert R & t.zero == t.zero and (R - t.fact[7876]) & t.zero != t.zero
+    for terms, dtype in ((3, np.int16), (5, np.int32)):
+        t = search._Tables(7876, 4, terms=terms)
+        v = [_legendre(7876, p) for p in t.primes.tolist()]
+        R, _ = t.residual([(7876, 1)] * terms)
+        assert R.dtype == dtype and fields(t, R) == [terms * e for e in v]
+        assert fields(t, R - t.fact[7876]) == [(terms - 1) * e for e in v]
 
     built = []
     tables = search._Tables
+    residual = tables.residual
 
     class Recorded(tables):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    def reached(*args):
-        raise AssertionError("a unit whose block reaches q built a residual")
+    def reached(self, target, width=None):
+        assert all(len(n) == 0 for n, _ in target), "a unit whose block reaches q built a row"
+        return residual(self, target, width)
 
     shapes = ((114, 2000, 127), (20, 100_000, 23))
     with monkeypatch.context() as m:
@@ -325,7 +351,7 @@ def test_packed_fields_hold_the_widest_exponents(monkeypatch):
             spec = DeltaSearchSpec((k,), x_max, 4)
             assert search_delta(spec, guards=SearchGuards(max_nodes=1)) == []
     for t, (x_max, k, q) in zip(built, shapes, strict=True):
-        assert len(t.fact) == q and t.primes[-1] <= x_max and t.width == 8
+        assert len(t.fact) == q and t.primes[-1] <= x_max and t.fact.dtype == np.int16
         top, _ = literal_fields(t, math.factorial(x_max))
         for x in (1, 2, 17, x_max):
             for end in range(x_max, q):
@@ -385,7 +411,7 @@ def test_table_guard_builds_nothing_first(monkeypatch):
 
     for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
         monkeypatch.setattr(np, name, built)
-    for name in ("factorize", "_legendre"):
+    for name in ("lpf_table", "_legendre"):
         monkeypatch.setattr(search, name, built)
     for run, bound in (
         (lambda: search_factorial_products(SearchSpec(10**9, 4, 1), workers=2), 10**9),
@@ -417,7 +443,7 @@ def test_unit_guard_builds_nothing_first(monkeypatch):
 
     for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
         monkeypatch.setattr(np, name, built)
-    for name in ("factorize", "_legendre", "_non_increasing"):
+    for name in ("lpf_table", "_legendre", "_non_increasing"):
         monkeypatch.setattr(search, name, built)
     for run, shape in (
         (lambda: search_factorial_products(SearchSpec(5000, 4, 3), workers=2), (5000, 2, 1, 3)),
@@ -461,7 +487,7 @@ def test_table_budget_is_the_pair_count(monkeypatch):
     search._Tables(3000, 6)
     monkeypatch.setattr(search, "_TABLE_PAIRS", search._table_pairs(400))
     t = search._Tables(400, 4)
-    assert sum(len(expvec(t, f, bias=False)) for f in t.fact) == search._TABLE_PAIRS
+    assert np.count_nonzero(full_fact(t)) == search._TABLE_PAIRS
     with pytest.raises(ResourceGuardError):
         search._Tables(401, 4)
 
@@ -473,7 +499,7 @@ def test_tables_build_factorials_without_factorial_expvec():
     # the search reads every factorial from its own tables
     assert not hasattr(search, "factorial_expvec")
     t = search._Tables(120, 4)
-    assert [expvec(t, f, bias=False) for f in t.fact] == [
+    assert [expvec(t, f) for f in full_fact(t)] == [
         factorial_expvec(a).entries for a in range(121)
     ]
 
@@ -513,10 +539,10 @@ def test_guard_node_budget_serial_trip_point():
             SearchSpec(n1_max=40, t_max=8, s_max=3),
             guards=SearchGuards(max_nodes=100_000),  # of the 305,502 nodes it spends
         )
-    assert e.value.reason == "node budget exceeded (100040 > 100000)"
-    assert len(e.value.records) == 2262
-    assert e.value.completed_units == 4552
-    assert e.value.nodes == 100040
+    assert e.value.reason == "node budget exceeded (100214 > 100000)"
+    assert len(e.value.records) == 2260
+    assert e.value.completed_units == 4522
+    assert e.value.nodes == 100214
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
@@ -531,11 +557,105 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
     done = set(err.completed)
     assert len(done) == err.completed_units
     # exactly the completed units' rows, and the records the serial run builds
-    rows = zip(full.lhs, full.rhs, full.classification)
-    assert err.records == CensusResult(*zip(*(row for row in rows if row[1] in done)))
+    assert err.records == rows_of(full, done)
     part = err.records.records
     assert part and all(type(r) is SolutionRecord for r in part)
     assert part == [r for r in full.records if r.eq.rhs in done]
+
+
+@pytest.mark.parametrize("cells, batch", [(1 << 17, 512), (40, 7), (40, 1)])
+def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch):
+    """At trip points over the whole of a serial run, ``completed`` is in
+    unit order and only grows with the budget; it holds every unit before
+    the first unfinished one and none past that unit's batch, and
+    ``records`` holds exactly their rows.  With one unit per batch,
+    ``completed`` is exactly the units before the one the trip stopped."""
+    from factprod import search
+
+    monkeypatch.setattr(search, "_CELLS", cells)
+    monkeypatch.setattr(search, "_UNIT_BATCH", batch)
+    spec = SearchSpec(14, 5, 3)
+    full = search_factorial_products(spec)
+    units = list(search._non_increasing(14, 2, 1, 3))
+    index = {u: i for i, u in enumerate(units)}
+    _, nodes = full_vector_census(14, 5, 3)
+    before = set()
+    for max_nodes in range(1, nodes, nodes // 30):
+        with pytest.raises(ResourceGuardError) as e:
+            search_factorial_products(spec, guards=SearchGuards(max_nodes=max_nodes))
+        err = e.value
+        order = [index[u] for u in err.completed]
+        stop = next(i for i in range(len(units)) if units[i] not in set(err.completed))
+        assert order == sorted(order) and set(order) >= before and err.nodes > max_nodes
+        assert set(order) >= set(range(stop)) and max(order, default=0) < (stop // batch + 1) * batch
+        if batch == 1:
+            assert order == list(range(stop))
+        assert err.records == rows_of(full, set(err.completed))
+        before = set(order)
+
+
+def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch):
+    """The exact check does not read the engine's tables: with the Legendre
+    row of 5! replaced by that of 6!, the engine proposes left sides that do
+    not hold, and the census keeps them as non-solution rows (class None,
+    counted "non-solution" by census_report); a row that holds on big
+    integers is classified by the adjacent-pair rule, and no other row
+    gets a class."""
+    from factprod import search
+
+    columns = search._Tables.columns
+
+    def wrong(self, width):
+        fact = columns(self, width)
+        fact[5] = fact[6]
+        return fact
+
+    monkeypatch.setattr(search._Tables, "columns", wrong)
+    for workers in (1, 2):
+        result = search_factorial_products(SearchSpec(16, 5, 2), workers=workers)
+        bad = 0
+        for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification):
+            holds = math.prod(map(math.factorial, lhs)) == math.prod(map(math.factorial, rhs))
+            assert cls == (classify_brute(lhs, rhs) if holds else None)
+            bad += not holds
+        counts = census_report(result).counts
+        assert bad > 0 and sum(n for k, n in counts.items() if k[2] == "non-solution") == bad
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(
+    n1_max=st.integers(8, 20),
+    t_max=st.integers(2, 5),
+    s_max=st.integers(1, 3),
+    k_list=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    x_max=st.integers(4, 24),
+    cells=st.integers(1, 48),
+    batch=st.integers(1, 9),
+)
+def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_max, cells, batch):
+    """Records and node totals equal the full-vector descent's at workers
+    1, 2 and 4, with chunks of a few cells and batches of a few units, so
+    that chunk and batch boundaries fall everywhere."""
+    from factprod import search
+
+    census = SearchSpec(n1_max, t_max, s_max)
+    delta = DeltaSearchSpec(k_list, x_max, t_max)
+    cases = (
+        (lambda g, w: search_factorial_products(census, guards=g, workers=w),
+         lambda r: list(zip(r.lhs, r.rhs)), full_vector_census(n1_max, t_max, s_max)),
+        (lambda g, w: search_delta(delta, guards=g, workers=w),
+         lambda r: [(d.x, d.a) for d in r], full_vector_delta(k_list, x_max, t_max)),
+    )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_CELLS", cells)
+        m.setattr(search, "_UNIT_BATCH", batch)
+        for run, pairs, (want, nodes) in cases:
+            for workers in (1, 2, 4):
+                assert pairs(run(SearchGuards(max_nodes=max(nodes, 1)), workers)) == want
+                if nodes > 1:
+                    with pytest.raises(ResourceGuardError) as e:
+                        run(SearchGuards(max_nodes=nodes - 1), workers)
+                    assert e.value.nodes == nodes
 
 
 def test_search_delta_guard_workers_2_keeps_completed_units():
