@@ -103,13 +103,14 @@ def _record_obj(rec) -> dict:
 def record_jsonl(result) -> str:
     """The census payload, formatted from the columns of a CensusResult: per
     row, in canonical order, the compact json.dumps of _record_obj of its
-    record; deterministic for identical search parameters."""
+    record, each distinct rhs and class formatted once; deterministic."""
     tail = {
         cls: f',"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
         for cls in set(result.classification)
     }
+    rhs_text = {rhs: ",".join(map(str, rhs)) for rhs in set(result.rhs)}
     return "".join(
-        f'{{"lhs":[{",".join(map(str, lhs))}],"rhs":[{",".join(map(str, rhs))}]'
+        f'{{"lhs":[{",".join(map(str, lhs))}],"rhs":[{rhs_text[rhs]}]'
         f'{tail[cls]}"t":{len(lhs)},"s":{len(rhs)}}}\n'
         for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification)
     )

@@ -17,10 +17,14 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
+import numpy as np
+
 from .factorint import ExpVec, factorial_expvec
 
 TRIVIAL = "trivial"
 NONTRIVIAL = "nontrivial"
+# a classification by its index, as verify_rows gives it; None: does not hold
+CLASSES = (None, TRIVIAL, NONTRIVIAL)
 
 # The five identities of the classical bounded census (the Suranyi--Hickerson
 # context); customary tabulations (Nair--Shorey) list all five as nontrivial,
@@ -146,6 +150,36 @@ def _packed(n: int) -> int:
 def _sides_equal(lhs, rhs) -> bool:
     """raw_residual(lhs, rhs).is_zero(), decided on the packed vectors."""
     return sum(map(_packed, lhs)) == sum(map(_packed, rhs))
+
+
+def verify_rows(lhs, rhs) -> np.ndarray:
+    """``verify`` on the equations of row i of the zero-padded 2-D integer arrays
+    ``lhs`` and ``rhs``, less trailing zeros: the index into CLASSES of each one's
+    classification.  The first row that is no FactorialEquation raises its
+    EquationError.  Each side sums the ``_packed`` vectors of its entries, as in
+    verify; a pair |a - n| = 1 makes a holding row trivial, as in adjacent_pairs."""
+    lhs, rhs = (np.hstack((m, np.zeros((len(m), 1), np.int64))) for m in (lhs, rhs))
+    gaps = lhs[:, :, None] - rhs[:, None, :]
+    ok = (rhs[:, 0] > lhs[:, 0]) & ~((gaps == 0) & (lhs[:, :, None] != 0)).any((1, 2))
+    for m in (lhs, rhs):  # nonempty, entries >= 2 or 0, non-increasing (so zeros trail)
+        ok &= (m[:, 0] != 0) & ((m >= 2) | (m == 0)).all(1) & (m[:, :-1] >= m[:, 1:]).all(1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        FactorialEquation(*(np.trim_zeros(m[i], "b").tolist() for m in (lhs, rhs)))
+    # entries (and 0, which pads) index a table as long as the largest, no longer
+    # than the sieve its vector needs
+    entries = np.concatenate((rhs, lhs), 1)
+    present = np.arange(int(entries.max(initial=0)) + 1) == 0
+    present[entries] = True
+    size = 8 * len(factorial_expvec(len(present) - 1).entries)
+    packed = map(_packed, np.flatnonzero(present).tolist())
+    vecs = np.array([np.frombuffer(v.to_bytes(size, "little"), "<i8") for v in packed])
+    index = (np.cumsum(present) - 1)[entries].T
+    diff = vecs[index[0]]
+    for j, k in enumerate(index[1:], 1):
+        diff += vecs[k] if j < rhs.shape[1] else -vecs[k]
+    holds = ~diff.any(1)
+    return np.where(holds, np.where((np.abs(gaps) == 1).any((1, 2)), 1, 2), 0).astype(np.int8)
 
 
 def adjacent_pairs(eq: FactorialEquation) -> tuple[tuple[int, int], ...]:

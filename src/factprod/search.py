@@ -16,21 +16,21 @@ enumeration is duplicate-free.
 
 The residual is a dense row of exponents over the primes up to n_max, and
 ``_Tables`` expands every live state of a level at once in numpy, a batch
-of units at a time, depth first over chunks of at most _CELLS cells.
-``fanout.deal`` shares the units out over forked processes that share one
-node counter, or runs them in-process.  Each census left side is checked
-by ``verify`` on the equation's own exponent vectors, and the rows are
-merged in unit order and sorted on a canonical key ((n1, rhs, lhs) for the
-census), so results are identical for any worker count.  The census
-returns its rows as columns (``CensusResult``) and builds SolutionRecords
-only when they are read.
+of units (sized by the cells of their roots) at a time, depth first over
+chunks of at most _CELLS cells.  ``fanout.deal`` shares the units out over
+forked processes that share one node counter, or runs them in-process.
+Left sides leave the descent as zero-padded columns, the census checks a
+batch of them at once with ``verify_rows`` on the equations' own exponent
+vectors, and the columns are merged by one lexsort on a canonical key
+((n1, rhs, lhs) for the census), so results are identical for any worker
+count.  ``CensusResult`` builds SolutionRecords only when they are read.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import comb, inf, isqrt, lgamma
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from . import fanout
 from .equations import (
+    CLASSES,
     NONTRIVIAL,
     FactorialEquation,
     SolutionRecord,
@@ -46,6 +47,7 @@ from .equations import (
     nc_pairings,
     to_delta_form,
     verify,
+    verify_rows,
 )
 from .factorint import _legendre, lpf_table, table
 
@@ -121,10 +123,6 @@ class SearchGuards:
 class DeltaSolution:
     x: tuple[int, ...]
     a: tuple[int, ...]
-
-    def __reduce__(self):
-        # a constructor call: half the pickle round trip of the default reduction
-        return DeltaSolution, (self.x, self.a)
 
 
 class ResourceGuardError(RuntimeError):
@@ -202,10 +200,10 @@ _LOG_MARGIN = 1e-6
 # the nonzero entries of the dense rows, so the tables stay below 16 MiB.
 _TABLE_PAIRS = 1 << 22
 
-# Most rows x columns one chunk of children may hold, and the units one
-# batch of the descent starts together.
+# Most rows x columns one chunk of children may hold, and most root cells
+# (see _run_units) one batch of the descent starts with.
 _CELLS = 1 << 17
-_UNIT_BATCH = 512
+_BATCH_CELLS = 1 << 17
 
 
 def _table_pairs(n_max: int) -> int:
@@ -337,15 +335,13 @@ class _Tables:
         lhs = np.zeros((len(unit), 0), np.intp)
         return self._walk(unit, budget, lambda: self._expand(unit, rows, logr, ub, lhs, budget))
 
-    def census(self, batch, budget: _Budget):
-        """The left sides of each right-hand side in ``batch`` that place no right-hand
-        entry; see _walk.  The root runs on scalars: (n_1, ..., n_s) has p* = p(n_1), the
-        largest prime <= n_1, and cap n_1 - 1; its child a_1 is the block (a_1 + 1)...n_1
-        times n_2! ... n_s!, whose p* is the larger of the block's largest prime factor
-        (a running max of ``lpf``) and p(n_2), so a dead child (cap < p*) builds no row."""
-        s = max(map(len, batch)) + 1  # a zero column: n_2 = 0 when s = 1
-        rhs = np.array([r + (0,) * (s - len(r)) for r in batch])
-        unit = np.arange(len(batch))
+    def census(self, rhs, budget: _Budget):
+        """The left sides placing no right-hand entry of each zero-padded row of ``rhs``;
+        see _walk.  The root runs on scalars: (n_1, ..., n_s) has p* = p(n_1), the largest
+        prime <= n_1, and cap n_1 - 1; its child a_1 is the block (a_1 + 1)...n_1 times
+        n_2! ... n_s!, whose p* is the larger of the block's largest prime factor (a
+        running max of ``lpf``) and p(n_2), so a dead child (cap < p*) builds no row."""
+        unit = np.arange(len(rhs))
         logr = self.residual([(n, 1) for n in rhs.T], 0)[1]
 
         def root():
@@ -355,7 +351,7 @@ class _Tables:
             a = rhs[rep, 0] - 1 - _ranks(count)
             shift = rep * len(self.lpf)
             block = np.maximum.accumulate(self.lpf[a + 1] + shift) - shift
-            low = np.maximum(block, self.below[rhs[rep, 1]])
+            low = block if rhs.shape[1] < 2 else np.maximum(block, self.below[rhs[rep, 1]])
             cap = _size_cap(self.logfact, logr[rep] - self.logfact[a], a)
             live = cap >= low
             width = np.searchsorted(self.primes, cap[live].max(initial=0), "right")
@@ -393,9 +389,11 @@ class _Tables:
     def _walk(self, unit, budget: _Budget, root, rhs=None):
         """Run the descent from ``root()`` depth first over chunks: the top chunk builds
         the children of its next states, as many as fit in _CELLS cells; a zero row is a
-        left side.  Returns ({unit: [lhs, ...]}, the units with a state left on the stack
-        or in the current chunk), the second empty unless the budget tripped."""
-        found, stack, current = defaultdict(list), [], unit
+        left side.  Returns the left sides as rows, their units and their entries padded
+        with zeros to t_max columns, and the set of units with a state left on the stack
+        or in the current chunk, empty unless the budget tripped."""
+        units, lefts = [unit[:0]], [np.zeros((0, self.t_max), np.intp)]
+        stack, current, left = [], unit, set()
 
         def push(chunk):
             if chunk is not None and chunk.ends[-1]:
@@ -417,8 +415,10 @@ class _Tables:
                 else:
                     first = par.ends[s0] - count[0]
                     a = par.kids[first : first + len(rep)]
-                if rhs is not None:  # the census never places a right-hand entry
-                    keep = (a[:, None] != rhs[par.unit[rep]]).all(1)
+                if rhs is not None:  # the census never places n_2, ..., n_s (nor n_1 > a)
+                    keep = np.ones(len(a), bool)
+                    for n in rhs.T[1:]:
+                        keep &= a != n[par.unit[rep]]
                     rep, a = rep[keep], a[keep]
                 u = par.unit[rep]
                 if par.rows is None:
@@ -428,16 +428,18 @@ class _Tables:
                 rows -= self.columns(par.width)[a, : par.width]
                 lhs = np.column_stack((par.lhs[rep], a))
                 go = rows.any(1)
-                for k, left in zip(u[~go].tolist(), lhs[~go].tolist()):
-                    found[k].append(tuple(left))
+                if not go.all():  # zero-padded to t_max columns
+                    units.append(u[~go])
+                    lefts.append(np.zeros((len(go) - np.count_nonzero(go), self.t_max), lhs.dtype))
+                    lefts[-1][:, : lhs.shape[1]] = lhs[~go]
                 if lhs.shape[1] < self.t_max and go.any():
                     current = u[go]
                     logr = par.logr[rep[go]] - self.logfact[a[go]]
                     push(self._expand(current, rows[go], logr, a[go], lhs[go], budget))
         except _GuardTrip:
             left = {k for par in stack for k in par.unit[par.start :].tolist()}
-            return found, left | set(current.tolist())
-        return found, set()
+            left |= set(current.tolist())
+        return np.concatenate(units), np.concatenate(lefts), left
 
 
 def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
@@ -455,26 +457,11 @@ def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
         yield from grow((first,))
 
 
-def _census_rows(rhs: tuple[int, ...], found, spec: SearchSpec):
-    """The (lhs, rhs, classification) rows of one right-hand side from the
-    left sides the descent ``found`` for it, verified and filtered."""
-    rows = []
-    for lhs in found:
-        rec = verify(FactorialEquation(lhs, rhs))
-        cls = rec.classification
-        if cls != NONTRIVIAL and (spec.nontrivial_only or spec.c is not None):
-            continue
-        if spec.c is not None and not any(nc_pairings(rec.eq, spec.c)):
-            continue
-        rows.append((lhs, rhs, cls))
-    return rows
-
-
 @dataclass(frozen=True, slots=True)
 class CensusResult:
     """The census rows as columns in canonical (n1, rhs, lhs) order: row i is
-    the identity lhs[i]! = rhs[i]! with the classification ``verify`` gave it
-    (None if it does not hold).  ``records`` builds the SolutionRecords on
+    the identity lhs[i]! = rhs[i]! with the classification verify_rows gave
+    it (None if it does not hold).  ``records`` builds the SolutionRecords on
     each read, verified again and with the default delta form."""
 
     lhs: tuple[tuple[int, ...], ...] = ()
@@ -496,48 +483,51 @@ class CensusResult:
         return out
 
 
-def _run_slice(units, indices, descend, finish, budget: _Budget) -> tuple[dict, str]:
-    """Run the units at ``indices`` in order, _UNIT_BATCH at a time, until the budget
-    trips; returns ({index: result} for the completed units, trip reason or "")."""
-    done = {}
-    for k in range(0, len(indices), _UNIT_BATCH):
-        batch = indices[k : k + _UNIT_BATCH]
-        found, left = descend([units[i] for i in batch], budget)
-        for j, i in enumerate(batch):
-            if j not in left:
-                done[i] = finish(units[i], found.get(j, ()))
-        if left:
-            return done, budget.reason
-    return done, ""
+def _tuples(m: np.ndarray) -> tuple:
+    """The rows of a zero-padded array as tuples of Python ints, less the padding."""
+    return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _run_units(units, descend, finish, workers: int, guards: SearchGuards, key, collect=list):
-    """Run independent work units under one node/time budget: ``descend(batch,
-    budget)`` gives each unit's left sides and the units a trip left unfinished, and
-    ``finish(unit, left sides) -> list`` its results.  Returns ``collect`` of the
-    results joined in unit order and sorted stably on ``key``; a tripped guard raises
-    ResourceGuardError carrying ``collect`` of the completed units' results.
+def _run_units(units, width, descend, cells, finish, collect, workers, guards):
+    """Run independent work units (at least one) under one node/time budget, in
+    batches that end where the running sum of the units' root cells, ``cells(keys)``
+    but at least 1, passes a multiple of _BATCH_CELLS.  ``descend(keys, budget)``
+    gives the left sides of a batch, whose units are the rows of ``keys`` zero-padded
+    to ``width``, as (their units, rows zero-padded to t_max, the units a trip left
+    unfinished), and ``finish(keys, lhs)`` their result columns, the first two the
+    sort key.  Returns ``collect`` of the columns merged in key order (every entry is
+    >= 1, so the padding sorts as tuples do); a tripped guard raises
+    ResourceGuardError carrying ``collect`` of the completed units' columns.
 
     ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
-    to forked children, which inherit the tables, run the descent and the exact check
-    and draw on one shared node counter, or runs them in-process, where the counter is
-    a plain integer that takes no lock."""
+    to forked children, which inherit the tables, run the descent and ``finish`` and
+    draw on one shared node counter, or runs them in-process, where the counter is a
+    plain integer that takes no lock."""
     units = list(units)
     budget = _Budget(guards, multiprocessing.Value("q", 0) if workers > 1 else None)
-    parts = fanout.deal(
-        lambda share: _run_slice(units, share, descend, finish, budget), range(len(units)), workers
-    )
-    done: dict = {}
-    for part, _ in parts:
-        done.update(part)
-    reason = next((r for _, r in parts if r), "")
-    order = sorted(done)
-    results = collect(sorted((r for i in order for r in done[i]), key=key))
+
+    def run(share):
+        done, parts = [], []
+        every = np.array([units[i] + (0,) * (width - len(units[i])) for i in share])
+        cut = np.flatnonzero(np.diff(np.cumsum(np.maximum(cells(every), 1)) // _BATCH_CELLS)) + 1
+        for keys, batch in zip(np.split(every, cut), np.split(np.array(share), cut)):
+            unit, lhs, left = descend(keys, budget)
+            keep = ~np.isin(unit, list(left))
+            parts.append(finish(keys[unit[keep]], lhs[keep]))
+            done += [i for j, i in enumerate(batch.tolist()) if j not in left]
+            if left:
+                return done, parts, budget.reason
+        return done, parts, ""
+
+    results = fanout.deal(run, range(len(units)), workers)
+    keys, lhs, *more = map(np.concatenate, zip(*(p for _, ps, _ in results for p in ps)))
+    order = np.lexsort(np.column_stack((keys, lhs)).T[::-1])
+    out = collect(keys[order], lhs[order], *(c[order] for c in more))
+    reason = next((r for _, _, r in results if r), "")
     if reason:
-        raise ResourceGuardError(
-            reason, results, [units[i] for i in order], len(units), budget.spent()
-        )
-    return results
+        done = sorted(i for d, _, _ in results for i in d)
+        raise ResourceGuardError(reason, out, [units[i] for i in done], len(units), budget.spent())
+    return out
 
 
 def search_factorial_products(
@@ -555,14 +545,31 @@ def search_factorial_products(
     guards = guards or SearchGuards()
     shape = (spec.n1_max, 2, 1, spec.s_max)
     tables = _Tables(spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
+    if spec.s_max > 1:
+        # the root of (n, n) reaches cap n - 1: children share these columns copy-on-write
+        tables.columns(int(np.searchsorted(tables.primes, spec.n1_max - 1, "right")))
+
+    def finish(rhs, lhs):
+        cls = verify_rows(lhs, rhs)
+        least = CLASSES.index(NONTRIVIAL) if spec.nontrivial_only or spec.c is not None else 0
+        keep = cls >= least
+        for i in np.flatnonzero(keep).tolist() if spec.c is not None else ():
+            eq = FactorialEquation(*(np.trim_zeros(m[i], "b").tolist() for m in (lhs, rhs)))
+            keep[i] = any(nc_pairings(eq, spec.c))
+        return rhs[keep], lhs[keep], cls[keep]
+
     return _run_units(
         _non_increasing(*shape),
+        spec.s_max,
         tables.census,
-        lambda rhs, found: _census_rows(rhs, found, spec),
+        # the root's children a_1 in [p(n_1), n_1 - 1], each a scalar
+        lambda rhs: rhs[:, 0] - tables.below[rhs[:, 0]],
+        finish,
+        lambda rhs, lhs, cls: CensusResult(
+            _tuples(lhs), _tuples(rhs), tuple(map(CLASSES.__getitem__, cls.tolist()))
+        ),
         workers,
         guards,
-        key=lambda row: (row[1][0], row[1], row[0]),
-        collect=lambda rows: CensusResult(*zip(*rows)),
     )
 
 
@@ -575,7 +582,7 @@ def search_delta(
     """All solutions of the fixed-gap consecutive-product equation with
     x non-increasing, x1 <= x_max, x1 > a1, t <= t_max."""
     guards = guards or SearchGuards()
-    if not spec.ratio_ok():
+    if not spec.ratio_ok() or spec.x_max < 3:  # x_1 > a_1 >= 2: no unit
         return []
     shape = (spec.x_max, 1, len(spec.k_list), len(spec.k_list))
     # A block x(x+1)...(x+k-1) = (x+k-1)! / (x-1)! ends at most at
@@ -589,8 +596,7 @@ def search_delta(
         top += 1
     tables = _Tables(top, spec.t_max, _unit_count(*shape), len(spec.k_list))
 
-    def descend(batch, budget: _Budget):
-        xs = np.array(batch)
+    def descend(xs, budget: _Budget):
         ends = xs + np.array(spec.k_list) - 1
         unit = np.flatnonzero(ends.max(1) <= top)  # the others have no state
         xs, ends = xs[unit], ends[unit]
@@ -599,11 +605,13 @@ def search_delta(
 
     return _run_units(
         _non_increasing(*shape),
+        len(spec.k_list),
         descend,
-        lambda xs, found: [DeltaSolution(xs, lhs) for lhs in found],
+        lambda xs: np.full(len(xs), len(tables.primes)),  # one row over every prime
+        lambda xs, lhs: (xs, lhs),
+        lambda xs, lhs: [DeltaSolution(*row) for row in zip(_tuples(xs), _tuples(lhs))],
         workers,
         guards,
-        key=lambda r: (r.x[0], r.x, r.a),
     )
 
 
@@ -639,21 +647,18 @@ class CensusSummary:
 
 
 def census_report(result: CensusResult, c: int | None = None) -> CensusSummary:
-    """Counts by (t, s, classification), the extremal n1, the nontrivial
-    identities, and (when c is given) N(c) membership tallies per pairing."""
-    counts: dict[tuple[int, int, str], int] = {}
-    extremal = None
+    """Counts by (t, s, classification), the extremal n1, the nontrivial identities
+    (the only rows that build an equation), and N(c) tallies per pairing if c is set."""
+    cls = result.classification
+    labels = (k or "non-solution" for k in cls)
+    counts = dict(Counter(zip(map(len, result.lhs), map(len, result.rhs), labels)))
+    extremal = max((r[0] for r, k in zip(result.rhs, cls) if k is not None), default=None)
     nontrivial: list[str] = []
     tallies: dict[str, tuple[int, int]] = {}
-    for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification):
-        key = (len(lhs), len(rhs), cls or "non-solution")
-        counts[key] = counts.get(key, 0) + 1
-        if cls is not None:
-            extremal = max(extremal or 0, rhs[0])
-        if cls == NONTRIVIAL:
-            eq = FactorialEquation(lhs, rhs)
-            nontrivial.append(str(eq))
-            if c is not None:
-                member = nc_pairings(eq, c)
-                tallies[str(eq)] = (len(member), sum(member))
+    for i in (i for i, k in enumerate(cls) if k == NONTRIVIAL):
+        eq = FactorialEquation(result.lhs[i], result.rhs[i])
+        nontrivial.append(str(eq))
+        if c is not None:
+            member = nc_pairings(eq, c)
+            tallies[str(eq)] = (len(member), sum(member))
     return CensusSummary(len(result), counts, extremal, nontrivial, c, tallies)

@@ -399,3 +399,22 @@ def s2_density_conjecture(t: int, u: int, c) -> Fraction:
     the paper's 1/60 - 1/(120c) at t = 3, u = 2; c is taken exactly."""
     c = Fraction(c)
     return c * (1 - (1 - 1 / c) ** u) / math.factorial(t + 2)
+
+
+def trivial_family_census(n1_max: int, t_max: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The trivial family of the s = 1 census, (n-1)! b_2! ... b_t! = n! with
+    n = b_2! ... b_t! <= n1_max, t <= t_max and n - 1 >= b_2 >= ... >= b_t >= 2,
+    as (lhs, rhs) pairs, enumerated on integers."""
+    out = set()
+
+    def grow(tail: tuple[int, ...], n: int) -> None:
+        if tail and n - 1 >= tail[0]:
+            out.add(((n - 1,) + tail, (n,)))
+        if len(tail) < t_max - 1:
+            for b in range(2, (tail[-1] if tail else n1_max) + 1):
+                if n * math.factorial(b) > n1_max:
+                    break
+                grow(tail + (b,), n * math.factorial(b))
+
+    grow((), 1)
+    return out

@@ -397,6 +397,18 @@ def test_abc_window_report_builds_no_radical_table(monkeypatch):
     assert rep.explicit_ok
 
 
+def test_reyssat_triple_is_pinned():
+    """Reyssat's 2 + 3^10 * 109 = 23^5, the abc triple of highest known
+    quality, 1.62991..., is the smallest-radical triple of the window
+    [6436340, 6436344)."""
+    rep = abc_window_report(6436340, 4)
+    assert (rep.a, rep.b, rep.c, rep.d) == (3**10 * 109, 2, 23**5, 1)
+    assert rep.radical_abc == 2 * 3 * 23 * 109
+    assert rep.quality == pytest.approx(math.log(23**5) / math.log(15042), rel=1e-12)
+    assert rep.quality == pytest.approx(1.6299116841, abs=1e-10)
+    assert rep.explicit_ok
+
+
 def test_abc_window_bound_and_ineq4():
     rep = abc_window_report(8, 3, a2=6)
     # product of window radicals: N(8)N(9)N(10) = 2*3*10 = 60

@@ -2,11 +2,13 @@ import math
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factprod.equations import (
+    CLASSES,
     NONTRIVIAL,
     TRIVIAL,
     DeltaForm,
@@ -23,9 +25,12 @@ from factprod.equations import (
     to_delta_form,
     trivial_family,
     verify,
+    verify_rows,
 )
 from factprod.factorint import ExpVec, factorial_expvec
 from factprod.search import DeltaSolution
+
+from oracles import trivial_family_census
 
 
 # ---------------------------------------------------------------- validation
@@ -339,6 +344,76 @@ def test_exact_check_matches_the_residual(common, left, right, identity, order):
     assert _sides_equal(lhs, rhs) and raw_residual(lhs, rhs).is_zero()
     for lhs, rhs in ((common + left[:4], common + right[:4]), (left, right), (left, left[::-1])):
         assert _sides_equal(lhs, rhs) == raw_residual(lhs, rhs).is_zero()
+
+
+def _padded(sides):
+    """Sides as the rows of a zero-padded int array."""
+    width = max(map(len, sides), default=0)
+    rows = [list(v) + [0] * (width - len(v)) for v in sides]
+    return np.array(rows, np.int64).reshape(len(sides), width)
+
+
+def _trim(side):
+    """A side as verify_rows reads its zero-padded row, less trailing zeros."""
+    side = list(side)
+    while side and side[-1] == 0:
+        side.pop()
+    return tuple(side)
+
+
+def _nudged(row, k, step):
+    """``row`` with its k-th lhs entry (mod t) moved by ``step``, re-sorted."""
+    lhs = list(row[0])
+    lhs[k % len(lhs)] += step
+    return tuple(sorted(lhs, reverse=True)), row[1]
+
+
+_HOLDING = _IDENTITIES + sorted(trivial_family_census(10_000, 12))
+_anything = st.lists(st.one_of(st.integers(-1, 40), st.integers(2, 10_000)), max_size=12)
+_row = st.one_of(
+    st.sampled_from(_HOLDING),
+    st.builds(_nudged, st.sampled_from(_HOLDING), st.integers(0, 11), st.sampled_from((-1, 1))),
+    st.tuples(_anything, _anything),
+    st.tuples(_anything.map(sorted), _anything.map(sorted)).map(lambda r: (r[0][::-1], r[1][::-1])),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(_row, min_size=1, max_size=10))
+def test_batched_check_matches_verify(rows):
+    """verify_rows gives, row by row, the holds and classification verify
+    gives, on identities, near misses and arbitrary sides (entries up to
+    10^4, with repeats); where a row is no equation, it raises the
+    EquationError FactorialEquation raises on the first such row, and the
+    rows that are equations are checked again on their own."""
+    first, valid, want = None, [], []
+    for left, right in rows:
+        try:
+            eq = FactorialEquation(_trim(left), _trim(right))
+        except EquationError as err:
+            first = first or err
+            continue
+        valid.append((left, right))
+        want.append(CLASSES.index(verify(eq).classification))
+    if first is not None:
+        with pytest.raises(EquationError) as got:
+            verify_rows(_padded([r[0] for r in rows]), _padded([r[1] for r in rows]))
+        assert (got.value.code, str(got.value)) == (first.code, str(first))
+    got = verify_rows(_padded([r[0] for r in valid]), _padded([r[1] for r in valid]))
+    assert got.tolist() == want
+
+
+# the cases an int array can hold: no other types, and no side ending in 0,
+# which its zero padding cannot tell apart from a shorter side
+_INT_SIDES = [c for c in BAD_SIDES if c[2] and all(type(v) is int for v in c[0] + c[1])]
+
+
+@pytest.mark.parametrize("lhs, rhs, want", [c for c in _INT_SIDES if c[0][-1:] != (0,)])
+def test_batched_check_codes_and_messages_are_pinned(lhs, rhs, want):
+    # after a row that holds, so the first invalid row of the batch raises
+    with pytest.raises(EquationError) as e:
+        verify_rows(_padded([(7, 6), lhs]), _padded([(10,), rhs]))
+    assert (e.value.code, str(e.value)) == want
 
 
 def test_verify_and_delta_form_use_the_exact_check(monkeypatch):

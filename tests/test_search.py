@@ -24,6 +24,7 @@ from oracles import (
     classify_brute,
     full_vector_census,
     full_vector_delta,
+    trivial_family_census,
 )
 
 
@@ -51,9 +52,9 @@ def full_fact(t):
 def left_sides(t, target, ub, budget):
     """The engine's left sides of one target given as (n, sign) terms."""
     terms = [(np.array([n]), sign) for n, sign in target]
-    found, left = t.left_sides(terms, np.array([ub]), budget, np.array([0]))
-    assert not left
-    return found.get(0, [])
+    unit, lhs, left = t.left_sides(terms, np.array([ub]), budget, np.array([0]))
+    assert not left and not unit.any()
+    return [tuple(a for a in row if a) for row in lhs.tolist()]
 
 
 def literal_fields(t, n):
@@ -287,8 +288,10 @@ def test_census_at_the_table_bound_is_pinned():
     admits: record count and a digest of its (lhs, rhs) list, pinned from
     the dense-residual engine that preceded the packed one, and its nodes,
     the values the size-capped descent walks.  It fits the default guards.
-    One node less trips at the last chunk charged, which holds a state of
-    the rhs (7776,) before it reached its record 7775! (3!)^5 = 7776!."""
+    One node less trips at the last chunk charged, which holds states of
+    the rhs (2048,), (4096,) and (6144,), before the first and the last
+    reached their records 2047! (2!)^11 = 2048!, 6143! 3! (2!)^10 = 6144!
+    and 6143! 4! (2!)^8 = 6144!."""
     import hashlib
 
     spec = SearchSpec(7876, 12, 1)
@@ -304,9 +307,26 @@ def test_census_at_the_table_bound_is_pinned():
         search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes - 1))
     units = [(n,) for n in range(3, 7877)]
     assert e.value.nodes == nodes and e.value.total_units == len(units)
-    assert list(e.value.completed) == [u for u in units if u != (7776,)]
-    assert e.value.records == rows_of(recs, set(units) - {(7776,)})
-    assert len(e.value.records) == 88
+    left = {(2048,), (4096,), (6144,)}
+    assert list(e.value.completed) == [u for u in units if u not in left]
+    assert e.value.records == rows_of(recs, set(units) - left)
+    assert len(e.value.records) == 86
+
+
+def test_s1_census_is_the_trivial_family_and_four_identities():
+    """The s = 1, t <= 12 census up to the table bound is exactly the closed
+    form: the trivial family (n-1)! b_2! ... b_t! = n!, n = b_2! ... b_t!,
+    classified trivial, and the four nontrivial identities (Erdos--Graham;
+    Guy, Unsolved Problems in Number Theory, B23).  A fifth identity would
+    be a finding, not a pin to move."""
+    result = search_factorial_products(SearchSpec(7876, 12, 1))
+    family = trivial_family_census(7876, 12)
+    four = {((7, 3, 3, 2), (9,)), ((7, 6), (10,)), ((7, 5, 3), (10,)), ((14, 5, 2), (16,))}
+    assert len(family) == 85 and len(result) == 89
+    assert dict(zip(zip(result.lhs, result.rhs), result.classification)) == {
+        **{row: TRIVIAL for row in family},
+        **{row: NONTRIVIAL for row in four},
+    }
 
 
 def test_table_fields_hold_the_widest_exponents(monkeypatch):
@@ -539,10 +559,10 @@ def test_guard_node_budget_serial_trip_point():
             SearchSpec(n1_max=40, t_max=8, s_max=3),
             guards=SearchGuards(max_nodes=100_000),  # of the 305,502 nodes it spends
         )
-    assert e.value.reason == "node budget exceeded (100214 > 100000)"
-    assert len(e.value.records) == 2260
-    assert e.value.completed_units == 4522
-    assert e.value.nodes == 100214
+    assert e.value.reason == "node budget exceeded (101271 > 100000)"
+    assert len(e.value.records) == 48
+    assert e.value.completed_units == 2967
+    assert e.value.nodes == 101271
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
@@ -567,16 +587,21 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
 def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch):
     """At trip points over the whole of a serial run, ``completed`` is in
     unit order and only grows with the budget; it holds every unit before
-    the first unfinished one and none past that unit's batch, and
-    ``records`` holds exactly their rows.  With one unit per batch,
-    ``completed`` is exactly the units before the one the trip stopped."""
+    the first unfinished one and none past that unit's batch, and ``records``
+    holds exactly their rows.  A batch ends where the running sum of root
+    cells (a root child a_1 in [p(n_1), n_1 - 1] each, but at least one a
+    unit) passes a multiple of ``batch``.  With one cell per batch, so one
+    unit per batch, ``completed`` is exactly the units before the one the
+    trip stopped."""
     from factprod import search
 
     monkeypatch.setattr(search, "_CELLS", cells)
-    monkeypatch.setattr(search, "_UNIT_BATCH", batch)
+    monkeypatch.setattr(search, "_BATCH_CELLS", batch)
     spec = SearchSpec(14, 5, 3)
     full = search_factorial_products(spec)
     units = list(search._non_increasing(14, 2, 1, 3))
+    below = search._Tables(14, 5).below
+    batch_of = np.cumsum(np.maximum([u[0] - below[u[0]] for u in units], 1)) // batch
     index = {u: i for i, u in enumerate(units)}
     _, nodes = full_vector_census(14, 5, 3)
     before = set()
@@ -587,7 +612,7 @@ def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch)
         order = [index[u] for u in err.completed]
         stop = next(i for i in range(len(units)) if units[i] not in set(err.completed))
         assert order == sorted(order) and set(order) >= before and err.nodes > max_nodes
-        assert set(order) >= set(range(stop)) and max(order, default=0) < (stop // batch + 1) * batch
+        assert set(order) >= set(range(stop)) and batch_of[max(order, default=0)] <= batch_of[stop]
         if batch == 1:
             assert order == list(range(stop))
         assert err.records == rows_of(full, set(err.completed))
@@ -634,8 +659,8 @@ def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch)
 )
 def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_max, cells, batch):
     """Records and node totals equal the full-vector descent's at workers
-    1, 2 and 4, with chunks of a few cells and batches of a few units, so
-    that chunk and batch boundaries fall everywhere."""
+    1, 2 and 4, with chunks of a few cells and batches of a few root cells,
+    so that chunk and batch boundaries fall everywhere."""
     from factprod import search
 
     census = SearchSpec(n1_max, t_max, s_max)
@@ -648,7 +673,7 @@ def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_
     )
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_CELLS", cells)
-        m.setattr(search, "_UNIT_BATCH", batch)
+        m.setattr(search, "_BATCH_CELLS", batch)
         for run, pairs, (want, nodes) in cases:
             for workers in (1, 2, 4):
                 assert pairs(run(SearchGuards(max_nodes=max(nodes, 1)), workers)) == want
@@ -674,11 +699,12 @@ def test_search_delta_guard_workers_2_keeps_completed_units():
 
 def test_search_delta_guard_serial_trip_keeps_a_strict_part():
     # which units finish before a shared-budget trip depends on scheduling;
-    # a serial trip point does not, and the x1 = 35 solutions lie past it
+    # a serial trip point does not, and the x1 = 35 solutions lie past it.
+    # The units are one batch, whose root charges 215 of the 302 nodes.
     spec = DeltaSearchSpec((2, 3), 60, 5)
     full = search_delta(spec)
     with pytest.raises(ResourceGuardError) as e:
-        search_delta(spec, guards=SearchGuards(max_nodes=150), workers=1)
+        search_delta(spec, guards=SearchGuards(max_nodes=260), workers=1)
     err = e.value
     done = set(err.completed)
     assert [(r.x, r.a) for r in err.records] == [(r.x, r.a) for r in full if r.x in done]
@@ -744,6 +770,35 @@ def test_census_report_counts():
         assert pairings == member == 1
     rows = summary.csv_rows()
     assert rows[0] == "t,s,classification,count"
+
+
+@pytest.mark.parametrize("c", [None, 1])
+def test_the_census_path_builds_equations_only_for_nontrivial_rows(monkeypatch, c):
+    """The census, its report and its JSONL payload build no SolutionRecord,
+    and a FactorialEquation only for a nontrivial row: the report's, and
+    with --c the filter's before it keeps the row."""
+    from factprod import equations
+    from factprod.cli import record_jsonl
+
+    spec = SearchSpec(24, 6, 3, c=c)
+    nontrivial = search_factorial_products(SearchSpec(24, 6, 3)).classification.count(NONTRIVIAL)
+    built = []
+    check = equations.FactorialEquation.__post_init__
+
+    def counted(self):
+        built.append((self.lhs, self.rhs))
+        check(self)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a SolutionRecord was built")
+
+    monkeypatch.setattr(equations.FactorialEquation, "__post_init__", counted)
+    monkeypatch.setattr(equations.SolutionRecord, "__init__", boom)
+    result = search_factorial_products(spec)
+    record_jsonl(result)
+    report = census_report(result, c=c)
+    assert len(report.nontrivial) == (len(result) if c else nontrivial)
+    assert len(built) == nontrivial + (len(result) if c else 0) and nontrivial > 0
 
 
 def test_census_report_empty():

@@ -13,9 +13,9 @@ SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TRACED = [
     (
         ["search", "--n1-max", "10", "--t-max", "4", "--s-max", "2", "--workers", "1"],
-        # the census builds no delta form: default_pairing and to_delta_form
-        # run only when CensusResult.records is read
-        {"search.search_factorial_products", "search.census_report", "equations.verify"},
+        # the census builds no delta form or SolutionRecord: default_pairing,
+        # to_delta_form and verify run only when CensusResult.records is read
+        {"search.search_factorial_products", "search.census_report"},
     ),
     (
         ["audit", "--check", "erdos", "--x", "2:50", "--k", "10:20"],
