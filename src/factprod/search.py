@@ -246,12 +246,12 @@ def _ranks(count):
 
 
 class _Chunk:
-    """Charged live states of one depth: state i placed ``lhs[i]``; its children are
-    ``count[i]`` values down from ``high[i]`` (at the census root, its ``kids``)."""
+    """Live states of one depth: state i placed ``lhs[i]``, costs ``nodes[i]``, and has
+    ``count[i]`` children down from ``high[i]`` (at the census root, its ``kids``)."""
 
-    def __init__(self, unit, rows, logr, lhs, high, count, width, kids=None):
+    def __init__(self, unit, rows, logr, lhs, high, count, nodes, width, kids=None):
         self.unit, self.rows, self.logr, self.lhs, self.high = unit, rows, logr, lhs, high
-        self.count, self.width, self.kids = count, width, kids
+        self.count, self.nodes, self.width, self.kids = count, nodes, width, kids
         self.ends, self.start = np.cumsum(count), 0
 
 
@@ -333,7 +333,7 @@ class _Tables:
         whose factorials multiply to the target (> 1) of each ``unit``; see _walk."""
         rows, logr = self.residual(target)
         lhs = np.zeros((len(unit), 0), np.intp)
-        return self._walk(unit, budget, lambda: self._expand(unit, rows, logr, ub, lhs, budget))
+        return self._walk(unit, budget, lambda: self._expand(unit, rows, logr, ub, lhs))
 
     def census(self, rhs, budget: _Budget):
         """The left sides placing no right-hand entry of each zero-padded row of ``rhs``;
@@ -345,10 +345,9 @@ class _Tables:
         logr = self.residual([(n, 1) for n in rhs.T], 0)[1]
 
         def root():
-            count = np.maximum(rhs[:, 0] - self.below[rhs[:, 0]], 0)
-            budget.spend(int(count.sum()))
-            rep = np.repeat(unit, count)
-            a = rhs[rep, 0] - 1 - _ranks(count)
+            nodes = np.maximum(rhs[:, 0] - self.below[rhs[:, 0]], 0)
+            rep = np.repeat(unit, nodes)
+            a = rhs[rep, 0] - 1 - _ranks(nodes)
             shift = rep * len(self.lpf)
             block = np.maximum.accumulate(self.lpf[a + 1] + shift) - shift
             low = block if rhs.shape[1] < 2 else np.maximum(block, self.below[rhs[rep, 1]])
@@ -356,20 +355,19 @@ class _Tables:
             live = cap >= low
             width = np.searchsorted(self.primes, cap[live].max(initial=0), "right")
             count = np.bincount(rep[live], minlength=len(unit))
-            return _Chunk(unit, None, logr, rhs[:, :0], None, count, width, a[live])
+            return _Chunk(unit, None, logr, rhs[:, :0], None, count, nodes, width, a[live])
 
         return self._walk(unit, budget, root, rhs)
 
-    def _expand(self, unit, rows, logr, ub, lhs, budget: _Budget):
-        """Charge each state its cap - p* + 1 nodes and keep the live ones
-        (cap >= p*), on the columns up to their largest cap.  Children a
+    def _expand(self, unit, rows, logr, ub, lhs):
+        """The live states (cap >= p*), on the columns up to their largest cap,
+        each with its cap - p* + 1 nodes.  Children a
         run down from min(cap, A), A the largest a with a! | R; at the last
         level only R = A! completes a left side."""
         width = rows.shape[1]
         low = self.primes[width - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)]
         cap = _size_cap(self.logfact, logr, ub)
         live = np.flatnonzero(cap >= low)
-        budget.spend(int((cap[live] - low[live]).sum()) + len(live))
         if not len(live):
             return None
         low, cap = low[live], cap[live]
@@ -384,19 +382,18 @@ class _Tables:
             count = np.maximum(high - low + 1, 0)
         else:
             count = ((most <= cap) & (most >= low)).astype(np.intp)
-        return _Chunk(unit[live], rows, logr[live], lhs[live], high, count, width)
+        return _Chunk(unit[live], rows, logr[live], lhs[live], high, count, cap - low + 1, width)
 
     def _walk(self, unit, budget: _Budget, root, rhs=None):
-        """Run the descent from ``root()`` depth first over chunks: the top chunk builds
-        the children of its next states, as many as fit in _CELLS cells; a zero row is a
-        left side.  Returns the left sides as rows, their units and their entries padded
-        with zeros to t_max columns, and the set of units with a state left on the stack
-        or in the current chunk, empty unless the budget tripped."""
-        units, lefts = [unit[:0]], [np.zeros((0, self.t_max), np.intp)]
-        stack, current, left = [], unit, set()
+        """Run the descent from ``root()`` depth first over chunks: the top chunk charges
+        its next states, as many as have children fitting in _CELLS cells, then builds
+        those; a zero row is a left side.  Returns the left sides, their units and their
+        entries zero-padded to t_max columns, and the set of units with a state on the
+        stack or charged last, empty unless the budget tripped."""
+        units, lefts, stack, left = [unit[:0]], [np.zeros((0, self.t_max), np.intp)], [], set()
 
         def push(chunk):
-            if chunk is not None and chunk.ends[-1]:
+            if chunk is not None:
                 stack.append(chunk)
 
         try:
@@ -408,7 +405,11 @@ class _Tables:
                 par.start = max(s0 + 1, int(np.searchsorted(par.ends, limit, "right")))
                 if par.start == len(par.ends):
                     stack.pop()
+                current = par.unit[s0 : par.start]
+                budget.spend(int(par.nodes[s0 : par.start].sum()))
                 count = par.count[s0 : par.start]
+                if not count.any():
+                    continue
                 rep = np.repeat(np.arange(s0, par.start), count)
                 if par.kids is None:
                     a = par.high[rep] - _ranks(count)
@@ -433,9 +434,8 @@ class _Tables:
                     lefts.append(np.zeros((len(go) - np.count_nonzero(go), self.t_max), lhs.dtype))
                     lefts[-1][:, : lhs.shape[1]] = lhs[~go]
                 if lhs.shape[1] < self.t_max and go.any():
-                    current = u[go]
                     logr = par.logr[rep[go]] - self.logfact[a[go]]
-                    push(self._expand(current, rows[go], logr, a[go], lhs[go], budget))
+                    push(self._expand(u[go], rows[go], logr, a[go], lhs[go]))
         except _GuardTrip:
             left = {k for par in stack for k in par.unit[par.start :].tolist()}
             left |= set(current.tolist())

@@ -559,10 +559,10 @@ def test_guard_node_budget_serial_trip_point():
             SearchSpec(n1_max=40, t_max=8, s_max=3),
             guards=SearchGuards(max_nodes=100_000),  # of the 305,502 nodes it spends
         )
-    assert e.value.reason == "node budget exceeded (101271 > 100000)"
-    assert len(e.value.records) == 48
-    assert e.value.completed_units == 2967
-    assert e.value.nodes == 101271
+    assert e.value.reason == "node budget exceeded (113084 > 100000)"
+    assert len(e.value.records) == 1733
+    assert e.value.completed_units == 4665
+    assert e.value.nodes == 113084
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
@@ -700,7 +700,8 @@ def test_search_delta_guard_workers_2_keeps_completed_units():
 def test_search_delta_guard_serial_trip_keeps_a_strict_part():
     # which units finish before a shared-budget trip depends on scheduling;
     # a serial trip point does not, and the x1 = 35 solutions lie past it.
-    # The units are one batch, whose root charges 215 of the 302 nodes.
+    # The units are one batch, whose first slice of root states costs 215 of
+    # the 302 nodes.
     spec = DeltaSearchSpec((2, 3), 60, 5)
     full = search_delta(spec)
     with pytest.raises(ResourceGuardError) as e:
