@@ -360,10 +360,9 @@ class _Tables:
         return self._walk(unit, budget, root, rhs)
 
     def _expand(self, unit, rows, logr, ub, lhs):
-        """The live states (cap >= p*), on the columns up to their largest cap,
-        each with its cap - p* + 1 nodes.  Children a
-        run down from min(cap, A), A the largest a with a! | R; at the last
-        level only R = A! completes a left side."""
+        """The live states (cap >= p*), each with its cap - p* + 1 nodes, on the
+        columns up to their largest cap.  Children a run down from min(cap, A), A the
+        largest a with a! | R; at the last level only R = A! completes a left side."""
         width = rows.shape[1]
         low = self.primes[width - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)]
         cap = _size_cap(self.logfact, logr, ub)
