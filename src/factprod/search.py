@@ -16,9 +16,9 @@ enumeration is duplicate-free.
 
 The residual is a dense row of exponents over the primes up to n_max, and
 ``_Tables`` expands every live state of a level at once in numpy, a batch
-of units (sized by the cells of their roots) at a time, depth first over
-chunks of at most _CELLS cells.  ``fanout.deal`` shares the units out over
-forked processes that share one node counter, or runs them in-process.
+of _UNIT_BATCH units at a time, depth first over chunks of at most _CELLS
+cells.  ``fanout.deal`` shares the units out over forked processes that
+share one node counter, or runs them in-process.
 Left sides leave the descent as zero-padded columns, the census checks a
 batch of them at once with ``verify_rows`` on the equations' own exponent
 vectors, and the columns are merged by one lexsort on a canonical key
@@ -200,10 +200,10 @@ _LOG_MARGIN = 1e-6
 # the nonzero entries of the dense rows, so the tables stay below 16 MiB.
 _TABLE_PAIRS = 1 << 22
 
-# Most rows x columns one chunk of children may hold, and most root cells
-# (see _run_units) one batch of the descent starts with.
+# Most rows x columns one chunk of children may hold, and most work units one
+# batch of the descent starts with.
 _CELLS = 1 << 17
-_BATCH_CELLS = 1 << 17
+_UNIT_BATCH = 512
 
 
 def _table_pairs(n_max: int) -> int:
@@ -487,16 +487,15 @@ def _tuples(m: np.ndarray) -> tuple:
     return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _run_units(units, width, descend, cells, finish, collect, workers, guards):
+def _run_units(units, width, descend, finish, collect, workers, guards):
     """Run independent work units (at least one) under one node/time budget, in
-    batches that end where the running sum of the units' root cells, ``cells(keys)``
-    but at least 1, passes a multiple of _BATCH_CELLS.  ``descend(keys, budget)``
-    gives the left sides of a batch, whose units are the rows of ``keys`` zero-padded
-    to ``width``, as (their units, rows zero-padded to t_max, the units a trip left
-    unfinished), and ``finish(keys, lhs)`` their result columns, the first two the
-    sort key.  Returns ``collect`` of the columns merged in key order (every entry is
-    >= 1, so the padding sorts as tuples do); a tripped guard raises
-    ResourceGuardError carrying ``collect`` of the completed units' columns.
+    batches of _UNIT_BATCH.  ``descend(keys, budget)`` gives the left sides of a
+    batch, whose units are the rows of ``keys`` zero-padded to ``width``, as (their
+    units, rows zero-padded to t_max, the units a trip left unfinished), and
+    ``finish(keys, lhs)`` their result columns, the first two the sort key.
+    Returns ``collect`` of the columns merged in key order (every entry is >= 1,
+    so the padding sorts as tuples do); a tripped guard raises ResourceGuardError
+    carrying ``collect`` of the completed units' columns.
 
     ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
     to forked children, which inherit the tables, run the descent and ``finish`` and
@@ -507,13 +506,15 @@ def _run_units(units, width, descend, cells, finish, collect, workers, guards):
 
     def run(share):
         done, parts = [], []
-        every = np.array([units[i] + (0,) * (width - len(units[i])) for i in share])
-        cut = np.flatnonzero(np.diff(np.cumsum(np.maximum(cells(every), 1)) // _BATCH_CELLS)) + 1
-        for keys, batch in zip(np.split(every, cut), np.split(np.array(share), cut)):
+        for k in range(0, len(share), _UNIT_BATCH):
+            batch = share[k : k + _UNIT_BATCH]
+            keys = np.array([units[i] + (0,) * (width - len(units[i])) for i in batch])
             unit, lhs, left = descend(keys, budget)
-            keep = ~np.isin(unit, list(left))
+            finished = np.ones(len(batch), bool)
+            finished[list(left)] = False  # not np.isin: it imports numpy.ma in each child
+            keep = finished[unit]
             parts.append(finish(keys[unit[keep]], lhs[keep]))
-            done += [i for j, i in enumerate(batch.tolist()) if j not in left]
+            done += [i for i, f in zip(batch, finished.tolist()) if f]
             if left:
                 return done, parts, budget.reason
         return done, parts, ""
@@ -544,9 +545,6 @@ def search_factorial_products(
     guards = guards or SearchGuards()
     shape = (spec.n1_max, 2, 1, spec.s_max)
     tables = _Tables(spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
-    if spec.s_max > 1:
-        # the root of (n, n) reaches cap n - 1: children share these columns copy-on-write
-        tables.columns(int(np.searchsorted(tables.primes, spec.n1_max - 1, "right")))
 
     def finish(rhs, lhs):
         cls = verify_rows(lhs, rhs)
@@ -561,8 +559,6 @@ def search_factorial_products(
         _non_increasing(*shape),
         spec.s_max,
         tables.census,
-        # the root's children a_1 in [p(n_1), n_1 - 1], each a scalar
-        lambda rhs: rhs[:, 0] - tables.below[rhs[:, 0]],
         finish,
         lambda rhs, lhs, cls: CensusResult(
             _tuples(lhs), _tuples(rhs), tuple(map(CLASSES.__getitem__, cls.tolist()))
@@ -606,7 +602,6 @@ def search_delta(
         _non_increasing(*shape),
         len(spec.k_list),
         descend,
-        lambda xs: np.full(len(xs), len(tables.primes)),  # one row over every prime
         lambda xs, lhs: (xs, lhs),
         lambda xs, lhs: [DeltaSolution(*row) for row in zip(_tuples(xs), _tuples(lhs))],
         workers,

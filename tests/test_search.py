@@ -288,10 +288,8 @@ def test_census_at_the_table_bound_is_pinned():
     admits: record count and a digest of its (lhs, rhs) list, pinned from
     the dense-residual engine that preceded the packed one, and its nodes,
     the values the size-capped descent walks.  It fits the default guards.
-    One node less trips at the last chunk charged, which holds states of
-    the rhs (2048,), (4096,) and (6144,), before the first and the last
-    reached their records 2047! (2!)^11 = 2048!, 6143! 3! (2!)^10 = 6144!
-    and 6143! 4! (2!)^8 = 6144!."""
+    One node less trips at the last chunk charged, which holds a state of
+    the rhs (7776,) before it reached its record 7775! (3!)^5 = 7776!."""
     import hashlib
 
     spec = SearchSpec(7876, 12, 1)
@@ -307,10 +305,9 @@ def test_census_at_the_table_bound_is_pinned():
         search_factorial_products(spec, guards=SearchGuards(max_nodes=nodes - 1))
     units = [(n,) for n in range(3, 7877)]
     assert e.value.nodes == nodes and e.value.total_units == len(units)
-    left = {(2048,), (4096,), (6144,)}
-    assert list(e.value.completed) == [u for u in units if u not in left]
-    assert e.value.records == rows_of(recs, set(units) - left)
-    assert len(e.value.records) == 86
+    assert list(e.value.completed) == [u for u in units if u != (7776,)]
+    assert e.value.records == rows_of(recs, set(units) - {(7776,)})
+    assert len(e.value.records) == 88
 
 
 def test_s1_census_is_the_trivial_family_and_four_identities():
@@ -559,10 +556,10 @@ def test_guard_node_budget_serial_trip_point():
             SearchSpec(n1_max=40, t_max=8, s_max=3),
             guards=SearchGuards(max_nodes=100_000),  # of the 305,502 nodes it spends
         )
-    assert e.value.reason == "node budget exceeded (113084 > 100000)"
-    assert len(e.value.records) == 1733
-    assert e.value.completed_units == 4665
-    assert e.value.nodes == 113084
+    assert e.value.reason == "node budget exceeded (100214 > 100000)"
+    assert len(e.value.records) == 2260
+    assert e.value.completed_units == 4522
+    assert e.value.nodes == 100214
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
@@ -587,21 +584,16 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
 def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch):
     """At trip points over the whole of a serial run, ``completed`` is in
     unit order and only grows with the budget; it holds every unit before
-    the first unfinished one and none past that unit's batch, and ``records``
-    holds exactly their rows.  A batch ends where the running sum of root
-    cells (a root child a_1 in [p(n_1), n_1 - 1] each, but at least one a
-    unit) passes a multiple of ``batch``.  With one cell per batch, so one
-    unit per batch, ``completed`` is exactly the units before the one the
-    trip stopped."""
+    the first unfinished one and none past that unit's batch, and
+    ``records`` holds exactly their rows.  With one unit per batch,
+    ``completed`` is exactly the units before the one the trip stopped."""
     from factprod import search
 
     monkeypatch.setattr(search, "_CELLS", cells)
-    monkeypatch.setattr(search, "_BATCH_CELLS", batch)
+    monkeypatch.setattr(search, "_UNIT_BATCH", batch)
     spec = SearchSpec(14, 5, 3)
     full = search_factorial_products(spec)
     units = list(search._non_increasing(14, 2, 1, 3))
-    below = search._Tables(14, 5).below
-    batch_of = np.cumsum(np.maximum([u[0] - below[u[0]] for u in units], 1)) // batch
     index = {u: i for i, u in enumerate(units)}
     _, nodes = full_vector_census(14, 5, 3)
     before = set()
@@ -612,7 +604,7 @@ def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch)
         order = [index[u] for u in err.completed]
         stop = next(i for i in range(len(units)) if units[i] not in set(err.completed))
         assert order == sorted(order) and set(order) >= before and err.nodes > max_nodes
-        assert set(order) >= set(range(stop)) and batch_of[max(order, default=0)] <= batch_of[stop]
+        assert set(order) >= set(range(stop)) and max(order, default=0) < (stop // batch + 1) * batch
         if batch == 1:
             assert order == list(range(stop))
         assert err.records == rows_of(full, set(err.completed))
@@ -659,8 +651,8 @@ def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch)
 )
 def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_max, cells, batch):
     """Records and node totals equal the full-vector descent's at workers
-    1, 2 and 4, with chunks of a few cells and batches of a few root cells,
-    so that chunk and batch boundaries fall everywhere."""
+    1, 2 and 4, with chunks of a few cells and batches of a few units, so
+    that chunk and batch boundaries fall everywhere."""
     from factprod import search
 
     census = SearchSpec(n1_max, t_max, s_max)
@@ -673,7 +665,7 @@ def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_
     )
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_CELLS", cells)
-        m.setattr(search, "_BATCH_CELLS", batch)
+        m.setattr(search, "_UNIT_BATCH", batch)
         for run, pairs, (want, nodes) in cases:
             for workers in (1, 2, 4):
                 assert pairs(run(SearchGuards(max_nodes=max(nodes, 1)), workers)) == want
@@ -699,13 +691,11 @@ def test_search_delta_guard_workers_2_keeps_completed_units():
 
 def test_search_delta_guard_serial_trip_keeps_a_strict_part():
     # which units finish before a shared-budget trip depends on scheduling;
-    # a serial trip point does not, and the x1 = 35 solutions lie past it.
-    # The units are one batch, whose first slice of root states costs 215 of
-    # the 302 nodes.
+    # a serial trip point does not, and the x1 = 35 solutions lie past it
     spec = DeltaSearchSpec((2, 3), 60, 5)
     full = search_delta(spec)
     with pytest.raises(ResourceGuardError) as e:
-        search_delta(spec, guards=SearchGuards(max_nodes=260), workers=1)
+        search_delta(spec, guards=SearchGuards(max_nodes=150), workers=1)
     err = e.value
     done = set(err.completed)
     assert [(r.x, r.a) for r in err.records] == [(r.x, r.a) for r in full if r.x in done]
