@@ -366,7 +366,7 @@ class ErdosScanResult:
 
     @property
     def findings(self) -> tuple[AuditFinding, ...]:
-        bound = {k: _erdos_bound(k) for k in np.unique(self.k).tolist()}
+        bound = {k: _erdos_bound(k) for k in set(self.k.tolist())}  # np.unique imports numpy.ma
         return tuple(
             AuditFinding(
                 "erdos_ratio", {"x": x, "k": k, "p_max": p},

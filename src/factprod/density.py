@@ -13,8 +13,11 @@ Three routes to its volume:
 * mc_density            -- counter-based Monte Carlo: coordinate (i, d)
   depends only on (seed, i, d), so it can be drawn alone, for any subset of
   samples.  Each coordinate is drawn only for the samples that passed every
-  constraint before it, and fixed sample blocks are dealt out by
-  ``fanout.deal``, so the estimate is identical for any worker count.
+  constraint before it, and every constraint is decided on the sampler's
+  53-bit integer keys, with doubles made only for the gap-ratio test: the
+  hits equal those of the indicator on the doubles key * 2^-53.  Fixed
+  sample blocks are dealt out by ``fanout.deal``, so the estimate is
+  identical for any worker count.
 * quadrature_density    -- nested integration on a cone: every constraint is
   homogeneous and every coordinate is at most x_1, so the volume is that of
   the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
@@ -48,29 +51,43 @@ _ROUNDS = (
 )
 _INV53 = 1.0 / (1 << 53)
 # The survivor kernel works on one chunk of _CHUNK rows at a time: no array it
-# makes holds more than _CHUNK doubles (96 KiB), below glibc's 128 KiB mmap
-# threshold, so its speed does not depend on where earlier frees have moved
-# that threshold.  mc_density counts whole blocks of _BATCH samples.
+# makes holds more than _CHUNK 8-byte keys (96 KiB), below glibc's 128 KiB
+# mmap threshold, so its speed does not depend on where earlier frees have
+# moved that threshold (measured: 16K-row chunks ran slower than 12K with the
+# threshold held at 128 KiB, and mixing into preallocated buffers gained
+# nothing).  The one exception is its pool of the rows that pass the y
+# ordering, about count / t! keys, made once per call.  mc_density counts
+# whole blocks of _BATCH samples.
 _CHUNK = 12 * 1024
 _BATCH = 1 << 17
 
 
-def _column(seed: int, start: int, dims: int, dim: int, rows: np.ndarray) -> np.ndarray:
-    """Coordinate ``dim`` of samples start + rows: the one mixing routine."""
-    z = np.empty(rows.shape, dtype=np.uint64)
-    tmp = np.empty_like(z)
+def _steps(rows: np.ndarray, dims: int) -> np.ndarray:
+    """rows * dims * phi (mod 2^64) for int64 row offsets: the part of each
+    sample's counter that depends on its row, computed once per row set."""
+    return np.multiply(rows.view(np.uint64), np.uint64(dims * _PHI & _MASK64))
+
+
+def _keys(seed: int, start: int, dims: int, dim: int, steps: np.ndarray) -> np.ndarray:
+    """53-bit keys (uint64, below 2^53) of coordinate ``dim`` of samples
+    start + r, given steps = _steps(r, dims): the one mixing routine.  The
+    coordinate itself is the double key * 2^-53."""
     # counter k = (start + r) * dims + dim, and z = seed + (k + 1) * phi (mod 2^64)
-    np.multiply(rows.view(np.uint64), np.uint64(dims * _PHI & _MASK64), out=z)
-    z += np.uint64((seed + (start * dims + dim + 1) * _PHI) & _MASK64)
+    z = steps + np.uint64((seed + (start * dims + dim + 1) * _PHI) & _MASK64)
+    tmp = np.empty_like(z)
     for shift, mul in _ROUNDS:
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         if mul is not None:
             z *= mul
     z >>= np.uint64(11)
-    out = tmp.view(np.float64)
-    np.multiply(z.view(np.int64), _INV53, out=out)  # exact below 2^53, and int64 converts faster
-    return out
+    return z
+
+
+def _column(seed: int, start: int, dims: int, dim: int, rows: np.ndarray) -> np.ndarray:
+    """Coordinate ``dim`` of samples start + rows as doubles."""
+    keys = _keys(seed, start, dims, dim, _steps(rows, dims))
+    return keys.view(np.int64) * _INV53  # exact below 2^53, and int64 converts faster
 
 
 def sample_block(
@@ -152,41 +169,63 @@ def indicator(point, spec: RegionSpec) -> bool:
 def _survivor_hits(spec: RegionSpec, seed: int, start: int, count: int) -> int:
     """How many of samples start..start+count-1 lie in the region.
 
-    Each chunk of rows draws y1 and y2, then every later coordinate (y3..yt,
-    x1, x2..xs) only for the rows that passed every test before it; a y that
-    a later test reads again is drawn again for the rows still alive.  The
-    comparisons and float expressions (k1 = x1 - y1, gap <= c * k1) are
-    those of testing the whole block at once, so the hits are too."""
-    s, c = spec.s, spec.c
-    hits = 0
-    offsets = np.arange(min(_CHUNK, count))
+    The y ordering is tested one chunk of rows at a time: the keys of y1 and
+    y2 are drawn for every row, and each later y only for the rows still
+    ordered.  The rows that pass, carried as their counter steps, are pooled
+    over all chunks, and the pool is cut into chunks again for the sparser
+    tests: x1 > y1, then each x_j with its paired y, each coordinate drawn
+    only for the rows that passed every test before it (a y read again is
+    drawn again).  Pooling pays the per-call cost of those small arrays
+    once per pooled chunk instead of once per chunk of samples.
+
+    Every test is decided on the keys K (coordinate u = K * 2^-53) and
+    decides as the indicator does on the doubles, so the hits equal those of
+    testing the whole block at once:
+    * the orderings, x1 > y1 and gap > 0 compare keys: u_a >= u_b exactly
+      when K_a >= K_b;
+    * k1 = x1 - y1 and gap = xj - yi are exact doubles, multiples of 2^-53
+      below 1, so they are the key differences K1 and G times 2^-53;
+    * scaling by 2^53 commutes with rounding, since c * K1 >= 1 is never
+      subnormal and overflows to inf only where c * k1 is far above any gap;
+      so gap <= c * k1 exactly when float(G) <= c * float(K1).
+    Doubles are made only from the key differences of rows with x1 > y1."""
+    s, dims, c = spec.s, spec.dims, spec.c
+
+    def key(at: int, d: int, steps: np.ndarray) -> np.ndarray:
+        return _keys(seed, at, dims, d, steps).view(np.int64)
+
+    # dimension j - 1 holds x_j and dimension s + i - 1 holds y_i
+    chunk_steps = _steps(np.arange(min(_CHUNK, count)), dims)
+    ordered = []
     for pos in range(0, count, _CHUNK):
-        rows = offsets[: count - pos]
-        at, size = start + pos, len(rows)
-
-        def draw(d: int, rows: np.ndarray) -> np.ndarray:
-            return sample_block(seed, at, size, spec.dims, dim=d, rows=rows)
-
-        # dimension j - 1 holds x_j and dimension s + i - 1 holds y_i
-        y = draw(s, rows)
-        for d in range(s + 1, spec.dims):
-            yd = draw(d, rows)
+        steps = chunk_steps[: count - pos]
+        y = key(start + pos, s, steps)
+        for d in range(s + 1, dims):
+            yd = key(start + pos, d, steps)
             live = np.flatnonzero(y >= yd)
-            rows, y = rows[live], yd[live]
-        x = draw(0, rows)
-        k1 = x - draw(s, rows)
+            steps, y = steps[live], yd[live]
+        ordered.append(steps + np.uint64(pos * dims * _PHI & _MASK64))  # steps from start
+    ordered = np.concatenate(ordered)
+    hits = 0
+    for pos in range(0, len(ordered), _CHUNK):
+        steps = ordered[pos : pos + _CHUNK]
+        x = key(start, 0, steps)
+        k1 = x - key(start, s, steps)
         live = np.flatnonzero(k1 > 0)
-        rows, x, k1 = rows[live], x[live], k1[live]
+        steps, x = steps[live], x[live]
+        # c * K1 overflows only far above every gap, and c = inf makes every
+        # bound inf, which drops the ratio test as the indicator does
+        with np.errstate(over="ignore"):
+            bound = c * k1[live].astype(np.float64)
         for j, i in enumerate(spec.pairing, start=1):
-            xj = draw(j, rows)
-            gap = xj - draw(s + i - 1, rows)
+            xj = key(start, j, steps)
+            gap = xj - key(start, s + i - 1, steps)
             ok = x >= xj
             ok &= gap > 0
-            if math.isfinite(c):
-                ok &= gap <= c * k1
+            ok &= gap.astype(np.float64) <= bound
             live = np.flatnonzero(ok)
-            rows, x, k1 = rows[live], xj[live], k1[live]
-        hits += len(rows)
+            steps, x, bound = steps[live], xj[live], bound[live]
+        hits += len(steps)
     return hits
 
 

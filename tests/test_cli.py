@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -449,6 +453,31 @@ def test_audit_erdos_builds_no_rows_without_out(capsys, monkeypatch):
     assert code == 0
     _, result = parse_doc(out)
     assert result["eligible_windows"] == 4250
+
+
+def test_audit_and_abc_commands_leave_numpy_ma_unloaded(tmp_path):
+    # the plain np.unique and np.isin import numpy.ma on first use: 10-16 ms per process
+    script = (
+        "import contextlib, io, sys\n"
+        "from factprod import cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    print(argv.split()[0], code, 'numpy.ma' in sys.modules)\n"
+    )
+    commands = [
+        f"audit --check erdos --x 2:500 --k 5:40 --out {tmp_path / 'erdos.csv'}",
+        "abc --m1 1000 --k1 10",
+        "verify 7,3,3,2=9 --audit-window",
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["audit 0 False", "abc 0 False", "verify 0 False", ""]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -112,6 +113,55 @@ def test_survivor_kernel_matches_dense_oracle(t, s, pairing):
                     assert got == want, (spec, seed, start, count)
 
 
+KEY_MAX = 2**53 - 1
+RATIO_CS = (1, 1 + 2**-52, 1.5, 7 / 3, 2, 1e300, sys.float_info.max)
+
+
+@st.composite
+def _ratio_points(draw, c):
+    """Keys (x1, x2, y1, y2) of a t = s = 2 sample that passes every test but
+    the ratio test, with gap one key below, at or above the double c * k1
+    where that is below 2^53: an exact tie when it is an integer (k1 = 2^51
+    for c = 7/3, even k1 for c = 1.5, 2^52 for c = 1 + 2^-52)."""
+    k1 = draw(st.integers(1, KEY_MAX) | st.sampled_from([1, 2, 3, 2**51, 2**52, KEY_MAX]))
+    tie = c * float(k1)
+    if tie < KEY_MAX:
+        gap = min(max(int(tie) + draw(st.sampled_from([-1, 0, 1])), 1), KEY_MAX)
+    else:
+        gap = draw(st.integers(1, KEY_MAX))
+    y1 = draw(st.integers(max(0, gap - k1), KEY_MAX - k1))
+    y2 = draw(st.integers(0, min(y1, y1 + k1 - gap)))
+    return (y1 + k1, y2 + gap, y1, y2)
+
+
+@st.composite
+def _key_rows(draw):
+    c = draw(st.sampled_from(RATIO_CS))
+    raw = st.tuples(*[st.integers(0, KEY_MAX)] * 4)
+    return c, draw(st.lists(_ratio_points(c) | raw, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_rows())
+def test_survivor_kernel_key_tests_equal_the_float_tests(case):
+    # the kernel, fed chosen keys, counts what the float indicator counts on
+    # the doubles key * 2^-53, at the key extremes and at ratio ties
+    c, points = case
+    spec = RegionSpec(t=2, s=2, c=c)
+    keys = np.array(points, dtype=np.uint64)
+    row_of = {int(v): r for r, v in enumerate(density._steps(np.arange(len(keys)), spec.dims))}
+
+    def chosen(seed, start, dims, dim, steps):
+        return keys[[row_of[int(v)] for v in steps], dim]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_keys", chosen)
+        got = density._survivor_hits(spec, 0, 0, len(keys))
+    doubles = keys.astype(np.float64) * 2.0**-53
+    assert got == count_hits_reference(doubles, spec)
+    assert got == sum(indicator(tuple(row), spec) for row in doubles)
+
+
 # ---------------------------------------------------------------- sampler
 
 def test_sampler_counter_based():
@@ -155,6 +205,19 @@ def test_sampler_column_equals_block_column(dims):
                     assert got.tobytes() == block[rows, d].tobytes(), (seed, start, d)
     with pytest.raises(ValueError):
         sample_block(0, 0, 10, dims, dim=dims, rows=[0])
+
+
+@pytest.mark.parametrize("dims", [1, 4, 6])
+def test_sampler_column_is_keys_times_2_to_minus_53(dims):
+    # the survivor kernel decides on the keys the sampler scales
+    rows = np.array([9, 0, 3, 3, 40_000], dtype=np.int64)
+    for seed in (0, 2**63 + 7, 2**64 - 1, -5):
+        for start in (0, 2**40 + 1):
+            for d in range(dims):
+                keys = density._keys(seed, start, dims, d, density._steps(rows, dims))
+                assert keys.dtype == np.uint64 and int(keys.max()) < 2**53
+                got = sample_block(seed, start, 40_001, dims, dim=d, rows=rows)
+                assert (keys.astype(np.float64) * 2.0**-53).tobytes() == got.tobytes()
 
 
 def test_sampler_is_roughly_uniform():
@@ -201,14 +264,14 @@ def test_mc_density_single_block_runs_in_process(monkeypatch):
 )
 def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch):
     # block 0 fails in the first child while the second is still counting
-    sampler = density.sample_block
+    sampler = density._keys
 
     def failing(seed, start, *args, **kwargs):
         if start == 0:
             raise ZeroDivisionError("sampler failed at block 0")
         return sampler(seed, start, *args, **kwargs)
 
-    monkeypatch.setattr(density, "sample_block", failing)
+    monkeypatch.setattr(density, "_keys", failing)
     with pytest.raises(RuntimeError, match="ZeroDivisionError: sampler failed at block 0"):
         mc_density(RegionSpec(t=3, s=2, c=2), 4 * density._BATCH, seed=1, workers=2)
     assert multiprocessing.active_children() == []
