@@ -56,24 +56,19 @@ _INV53 = 1.0 / (1 << 53)
 # moved that threshold (measured: 16K-row chunks ran slower than 12K with the
 # threshold held at 128 KiB, and mixing into preallocated buffers gained
 # nothing).  The one exception is its pool of the rows that pass the y
-# ordering, about count / t! keys, made once per call.  mc_density counts
-# whole blocks of _BATCH samples.
+# ordering, about count / t! row offsets, made once per call.  mc_density
+# counts whole blocks of _BATCH samples.
 _CHUNK = 12 * 1024
 _BATCH = 1 << 17
 
 
-def _steps(rows: np.ndarray, dims: int) -> np.ndarray:
-    """rows * dims * phi (mod 2^64) for int64 row offsets: the part of each
-    sample's counter that depends on its row, computed once per row set."""
-    return np.multiply(rows.view(np.uint64), np.uint64(dims * _PHI & _MASK64))
-
-
-def _keys(seed: int, start: int, dims: int, dim: int, steps: np.ndarray) -> np.ndarray:
+def _keys(seed: int, start: int, dims: int, dim: int, rows: np.ndarray) -> np.ndarray:
     """53-bit keys (uint64, below 2^53) of coordinate ``dim`` of samples
-    start + r, given steps = _steps(r, dims): the one mixing routine.  The
-    coordinate itself is the double key * 2^-53."""
+    start + rows: the one mixing routine.  The coordinate itself is the
+    double key * 2^-53."""
     # counter k = (start + r) * dims + dim, and z = seed + (k + 1) * phi (mod 2^64)
-    z = steps + np.uint64((seed + (start * dims + dim + 1) * _PHI) & _MASK64)
+    z = np.multiply(rows.view(np.uint64), np.uint64(dims * _PHI & _MASK64))
+    z += np.uint64((seed + (start * dims + dim + 1) * _PHI) & _MASK64)
     tmp = np.empty_like(z)
     for shift, mul in _ROUNDS:
         np.right_shift(z, shift, out=tmp)
@@ -84,14 +79,15 @@ def _keys(seed: int, start: int, dims: int, dim: int, steps: np.ndarray) -> np.n
     return z
 
 
-def _column(seed: int, start: int, dims: int, dim: int, rows: np.ndarray) -> np.ndarray:
-    """Coordinate ``dim`` of samples start + rows as doubles."""
-    keys = _keys(seed, start, dims, dim, _steps(rows, dims))
-    return keys.view(np.int64) * _INV53  # exact below 2^53, and int64 converts faster
-
-
 def sample_block(
-    seed: int, start: int, count: int, dims: int, *, dim: int | None = None, rows=None
+    seed: int,
+    start: int,
+    count: int,
+    dims: int,
+    *,
+    dim: int | None = None,
+    rows=None,
+    keys: bool = False,
 ) -> np.ndarray:
     """Uniform [0,1) doubles for sample indices start..start+count-1,
     shape (count, dims); pure function of (seed, index, dimension).
@@ -101,13 +97,18 @@ def sample_block(
 
     With ``dim`` and ``rows`` it returns only coordinate ``dim`` of samples
     start + r for the integer offsets r in ``rows``, equal byte for byte to
-    ``sample_block(seed, start, count, dims)[rows, dim]``."""
+    ``sample_block(seed, start, count, dims)[rows, dim]``.  With ``keys`` it
+    returns the 53-bit integer keys (uint64) instead of the doubles
+    key * 2^-53."""
     if dim is not None:
         if not 0 <= dim < dims:
             raise ValueError(f"dim must be in range({dims}), got {dim}")
-        return _column(seed, start, dims, dim, np.asarray(rows, dtype=np.int64))
-    rows = np.arange(count)
-    return np.stack([_column(seed, start, dims, d, rows) for d in range(dims)], axis=1)
+        out = _keys(seed, start, dims, dim, np.asarray(rows, dtype=np.int64))
+    else:
+        rows = np.arange(count)
+        out = np.stack([_keys(seed, start, dims, d, rows) for d in range(dims)], axis=1)
+    # exact below 2^53, and int64 converts faster than uint64
+    return out if keys else out.view(np.int64) * _INV53
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +172,12 @@ def _survivor_hits(spec: RegionSpec, seed: int, start: int, count: int) -> int:
 
     The y ordering is tested one chunk of rows at a time: the keys of y1 and
     y2 are drawn for every row, and each later y only for the rows still
-    ordered.  The rows that pass, carried as their counter steps, are pooled
-    over all chunks, and the pool is cut into chunks again for the sparser
-    tests: x1 > y1, then each x_j with its paired y, each coordinate drawn
-    only for the rows that passed every test before it (a y read again is
-    drawn again).  Pooling pays the per-call cost of those small arrays
-    once per pooled chunk instead of once per chunk of samples.
+    ordered.  The rows that pass are pooled over all chunks, and the pool is
+    cut into chunks again for the sparser tests: x1 > y1, then each x_j with
+    its paired y, each coordinate drawn only for the rows that passed every
+    test before it (a y read again is drawn again).  Pooling pays the
+    per-call cost of those small arrays once per pooled chunk instead of
+    once per chunk of samples.
 
     Every test is decided on the keys K (coordinate u = K * 2^-53) and
     decides as the indicator does on the doubles, so the hits equal those of
@@ -191,41 +192,40 @@ def _survivor_hits(spec: RegionSpec, seed: int, start: int, count: int) -> int:
     Doubles are made only from the key differences of rows with x1 > y1."""
     s, dims, c = spec.s, spec.dims, spec.c
 
-    def key(at: int, d: int, steps: np.ndarray) -> np.ndarray:
-        return _keys(seed, at, dims, d, steps).view(np.int64)
+    def key(d: int, rows: np.ndarray) -> np.ndarray:
+        return sample_block(seed, start, count, dims, dim=d, rows=rows, keys=True).view(np.int64)
 
     # dimension j - 1 holds x_j and dimension s + i - 1 holds y_i
-    chunk_steps = _steps(np.arange(min(_CHUNK, count)), dims)
     ordered = []
     for pos in range(0, count, _CHUNK):
-        steps = chunk_steps[: count - pos]
-        y = key(start + pos, s, steps)
+        rows = np.arange(pos, min(pos + _CHUNK, count))
+        y = key(s, rows)
         for d in range(s + 1, dims):
-            yd = key(start + pos, d, steps)
+            yd = key(d, rows)
             live = np.flatnonzero(y >= yd)
-            steps, y = steps[live], yd[live]
-        ordered.append(steps + np.uint64(pos * dims * _PHI & _MASK64))  # steps from start
+            rows, y = rows[live], yd[live]
+        ordered.append(rows)
     ordered = np.concatenate(ordered)
     hits = 0
     for pos in range(0, len(ordered), _CHUNK):
-        steps = ordered[pos : pos + _CHUNK]
-        x = key(start, 0, steps)
-        k1 = x - key(start, s, steps)
+        rows = ordered[pos : pos + _CHUNK]
+        x = key(0, rows)
+        k1 = x - key(s, rows)
         live = np.flatnonzero(k1 > 0)
-        steps, x = steps[live], x[live]
+        rows, x = rows[live], x[live]
         # c * K1 overflows only far above every gap, and c = inf makes every
         # bound inf, which drops the ratio test as the indicator does
         with np.errstate(over="ignore"):
             bound = c * k1[live].astype(np.float64)
         for j, i in enumerate(spec.pairing, start=1):
-            xj = key(start, j, steps)
-            gap = xj - key(start, s + i - 1, steps)
+            xj = key(j, rows)
+            gap = xj - key(s + i - 1, rows)
             ok = x >= xj
             ok &= gap > 0
             ok &= gap.astype(np.float64) <= bound
             live = np.flatnonzero(ok)
-            steps, x, bound = steps[live], xj[live], bound[live]
-        hits += len(steps)
+            rows, x, bound = rows[live], xj[live], bound[live]
+        hits += len(rows)
     return hits
 
 

@@ -148,16 +148,16 @@ def test_survivor_kernel_key_tests_equal_the_float_tests(case):
     # the doubles key * 2^-53, at the key extremes and at ratio ties
     c, points = case
     spec = RegionSpec(t=2, s=2, c=c)
-    keys = np.array(points, dtype=np.uint64)
-    row_of = {int(v): r for r, v in enumerate(density._steps(np.arange(len(keys)), spec.dims))}
+    table = np.array(points, dtype=np.uint64)
 
-    def chosen(seed, start, dims, dim, steps):
-        return keys[[row_of[int(v)] for v in steps], dim]
+    def chosen(seed, start, count, dims, *, dim, rows, keys):
+        assert keys
+        return table[rows, dim]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(density, "_keys", chosen)
-        got = density._survivor_hits(spec, 0, 0, len(keys))
-    doubles = keys.astype(np.float64) * 2.0**-53
+        mp.setattr(density, "sample_block", chosen)
+        got = density._survivor_hits(spec, 0, 0, len(table))
+    doubles = table.astype(np.float64) * 2.0**-53
     assert got == count_hits_reference(doubles, spec)
     assert got == sum(indicator(tuple(row), spec) for row in doubles)
 
@@ -214,7 +214,7 @@ def test_sampler_column_is_keys_times_2_to_minus_53(dims):
     for seed in (0, 2**63 + 7, 2**64 - 1, -5):
         for start in (0, 2**40 + 1):
             for d in range(dims):
-                keys = density._keys(seed, start, dims, d, density._steps(rows, dims))
+                keys = sample_block(seed, start, 40_001, dims, dim=d, rows=rows, keys=True)
                 assert keys.dtype == np.uint64 and int(keys.max()) < 2**53
                 got = sample_block(seed, start, 40_001, dims, dim=d, rows=rows)
                 assert (keys.astype(np.float64) * 2.0**-53).tobytes() == got.tobytes()
@@ -264,14 +264,14 @@ def test_mc_density_single_block_runs_in_process(monkeypatch):
 )
 def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch):
     # block 0 fails in the first child while the second is still counting
-    sampler = density._keys
+    sampler = density.sample_block
 
     def failing(seed, start, *args, **kwargs):
         if start == 0:
             raise ZeroDivisionError("sampler failed at block 0")
         return sampler(seed, start, *args, **kwargs)
 
-    monkeypatch.setattr(density, "_keys", failing)
+    monkeypatch.setattr(density, "sample_block", failing)
     with pytest.raises(RuntimeError, match="ZeroDivisionError: sampler failed at block 0"):
         mc_density(RegionSpec(t=3, s=2, c=2), 4 * density._BATCH, seed=1, workers=2)
     assert multiprocessing.active_children() == []

@@ -30,8 +30,7 @@ TRACED = [
     ),
     (
         ["density", "--t", "3", "--s", "2", "--c", "1", "--samples", "1000", "--workers", "1"],
-        # the survivor kernel draws keys from density._keys, not sample_block
-        {"density.mc_density", "density.quadrature_s2"},
+        {"density.mc_density", "density.sample_block", "density.quadrature_s2"},
     ),
 ]
 
