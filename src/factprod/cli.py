@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain
 
 from . import __version__, fanout
 from .audit import (
@@ -103,17 +104,23 @@ def _record_obj(rec) -> dict:
 def record_jsonl(result) -> str:
     """The census payload, formatted from the columns of a CensusResult: per
     row, in canonical order, the compact json.dumps of _record_obj of its
-    record, each distinct rhs and class formatted once; deterministic."""
-    tail = {
-        cls: f',"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
-        for cls in set(result.classification)
-    }
-    rhs_text = {rhs: ",".join(map(str, rhs)) for rhs in set(result.rhs)}
-    return "".join(
-        f'{{"lhs":[{",".join(map(str, lhs))}],"rhs":[{rhs_text[rhs]}]'
-        f'{tail[cls]}"t":{len(lhs)},"s":{len(rhs)}}}\n'
-        for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification)
-    )
+    record; deterministic.  The rows of each (t, s, class) group share one
+    line format, applied to the whole group at once."""
+    lhs, rhs = result.lhs, result.rhs
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(map(len, lhs), map(len, rhs), result.classification)):
+        groups.setdefault(key, []).append(i)
+    lines = [""] * len(result)
+    for (t, s, cls), rows in groups.items():
+        line = (
+            '{"lhs":[' + ",".join(["%d"] * t) + '],"rhs":[' + ",".join(["%d"] * s)
+            + f'],"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
+            + f'"t":{t},"s":{s}}}\n'
+        )
+        values = tuple(chain.from_iterable(lhs[i] + rhs[i] for i in rows))
+        for i, text in zip(rows, (line * len(rows) % values).splitlines(True)):
+            lines[i] = text
+    return "".join(lines)
 
 
 def _parse_range(flag: str, text: str, least: int) -> tuple[int, int]:

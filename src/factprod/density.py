@@ -369,7 +369,9 @@ def _slice_s3(spec: RegionSpec, n: int) -> float:
     nodes = (np.arange(n) + 0.5) / n
     Y1 = nodes[:, None]
     Y2 = Y1 * nodes[None, :]
-    G = spec.c * (1.0 - Y1) if math.isfinite(spec.c) else 1.0
+    # no gap on the slice exceeds x1 = 1, so G = c (1 - y1) is capped there: at
+    # huge c, _K would cube it past the float range
+    G = np.minimum(spec.c * (1.0 - Y1), 1.0)
     if spec.pairing == (2, 3):
         # x2 in [y2, min(1, y2 + G)], x3 in [y3, y3 + min(G, x2 - y3)]
         B2 = np.minimum(1.0, Y2 + G)

@@ -1,6 +1,6 @@
 """Complete enumeration of factorial-product identities within bounds.
 
-A work unit is a non-increasing tuple: a right-hand side (n_1, ..., n_s),
+A work unit is a non-increasing row: a right-hand side (n_1, ..., n_s),
 whose target is prod n_j!, or a start vector x of the fixed-gap search,
 whose target is prod (x_j + k_j - 1)! / (x_j - 1)!.  A left side is found
 by a descent over the residual R, the target over the factorials placed so
@@ -16,9 +16,11 @@ enumeration is duplicate-free.
 
 The residual is a dense row of exponents over the primes up to n_max, and
 ``_Tables`` expands every live state of a level at once in numpy, a batch
-of _UNIT_BATCH units at a time, depth first over chunks of at most _CELLS
-cells.  ``fanout.deal`` shares the units out over forked processes that
-share one node counter, or runs them in-process.
+of units at a time (_UNIT_BATCH at first, then twice as many each time, up
+to _UNIT_BATCH_MAX), depth first over chunks of at most _CELLS cells.  The
+units are the rows of one zero-padded int array, s ints each, and
+``fanout.deal`` shares out their indices over forked processes that share
+one node counter, or runs them in-process.
 Left sides leave the descent as zero-padded columns, the census checks a
 batch of them at once with ``verify_rows`` on the equations' own exponent
 vectors, and the columns are merged by one lexsort on a canonical key
@@ -200,10 +202,12 @@ _LOG_MARGIN = 1e-6
 # the nonzero entries of the dense rows, so the tables stay below 16 MiB.
 _TABLE_PAIRS = 1 << 22
 
-# Most rows x columns one chunk of children may hold, and most work units one
-# batch of the descent starts with.
+# Most rows x columns one chunk of children (or one block of work units) may
+# hold; the work units of a worker's first batch of the descent, and the most
+# that any later batch, twice the one before it, may hold.
 _CELLS = 1 << 17
 _UNIT_BATCH = 512
+_UNIT_BATCH_MAX = 1 << 13
 
 
 def _table_pairs(n_max: int) -> int:
@@ -215,13 +219,15 @@ def _table_pairs(n_max: int) -> int:
     return len(ps) * (n_max + 1) - int(ps.sum())
 
 
-# Most work units one search may list: a unit of s entries is a tuple of
-# about 100 bytes with its list slot, so 2^20 units are about 100 MiB.
+# Most work units one search may list.  A unit is a row of s ints of the unit
+# array (8s bytes) plus an 8-byte index once done, but a guard trip reports
+# the completed units as tuples of about 100 bytes each, so 2^20 units keep
+# that report near 100 MiB.
 _UNIT_BUDGET = 1 << 20
 
 
 def _unit_count(first_max: int, least: int, min_len: int, max_len: int) -> int:
-    """How many tuples _non_increasing yields, exact up to _UNIT_BUDGET and
+    """How many rows _units holds, exact up to _UNIT_BUDGET and
     past it a lower bound: with first entry f the other L - 1 entries are a
     multiset of [least, f], and C(f - least + L - 1, L - 1) summed over
     f = 3..first_max telescopes."""
@@ -441,19 +447,41 @@ class _Tables:
         return np.concatenate(units), np.concatenate(lefts), left
 
 
-def _non_increasing(first_max: int, least: int, min_len: int, max_len: int):
-    """Non-increasing tuples with first entry 3..first_max, later entries
-    >= least and min_len..max_len entries, each before its extensions."""
-
-    def grow(prefix: tuple[int, ...]):
-        if len(prefix) >= min_len:
-            yield prefix
-        if len(prefix) < max_len:
-            for v in range(prefix[-1], least - 1, -1):
-                yield from grow(prefix + (v,))
-
-    for first in range(3, first_max + 1):
-        yield from grow((first,))
+def _units(first_max: int, least: int, min_len: int, max_len: int) -> np.ndarray:
+    """The work units as the rows of an (N, max_len) array, zero-padded: the
+    non-increasing rows with first entry 3..first_max, later entries >= least
+    and min_len..max_len entries, each before its extensions, which follow it
+    with their next entry descending.  They are built level by level with no
+    sort, over blocks of first entries of at most _CELLS cells: a row's place
+    is its parent's, plus one if the parent is a unit, plus the units under its
+    larger siblings."""
+    top = max(first_max, 2)
+    # under[d - 1][u]: the units at or under the rows of length d ending in least..u
+    under = [np.zeros(top + 1, np.intp)]
+    for d in range(max_len, 0, -1):
+        size = (d >= min_len) + under[-1]
+        size[:least] = 0
+        under.append(np.cumsum(size))
+    under.reverse()
+    first = np.arange(3, first_max + 1)
+    ends = np.append(under[0][first - 1], under[0][top]) - under[0][2]
+    out = np.zeros((ends[-1], max_len), np.intp)
+    lo = 0
+    while lo < len(first):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _CELLS // max_len, "right")) - 1)
+        place, rows = ends[lo:hi], first[lo:hi, None]
+        for d in range(1, max_len + 1):
+            if d >= min_len:
+                out[place, :d] = rows
+            if d < max_len:
+                last = rows[:, -1]
+                count = last - least + 1
+                rep = np.repeat(np.arange(len(rows)), count)
+                entry = last[rep] - _ranks(count)
+                place = place[rep] + (d >= min_len) + under[d][last[rep]] - under[d][entry]
+                rows = np.column_stack((rows[rep], entry))
+        lo = hi
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -487,34 +515,35 @@ def _tuples(m: np.ndarray) -> tuple:
     return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _run_units(units, width, descend, finish, collect, workers, guards):
-    """Run independent work units (at least one) under one node/time budget, in
-    batches of _UNIT_BATCH.  ``descend(keys, budget)`` gives the left sides of a
-    batch, whose units are the rows of ``keys`` zero-padded to ``width``, as (their
-    units, rows zero-padded to t_max, the units a trip left unfinished), and
-    ``finish(keys, lhs)`` their result columns, the first two the sort key.
-    Returns ``collect`` of the columns merged in key order (every entry is >= 1,
-    so the padding sorts as tuples do); a tripped guard raises ResourceGuardError
-    carrying ``collect`` of the completed units' columns.
+def _run_units(units, descend, finish, collect, workers, guards):
+    """Run independent work units, the rows of ``units`` (at least one), under one
+    node/time budget, in batches of _UNIT_BATCH units and then twice as many each
+    time, up to _UNIT_BATCH_MAX.  ``descend(keys, budget)`` gives the left sides of
+    the batch of units ``keys`` as (their units, rows zero-padded to t_max, the units
+    a trip left unfinished), and ``finish(keys, lhs)`` their result columns, the first
+    two the sort key.  Returns ``collect`` of the columns merged in key order (every
+    entry is >= 1, so the padding sorts as tuples do); a tripped guard raises
+    ResourceGuardError carrying ``collect`` of the completed units' columns.
 
     ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
     to forked children, which inherit the tables, run the descent and ``finish`` and
     draw on one shared node counter, or runs them in-process, where the counter is a
     plain integer that takes no lock."""
-    units = list(units)
     budget = _Budget(guards, multiprocessing.Value("q", 0) if workers > 1 else None)
 
     def run(share):
-        done, parts = [], []
-        for k in range(0, len(share), _UNIT_BATCH):
-            batch = share[k : k + _UNIT_BATCH]
-            keys = np.array([units[i] + (0,) * (width - len(units[i])) for i in batch])
+        share = np.arange(share.start, share.stop, share.step)
+        done, parts, k, size = [], [], 0, _UNIT_BATCH
+        while k < len(share):
+            batch = share[k : k + size]
+            k, size = k + size, min(2 * size, _UNIT_BATCH_MAX)
+            keys = units[batch]
             unit, lhs, left = descend(keys, budget)
             finished = np.ones(len(batch), bool)
             finished[list(left)] = False  # not np.isin: it imports numpy.ma in each child
             keep = finished[unit]
             parts.append(finish(keys[unit[keep]], lhs[keep]))
-            done += [i for i, f in zip(batch, finished.tolist()) if f]
+            done.append(batch[finished])
             if left:
                 return done, parts, budget.reason
         return done, parts, ""
@@ -525,8 +554,8 @@ def _run_units(units, width, descend, finish, collect, workers, guards):
     out = collect(keys[order], lhs[order], *(c[order] for c in more))
     reason = next((r for _, _, r in results if r), "")
     if reason:
-        done = sorted(i for d, _, _ in results for i in d)
-        raise ResourceGuardError(reason, out, [units[i] for i in done], len(units), budget.spent())
+        done = np.sort(np.concatenate([i for d, _, _ in results for i in d]))
+        raise ResourceGuardError(reason, out, _tuples(units[done]), len(units), budget.spent())
     return out
 
 
@@ -556,8 +585,7 @@ def search_factorial_products(
         return rhs[keep], lhs[keep], cls[keep]
 
     return _run_units(
-        _non_increasing(*shape),
-        spec.s_max,
+        _units(*shape),
         tables.census,
         finish,
         lambda rhs, lhs, cls: CensusResult(
@@ -599,8 +627,7 @@ def search_delta(
         return tables.left_sides(target, xs[:, 0] - 1, budget, unit)
 
     return _run_units(
-        _non_increasing(*shape),
-        len(spec.k_list),
+        _units(*shape),
         descend,
         lambda xs, lhs: (xs, lhs),
         lambda xs, lhs: [DeltaSolution(*row) for row in zip(_tuples(xs), _tuples(lhs))],

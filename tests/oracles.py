@@ -9,7 +9,9 @@ vector at every value, walked from the level's upper bound.  It counts a node
 for each value whose factorial is at most the literal residual, so its count
 is the engine's without the engine's float size cap, including the census
 rule that a right-hand entry is walked (one node) but never placed on the
-left.
+left.  ``non_increasing`` lists the engine's work units recursively, in
+the engine's order, and ``record_jsonl_per_row`` formats the census payload
+one row at a time.
 The per-window Python walk is the reference for the columnar abc window scan,
 and the per-(x, k) walk for the columnar Erdos ratio scan; both read radical
 and largest-prime-factor tables built here, one strided op per prime, not
@@ -21,6 +23,7 @@ states the conjectured s = 2 closed form (a conjecture the quadrature is
 tested against, not a proof).
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -219,6 +222,37 @@ def full_vector_delta(k_list, x_max: int, t_max: int):
                 )
     sols.sort(key=lambda r: (r[0][0], r[0], r[1]))
     return sols, nodes[0]
+
+
+def non_increasing(first_max: int, least: int, min_len: int, max_len: int):
+    """The census and fixed-gap work units in the engine's order, recursively:
+    non-increasing tuples with first entry 3..first_max, later entries
+    >= least and min_len..max_len entries, each before its extensions."""
+
+    def grow(prefix: tuple[int, ...]):
+        if len(prefix) >= min_len:
+            yield prefix
+        if len(prefix) < max_len:
+            for v in range(prefix[-1], least - 1, -1):
+                yield from grow(prefix + (v,))
+
+    for first in range(3, first_max + 1):
+        yield from grow((first,))
+
+
+def record_jsonl_per_row(result) -> str:
+    """The census payload one row at a time, each distinct rhs and class
+    formatted once: the reference for ``cli.record_jsonl``."""
+    tail = {
+        cls: f',"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
+        for cls in set(result.classification)
+    }
+    rhs_text = {rhs: ",".join(map(str, rhs)) for rhs in set(result.rhs)}
+    return "".join(
+        f'{{"lhs":[{",".join(map(str, lhs))}],"rhs":[{rhs_text[rhs]}]'
+        f'{tail[cls]}"t":{len(lhs)},"s":{len(rhs)}}}\n'
+        for lhs, rhs, cls in zip(result.lhs, result.rhs, result.classification)
+    )
 
 
 def _primes_upto(limit: int) -> list[int]:

@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 from factprod import factorint
-from factprod.cli import _record_obj, main
-from factprod.search import SearchSpec, search_factorial_products
+from factprod.cli import _record_obj, main, record_jsonl
+from factprod.equations import NONTRIVIAL, TRIVIAL
+from factprod.search import CensusResult, SearchSpec, search_factorial_products
+
+from oracles import record_jsonl_per_row
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +132,23 @@ def test_search_payload_is_the_records_json(capsys, tmp_path, shape):
         code, _, _ = run_cli(capsys, *argv, "--workers", w, "--out", str(p))
         assert code == 0
         assert p.read_text().split("\n", 1)[1] == want
+
+
+def test_record_jsonl_is_the_per_row_format():
+    """The payload formatted one (t, s, class) group at a time is byte for
+    byte the per-row format, in canonical order: on censuses with and without
+    --c/--nontrivial-only, an empty one, and rows of every class, None too."""
+    results = [
+        search_factorial_products(SearchSpec(n1, t, s, c=c, nontrivial_only=c is not None))
+        for n1, t, s, c in ((12, 4, 2, None), (24, 6, 3, None), (16, 5, 2, 1), (40, 8, 3, 2))
+    ]
+    results.append(search_factorial_products(SearchSpec(5, 3, 1, nontrivial_only=True)))
+    results.append(CensusResult())
+    results.append(CensusResult(((4, 3), (9,), (5, 3)), ((5,), (9, 2), (6,)), (None, TRIVIAL, None)))
+    assert not results[-3]
+    assert {None, TRIVIAL, NONTRIVIAL} <= {k for r in results for k in r.classification}
+    for result in results:
+        assert record_jsonl(result) == record_jsonl_per_row(result)
 
 
 @pytest.mark.parametrize("flags", [(), ("--c", "1", "--nontrivial-only"), ("--c", "2")])

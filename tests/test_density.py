@@ -356,6 +356,27 @@ def test_quadrature_s3_within_3e_7_at_96(pairing, c, exact):
     assert abs(q - float(exact)) <= 3e-7
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pairing, small",
+    [
+        ((2, 3), {1: "0x1.1110b2dcbe059p-9", 2: "0x1.18a8177bae7e7p-8"}),
+        ((3, 2), {1: "0x1.6c183b391a2c7p-11", 2: "0x1.18a8a38b12bf0p-9"}),
+    ],
+)
+def test_quadrature_s3_huge_c_is_the_c_inf_value(pairing, small):
+    """No gap on the s = 3 slice exceeds x1 = 1, so a huge finite c gives the
+    c = inf value, with no overflow warning, and the values at c = 1 and 2 are
+    the ones the uncapped gap bound gave, to the bit."""
+    def q(c):
+        return quadrature_density(RegionSpec(t=3, s=3, c=c, pairing=pairing), 96)
+
+    at_inf = q(math.inf)
+    for c in (1e200, 1e300, sys.float_info.max):
+        assert q(c) == at_inf
+    assert {c: float.hex(q(c)) for c in small} == small
+
+
 @pytest.mark.parametrize("t", range(2, 6))
 def test_quadrature_s1_is_the_closed_form(t):
     for c in (1, 2.5, math.inf):

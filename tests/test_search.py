@@ -24,6 +24,7 @@ from oracles import (
     classify_brute,
     full_vector_census,
     full_vector_delta,
+    non_increasing,
     trivial_family_census,
 )
 
@@ -460,7 +461,7 @@ def test_unit_guard_builds_nothing_first(monkeypatch):
 
     for name in ("empty", "zeros", "ones", "arange", "linspace", "full"):
         monkeypatch.setattr(np, name, built)
-    for name in ("lpf_table", "_legendre", "_non_increasing"):
+    for name in ("lpf_table", "_legendre", "_units"):
         monkeypatch.setattr(search, name, built)
     for run, shape in (
         (lambda: search_factorial_products(SearchSpec(5000, 4, 3), workers=2), (5000, 2, 1, 3)),
@@ -483,12 +484,35 @@ def test_unit_count_is_the_listing_length():
             for min_len in range(1, 5):
                 for max_len in range(min_len, 6):
                     shape = (first_max, least, min_len, max_len)
-                    assert search._unit_count(*shape) == len(list(search._non_increasing(*shape)))
+                    assert search._unit_count(*shape) == len(search._units(*shape))
     # the parent's default census ceiling with s_max = 3 stays inside the budget
     assert search._unit_count(100, 2, 1, 3) == 171_696 <= search._UNIT_BUDGET
     assert search._unit_count(183, 2, 1, 3) <= search._UNIT_BUDGET < search._unit_count(184, 2, 1, 3)
     # past the budget the count stops early, so a huge s_max costs nothing
     assert search._UNIT_BUDGET < search._unit_count(3, 2, 1, 10**12) < 2 * search._UNIT_BUDGET
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    first_max=st.integers(0, 40),
+    least=st.integers(1, 2),
+    min_len=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    cells=st.sampled_from([1, 7, 1 << 17]),
+)
+def test_units_are_the_recursive_listing(first_max, least, min_len, extra, cells):
+    """The unit array holds the recursive listing's tuples row for row, zero-padded,
+    in its order, for blocks of first entries of any size; with first_max < 3 it is
+    empty."""
+    from factprod import search
+
+    max_len = min(min_len + extra, 4)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_CELLS", cells)
+        got = search._units(first_max, least, min_len, max_len)
+    want = [u + (0,) * (max_len - len(u)) for u in non_increasing(first_max, least, min_len, max_len)]
+    assert got.shape == (len(want), max_len)
+    assert [tuple(r) for r in got.tolist()] == want
 
 
 def test_table_budget_is_the_pair_count(monkeypatch):
@@ -556,10 +580,10 @@ def test_guard_node_budget_serial_trip_point():
             SearchSpec(n1_max=40, t_max=8, s_max=3),
             guards=SearchGuards(max_nodes=100_000),  # of the 305,502 nodes it spends
         )
-    assert e.value.reason == "node budget exceeded (100214 > 100000)"
-    assert len(e.value.records) == 2260
-    assert e.value.completed_units == 4522
-    assert e.value.nodes == 100214
+    assert e.value.reason == "node budget exceeded (123059 > 100000)"
+    assert len(e.value.records) == 1815
+    assert e.value.completed_units == 4920
+    assert e.value.nodes == 123059
 
 
 def test_guard_node_budget_workers_2_keeps_completed_units():
@@ -584,17 +608,24 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
 def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch):
     """At trip points over the whole of a serial run, ``completed`` is in
     unit order and only grows with the budget; it holds every unit before
-    the first unfinished one and none past that unit's batch, and
-    ``records`` holds exactly their rows.  With one unit per batch,
-    ``completed`` is exactly the units before the one the trip stopped."""
+    the first unfinished one and none past that unit's batch, whose end the
+    doubling batch schedule gives, and ``records`` holds exactly their rows.
+    With one unit in every batch, ``completed`` is exactly the units before
+    the one the trip stopped."""
     from factprod import search
 
     monkeypatch.setattr(search, "_CELLS", cells)
     monkeypatch.setattr(search, "_UNIT_BATCH", batch)
+    if batch == 1:
+        monkeypatch.setattr(search, "_UNIT_BATCH_MAX", 1)
     spec = SearchSpec(14, 5, 3)
     full = search_factorial_products(spec)
-    units = list(search._non_increasing(14, 2, 1, 3))
+    units = list(non_increasing(14, 2, 1, 3))
     index = {u: i for i, u in enumerate(units)}
+    ends, size = [batch], batch
+    while ends[-1] < len(units):
+        size = min(2 * size, search._UNIT_BATCH_MAX)
+        ends.append(ends[-1] + size)
     _, nodes = full_vector_census(14, 5, 3)
     before = set()
     for max_nodes in range(1, nodes, nodes // 30):
@@ -604,11 +635,29 @@ def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch)
         order = [index[u] for u in err.completed]
         stop = next(i for i in range(len(units)) if units[i] not in set(err.completed))
         assert order == sorted(order) and set(order) >= before and err.nodes > max_nodes
-        assert set(order) >= set(range(stop)) and max(order, default=0) < (stop // batch + 1) * batch
+        assert set(order) >= set(range(stop)) and max(order, default=0) < min(e for e in ends if e > stop)
         if batch == 1:
             assert order == list(range(stop))
         assert err.records == rows_of(full, set(err.completed))
         before = set(order)
+
+
+def test_batches_double_from_the_first_up_to_the_cap():
+    """A worker's first batch holds _UNIT_BATCH units, and each later one
+    twice the one before, up to _UNIT_BATCH_MAX, in unit order."""
+    from factprod import search
+
+    batches = []
+
+    def descend(keys, budget):
+        batches.append(keys[:, 0].tolist())
+        return np.zeros(0, np.intp), np.zeros((0, 2), np.intp), set()
+
+    units = np.zeros((30_000, 2), np.intp)
+    units[:, 0] = np.arange(1, 30_001)
+    search._run_units(units, descend, lambda k, lhs: (k, lhs), lambda k, lhs: k, 1, SearchGuards())
+    assert [len(b) for b in batches] == [512, 1024, 2048, 4096, 8192, 8192, 5936]
+    assert sum(batches, []) == list(range(1, 30_001))
 
 
 def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch):
