@@ -5,10 +5,11 @@ identity holds), 1 completed with a negative result (identity fails, or an
 audit found violations), 2 usage / validation error, 3 resource guard.
 
 Every run prints a JSON document with a ``meta`` block (schema, version,
-config echo, timestamp) and a ``result`` block; the result payload is a pure
-function of flags and seed, so reruns are byte-identical once the metadata
-timestamp is excluded.  File outputs carry the same metadata as a header
-line.
+config echo, timestamp; for ``search`` also ``stats``: nodes, units, records,
+children forked and seconds per phase) and a ``result`` block; the result
+payload is a pure function of flags and seed, so reruns are byte-identical
+once the metadata timestamp and phase seconds are excluded.  File outputs
+carry the same metadata as a header line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from itertools import chain
 
 from . import __version__, fanout
 from .audit import (
@@ -101,26 +101,20 @@ def _record_obj(rec) -> dict:
     }
 
 
+def _jsonl_line(t: int, s: int, cls) -> str:
+    return (
+        '{"lhs":[' + ",".join(["%d"] * t) + '],"rhs":[' + ",".join(["%d"] * s)
+        + f'],"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
+        + f'"t":{t},"s":{s}}}\n'
+    )
+
+
 def record_jsonl(result) -> str:
     """The census payload, formatted from the columns of a CensusResult: per
     row, in canonical order, the compact json.dumps of _record_obj of its
     record; deterministic.  The rows of each (t, s, class) group share one
-    line format, applied to the whole group at once."""
-    lhs, rhs = result.lhs, result.rhs
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(map(len, lhs), map(len, rhs), result.classification)):
-        groups.setdefault(key, []).append(i)
-    lines = [""] * len(result)
-    for (t, s, cls), rows in groups.items():
-        line = (
-            '{"lhs":[' + ",".join(["%d"] * t) + '],"rhs":[' + ",".join(["%d"] * s)
-            + f'],"holds":{json.dumps(cls is not None)},"class":{json.dumps(cls)},'
-            + f'"t":{t},"s":{s}}}\n'
-        )
-        values = tuple(chain.from_iterable(lhs[i] + rhs[i] for i in rows))
-        for i, text in zip(rows, (line * len(rows) % values).splitlines(True)):
-            lines[i] = text
-    return "".join(lines)
+    line format, filled for the whole group at once (CensusResult.lines)."""
+    return "".join(result.lines(_jsonl_line))
 
 
 def _parse_range(flag: str, text: str, least: int) -> tuple[int, int]:
@@ -172,16 +166,22 @@ def cmd_search(args) -> int:
     guards = SearchGuards(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     workers = _workers(args)
     meta = _meta("search", {**asdict(spec), "workers": workers})
-    result = search_factorial_products(spec, guards=guards, workers=workers)
+    stats: dict = {}
+    result = search_factorial_products(spec, guards=guards, workers=workers, stats=stats)
+    start = time.perf_counter()
+    payload = record_jsonl(result) if args.out else ""
+    summary = census_report(result, c=spec.c)
+    table = "\n".join(summary.csv_rows()) + "\n" if args.census_csv else ""
+    stats["seconds"]["report"] = round(time.perf_counter() - start, 6)
+    meta["stats"] = stats
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps({"meta": meta}, separators=(",", ":")) + "\n")
-            fh.write(record_jsonl(result))
-    summary = census_report(result, c=spec.c)
+            fh.write(payload)
     if args.census_csv:
         with open(args.census_csv, "w") as fh:
             fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
-            fh.write("\n".join(summary.csv_rows()) + "\n")
+            fh.write(table)
     _print_doc(meta, summary.to_json_obj())
     return EXIT_OK
 

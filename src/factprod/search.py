@@ -25,15 +25,17 @@ Left sides leave the descent as zero-padded columns, the census checks a
 batch of them at once with ``verify_rows`` on the equations' own exponent
 vectors, and the columns are merged by one lexsort on a canonical key
 ((n1, rhs, lhs) for the census), so results are identical for any worker
-count.  ``CensusResult`` builds SolutionRecords only when they are read.
+count.  ``CensusResult`` stores only the merged columns: ``census_report``
+and the JSON lines are computed from them, and its tuples and SolutionRecords
+are built only when they are read.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import comb, inf, isqrt, lgamma
 
 import numpy as np
@@ -157,7 +159,8 @@ class _GuardTrip(Exception):
 class _Budget:
     """Node/time budget polled by the descent in batches.  ``shared`` is a
     multiprocessing integer Value when more than one worker may draw on the
-    budget, and None for a plain counter that takes no lock."""
+    budget, and None for a plain counter that takes no lock; ``nodes`` counts
+    this worker's own nodes either way."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "shared", "reason")
 
@@ -171,8 +174,8 @@ class _Budget:
         self.reason = ""
 
     def spend(self, n: int) -> None:
+        self.nodes += n
         if self.shared is None:
-            self.nodes += n
             total = self.nodes
         else:
             with self.shared.get_lock():
@@ -484,21 +487,46 @@ def _units(first_max: int, least: int, min_len: int, max_len: int) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class CensusResult:
     """The census rows as columns in canonical (n1, rhs, lhs) order: row i is
-    the identity lhs[i]! = rhs[i]! with the classification verify_rows gave
-    it (None if it does not hold).  ``records`` builds the SolutionRecords on
-    each read, verified again and with the default delta form."""
+    the identity lhs[i]! = rhs[i]! of the zero-padded int arrays ``lhs_cols``
+    and ``rhs_cols``, less the padding, with the classification
+    CLASSES[codes[i]] that verify_rows gave it (None if it does not hold).
+    The columns are all it stores: the ``lhs``, ``rhs`` and ``classification``
+    tuples, and the SolutionRecords of ``records`` (verified again and with the
+    default delta form), are built on first read.  Two results are equal when
+    they hold the same rows in the same order."""
 
-    lhs: tuple[tuple[int, ...], ...] = ()
-    rhs: tuple[tuple[int, ...], ...] = ()
-    classification: tuple[str | None, ...] = ()
+    def __init__(self, lhs_cols: np.ndarray, rhs_cols: np.ndarray, codes: np.ndarray) -> None:
+        self.lhs_cols, self.rhs_cols, self.codes = lhs_cols, rhs_cols, codes
+
+    @classmethod
+    def from_rows(cls, rows) -> CensusResult:
+        """The result of (lhs, rhs, classification) rows, each side zero-padded."""
+        rows = list(rows)
+        width = [max((len(row[k]) for row in rows), default=1) for k in (0, 1)]
+        cols = [np.zeros((len(rows), w), np.intp) for w in width]
+        for i, (lhs, rhs, _) in enumerate(rows):
+            cols[0][i, : len(lhs)], cols[1][i, : len(rhs)] = lhs, rhs
+        return cls(*cols, np.array([CLASSES.index(row[2]) for row in rows], np.int8))
 
     def __len__(self) -> int:
-        return len(self.lhs)
+        return len(self.codes)
 
-    @property
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CensusResult):
+            return NotImplemented
+        return (self.lhs, self.rhs, self.classification) == (
+            other.lhs, other.rhs, other.classification
+        )
+
+    lhs = cached_property(lambda self: _tuples(self.lhs_cols))
+    rhs = cached_property(lambda self: _tuples(self.rhs_cols))
+    classification = cached_property(
+        lambda self: tuple(map(CLASSES.__getitem__, self.codes.tolist()))
+    )
+
+    @cached_property
     def records(self) -> list[SolutionRecord]:
         out = []
         for lhs, rhs in zip(self.lhs, self.rhs):
@@ -509,13 +537,48 @@ class CensusResult:
             out.append(rec)
         return out
 
+    @cached_property
+    def _groups(self) -> np.ndarray:
+        """Per row, its (t, s, class) as one int: (t * (S + 1) + s) * len(CLASSES) +
+        class code, with S the width of ``rhs_cols``."""
+        t, s = (np.count_nonzero(m, 1) for m in (self.lhs_cols, self.rhs_cols))
+        return (t * (self.rhs_cols.shape[1] + 1) + s) * len(CLASSES) + self.codes
+
+    def _group(self, key: int) -> tuple[int, int, str | None]:
+        """The (t, s, classification) of a _groups value."""
+        rest, code = divmod(key, len(CLASSES))
+        return (*divmod(rest, self.rhs_cols.shape[1] + 1), CLASSES[code])
+
+    def lines(self, line, rows=None) -> list[str]:
+        """One string per row (or per row of the index array ``rows``), in order: the
+        %-format ``line(t, s, classification)`` of t + s integers and one newline,
+        filled with the row's entries less the padding.  One stable argsort groups the
+        rows by (t, s, class), each group fills its format at once from its column
+        slices, and the lines are scattered back into row order.  No temporary holds
+        every row's entries: one that did kept raising the peak RSS of a process that
+        ran the census again and again."""
+        rows = np.arange(len(self)) if rows is None else rows
+        key = self._groups[rows]
+        order = np.argsort(key, kind="stable")
+        key, rows = key[order], rows[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+        texts = []
+        for lo, hi in zip(starts, starts[1:] + [len(key)]):
+            t, s, cls = self._group(int(key[lo]))
+            part = rows[lo:hi]
+            values = np.column_stack((self.lhs_cols[part, :t], self.rhs_cols[part, :s]))
+            texts += (line(t, s, cls) * (hi - lo) % tuple(values.ravel().tolist())).splitlines(True)
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        return list(map(texts.__getitem__, place.tolist()))
+
 
 def _tuples(m: np.ndarray) -> tuple:
     """The rows of a zero-padded array as tuples of Python ints, less the padding."""
     return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _run_units(units, descend, finish, collect, workers, guards):
+def _run_units(units, descend, finish, collect, workers, guards, stats=None, start=None):
     """Run independent work units, the rows of ``units`` (at least one), under one
     node/time budget, in batches of _UNIT_BATCH units and then twice as many each
     time, up to _UNIT_BATCH_MAX.  ``descend(keys, budget)`` gives the left sides of
@@ -524,11 +587,16 @@ def _run_units(units, descend, finish, collect, workers, guards):
     two the sort key.  Returns ``collect`` of the columns merged in key order (every
     entry is >= 1, so the padding sorts as tuples do); a tripped guard raises
     ResourceGuardError carrying ``collect`` of the completed units' columns.
+    ``stats``, if given, is filled (on a trip too) with the nodes spent, the units
+    and those completed, the records, the children forked and the seconds of each
+    phase: from ``start`` (a perf_counter reading) to the descent, the descent and
+    the merge.
 
     ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
     to forked children, which inherit the tables, run the descent and ``finish`` and
     draw on one shared node counter, or runs them in-process, where the counter is a
-    plain integer that takes no lock."""
+    plain integer that takes no lock.  Each worker returns the nodes it spent with
+    its columns."""
     budget = _Budget(guards, multiprocessing.Value("q", 0) if workers > 1 else None)
 
     def run(share):
@@ -545,16 +613,32 @@ def _run_units(units, descend, finish, collect, workers, guards):
             parts.append(finish(keys[unit[keep]], lhs[keep]))
             done.append(batch[finished])
             if left:
-                return done, parts, budget.reason
-        return done, parts, ""
+                return done, parts, budget.reason, budget.nodes
+        return done, parts, "", budget.nodes
 
+    dealt = time.perf_counter()
     results = fanout.deal(run, range(len(units)), workers)
-    keys, lhs, *more = map(np.concatenate, zip(*(p for _, ps, _ in results for p in ps)))
+    merged = time.perf_counter()
+    keys, lhs, *more = map(np.concatenate, zip(*(p for _, ps, _, _ in results for p in ps)))
     order = np.lexsort(np.column_stack((keys, lhs)).T[::-1])
     out = collect(keys[order], lhs[order], *(c[order] for c in more))
-    reason = next((r for _, _, r in results if r), "")
+    done = [i for d, _, _, _ in results for i in d]
+    if stats is not None:
+        stats.update(
+            nodes=sum(r[3] for r in results),
+            units=len(units),
+            units_completed=sum(map(len, done)),
+            records=len(out),
+            children=len(results) if len(results) > 1 else 0,
+            seconds={
+                "tables": round(dealt - start, 6),
+                "descent": round(merged - dealt, 6),
+                "merge": round(time.perf_counter() - merged, 6),
+            },
+        )
+    reason = next((r for _, _, r, _ in results if r), "")
     if reason:
-        done = np.sort(np.concatenate([i for d, _, _ in results for i in d]))
+        done = np.sort(np.concatenate(done))
         raise ResourceGuardError(reason, out, _tuples(units[done]), len(units), budget.spent())
     return out
 
@@ -564,13 +648,17 @@ def search_factorial_products(
     *,
     guards: SearchGuards | None = None,
     workers: int = 1,
+    stats: dict | None = None,
 ) -> CensusResult:
-    """All identities within the requested bounds, canonically ordered.
+    """All identities within the requested bounds, canonically ordered.  ``stats``,
+    if given, is filled with the run's counters and phase seconds (see _run_units;
+    "tables" covers the tables and the work units).
 
     Raises ResourceGuardError when the tables or the work units exceed their
     budget (before any work) or a guard ceiling is exceeded (with partial
     results from completed right-hand units).
     """
+    start = time.perf_counter()
     guards = guards or SearchGuards()
     shape = (spec.n1_max, 2, 1, spec.s_max)
     tables = _Tables(spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
@@ -588,11 +676,11 @@ def search_factorial_products(
         _units(*shape),
         tables.census,
         finish,
-        lambda rhs, lhs, cls: CensusResult(
-            _tuples(lhs), _tuples(rhs), tuple(map(CLASSES.__getitem__, cls.tolist()))
-        ),
+        lambda rhs, lhs, cls: CensusResult(lhs, rhs, cls),
         workers,
         guards,
+        stats,
+        start,
     )
 
 
@@ -669,17 +757,24 @@ class CensusSummary:
 
 def census_report(result: CensusResult, c: int | None = None) -> CensusSummary:
     """Counts by (t, s, classification), the extremal n1, the nontrivial identities
-    (the only rows that build an equation), and N(c) tallies per pairing if c is set."""
-    cls = result.classification
-    labels = (k or "non-solution" for k in cls)
-    counts = dict(Counter(zip(map(len, result.lhs), map(len, result.rhs), labels)))
-    extremal = max((r[0] for r, k in zip(result.rhs, cls) if k is not None), default=None)
-    nontrivial: list[str] = []
+    and N(c) tallies per pairing if c is set, from the columns: one bincount of the
+    (t, s, class) of each row, a masked max, and the nontrivial rows formatted as
+    str(FactorialEquation) gives them.  Only the tallies build an equation."""
+    groups = np.bincount(result._groups)
+    counts = {}
+    for key in np.flatnonzero(groups).tolist():
+        t, s, cls = result._group(key)
+        counts[t, s, cls or "non-solution"] = int(groups[key])
+    holds = result.codes != CLASSES.index(None)
+    extremal = int(result.rhs_cols[holds, 0].max()) if holds.any() else None
+    rows = np.flatnonzero(result.codes == CLASSES.index(NONTRIVIAL))
+    nontrivial = [text[:-1] for text in result.lines(_equation_line, rows)]
     tallies: dict[str, tuple[int, int]] = {}
-    for i in (i for i, k in enumerate(cls) if k == NONTRIVIAL):
-        eq = FactorialEquation(result.lhs[i], result.rhs[i])
-        nontrivial.append(str(eq))
-        if c is not None:
-            member = nc_pairings(eq, c)
-            tallies[str(eq)] = (len(member), sum(member))
+    for text in nontrivial if c is not None else ():
+        member = nc_pairings(FactorialEquation.parse(text), c)
+        tallies[text] = (len(member), sum(member))
     return CensusSummary(len(result), counts, extremal, nontrivial, c, tallies)
+
+
+def _equation_line(t: int, s: int, cls) -> str:
+    return ",".join(["%d"] * t) + "=" + ",".join(["%d"] * s) + "\n"

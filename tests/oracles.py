@@ -10,8 +10,8 @@ for each value whose factorial is at most the literal residual, so its count
 is the engine's without the engine's float size cap, including the census
 rule that a right-hand entry is walked (one node) but never placed on the
 left.  ``non_increasing`` lists the engine's work units recursively, in
-the engine's order, and ``record_jsonl_per_row`` formats the census payload
-one row at a time.
+the engine's order, and ``record_jsonl_per_row`` and ``census_report_per_row``
+format the census payload and count its summary one row at a time.
 The per-window Python walk is the reference for the columnar abc window scan,
 and the per-(x, k) walk for the columnar Erdos ratio scan; both read radical
 and largest-prime-factor tables built here, one strided op per prime, not
@@ -25,13 +25,16 @@ tested against, not a proof).
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from factprod.audit import ERDOS_COEFF, AuditFinding
+from factprod.equations import NONTRIVIAL, FactorialEquation, nc_pairings
 from factprod.factorint import factorial_expvec, radical, table
+from factprod.search import CensusSummary
 
 
 def factor_literal(n: int) -> dict[int, int]:
@@ -452,3 +455,22 @@ def trivial_family_census(n1_max: int, t_max: int) -> set[tuple[tuple[int, ...],
 
     grow((), 1)
     return out
+
+
+def census_report_per_row(result, c=None):
+    """``census_report`` one row at a time on the tuple views of a
+    CensusResult, building a FactorialEquation for every nontrivial row: the
+    reference for the columnar report."""
+    cls = result.classification
+    labels = (k or "non-solution" for k in cls)
+    counts = dict(Counter(zip(map(len, result.lhs), map(len, result.rhs), labels)))
+    extremal = max((r[0] for r, k in zip(result.rhs, cls) if k is not None), default=None)
+    nontrivial: list[str] = []
+    tallies: dict[str, tuple[int, int]] = {}
+    for i in (i for i, k in enumerate(cls) if k == NONTRIVIAL):
+        eq = FactorialEquation(result.lhs[i], result.rhs[i])
+        nontrivial.append(str(eq))
+        if c is not None:
+            member = nc_pairings(eq, c)
+            tallies[str(eq)] = (len(member), sum(member))
+    return CensusSummary(len(result), counts, extremal, nontrivial, c, tallies)

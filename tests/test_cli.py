@@ -143,12 +143,108 @@ def test_record_jsonl_is_the_per_row_format():
         for n1, t, s, c in ((12, 4, 2, None), (24, 6, 3, None), (16, 5, 2, 1), (40, 8, 3, 2))
     ]
     results.append(search_factorial_products(SearchSpec(5, 3, 1, nontrivial_only=True)))
-    results.append(CensusResult())
-    results.append(CensusResult(((4, 3), (9,), (5, 3)), ((5,), (9, 2), (6,)), (None, TRIVIAL, None)))
+    results.append(CensusResult.from_rows(()))
+    rows = (((4, 3), (5,), None), ((9,), (9, 2), TRIVIAL), ((5, 3), (6,), None))
+    results.append(CensusResult.from_rows(rows))
     assert not results[-3]
     assert {None, TRIVIAL, NONTRIVIAL} <= {k for r in results for k in r.classification}
     for result in results:
         assert record_jsonl(result) == record_jsonl_per_row(result)
+
+
+@pytest.mark.parametrize("flags", [(), ("--nontrivial-only",), ("--c", "1")])
+def test_a_completed_search_builds_no_per_row_python(capsys, monkeypatch, tmp_path, flags):
+    """A search that completes formats its summary, JSON lines and CSV from the
+    columns: no row becomes a tuple or a SolutionRecord, and a FactorialEquation
+    is built only for the --c filter and tallies."""
+    from factprod import equations, search
+
+    calls = {"_tuples": 0, "SolutionRecord": 0, "FactorialEquation": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(search, "_tuples", counting("_tuples", search._tuples))
+    monkeypatch.setattr(
+        equations.SolutionRecord, "__init__",
+        counting("SolutionRecord", equations.SolutionRecord.__init__),
+    )
+    monkeypatch.setattr(
+        equations.FactorialEquation, "__post_init__",
+        counting("FactorialEquation", equations.FactorialEquation.__post_init__),
+    )
+    code, out, err = run_cli(
+        capsys, "search", "--n1-max", "40", "--t-max", "8", "--s-max", "3", *flags,
+        "--workers", "1", "--out", str(tmp_path / "census.jsonl"),
+        "--census-csv", str(tmp_path / "census.csv"),
+    )
+    assert code == 0, err
+    assert parse_doc(out)[1]["total"] > 0
+    assert calls["_tuples"] == calls["SolutionRecord"] == 0
+    assert (calls["FactorialEquation"] > 0) == ("--c" in flags)
+
+
+# nodes, then the sha256 of the result object (json.dumps with sorted keys), of
+# the --out body and of the --census-csv body
+SEARCH_PINS = {
+    (40, 8, 3): (
+        305_502,
+        "bfd39691bdcfa1d49f95e89c3c6c1263f44c2c8127e39ad75a388417c20b1033",
+        "928e0b66e66daba87d201c86b102e582321d362fc40e70815a3b3faf77457d5e",
+        "798758d12c8adb597615c6f85876b2521c2330df4b43871942fcbe115ce92231",
+    ),
+    (100, 8, 2): (
+        54_390,
+        "104657b25c2417844b36a749494e4e989e17fdb5c49f6dbe08c5e3d20c21d42e",
+        "39512f435ea9c9e16a7cc36f36a2e1b8b0f1b66fb91a7864ed850f92660393e3",
+        "5f2ca0e75ed90e3759e53d304bb7084d33462ba66438abba4ed3e6b89fc6f1ca",
+    ),
+    (7876, 12, 1): (
+        44_380,
+        "d77e3d2fae7632a3abbc118785ec5932b29e36d9ea4724f3604f527207ac70bf",
+        "44d1ec7453504d1b8cb7923e72ef1f957ab92a4c95a6027c41a063af980d5684",
+        "dce27aef64301ea6381fae9c88dcae9a4bc5e96cb53774c399fb99de6bf9bc59",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape", list(SEARCH_PINS))
+def test_search_reports_its_stats_in_meta_only(capsys, tmp_path, shape, workers):
+    """meta.stats, the same on stdout, in the --out header and in the CSV
+    comment, counts the pinned nodes, every unit completed, the records and
+    the children forked, and times each phase; the result, the JSON lines
+    and the CSV rows keep their digests."""
+    import hashlib
+
+    from factprod import fanout
+
+    nodes, *digests = SEARCH_PINS[shape]
+    out, csv = tmp_path / "census.jsonl", tmp_path / "census.csv"
+    argv = [str(v) for v in shape]
+    code, text, err = run_cli(
+        capsys, "search", "--n1-max", argv[0], "--t-max", argv[1], "--s-max", argv[2],
+        "--workers", str(workers), "--out", str(out), "--census-csv", str(csv),
+    )
+    assert code == 0, err
+    meta, result = parse_doc(text)
+    header, body = out.read_text().split("\n", 1)
+    comment, rows = csv.read_text().split("\n", 1)
+    assert json.loads(header)["meta"] == json.loads(comment[2:]) == meta
+    texts = (json.dumps(result, sort_keys=True), body, rows)
+    assert [hashlib.sha256(t.encode()).hexdigest() for t in texts] == digests
+    stats = meta["stats"]
+    forked = min(workers, fanout.usable_cpus())
+    assert stats["nodes"] == nodes and stats["records"] == result["total"]
+    assert stats["units"] == stats["units_completed"] > 0
+    assert stats["children"] == (forked if forked > 1 else 0)
+    assert set(stats["seconds"]) == {"tables", "descent", "merge", "report"}
+    assert all(v >= 0 for v in stats["seconds"].values())
+    assert "stats" not in result
 
 
 @pytest.mark.parametrize("flags", [(), ("--c", "1", "--nontrivial-only"), ("--c", "2")])
@@ -560,7 +656,8 @@ def test_audit_window_summary_takes_no_per_triple_log(capsys, monkeypatch, tmp_p
 def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
     from factprod import cli
 
-    timestamp = re.compile(r'"timestamp": ?"[^"]*"')
+    # the meta block's clock readings: its timestamp and the search's phase seconds
+    timestamp = re.compile(r'"(timestamp|seconds)": ?("[^"]*"|\{[^}]*\})')
     path = tmp_path / "out.txt"
     window = ("audit", "--check", "window", "--m1-max", "200", "--k1", "3:20")
     search = ("search", "--n1-max", "16", "--t-max", "5", "--s-max", "2", "--c", "1", "--workers", "1")
@@ -574,7 +671,7 @@ def test_parser_reuse_leaks_nothing_between_calls(capsys, tmp_path):
     ]
 
     def run(argv):
-        """(exit code, stdout or argparse's stderr, --out file), timestamps masked."""
+        """(exit code, stdout or argparse's stderr, --out file), clock readings masked."""
         try:
             code = main(list(argv))
         except SystemExit as exc:

@@ -281,7 +281,7 @@ def test_size_cap_at_the_table_bound():
 def rows_of(result, done):
     """The rows of a CensusResult whose right-hand side is in ``done``."""
     rows = zip(result.lhs, result.rhs, result.classification)
-    return CensusResult(*zip(*(row for row in rows if row[1] in done)))
+    return CensusResult.from_rows(row for row in rows if row[1] in done)
 
 
 def test_census_at_the_table_bound_is_pinned():
@@ -815,8 +815,8 @@ def test_census_report_counts():
 @pytest.mark.parametrize("c", [None, 1])
 def test_the_census_path_builds_equations_only_for_nontrivial_rows(monkeypatch, c):
     """The census, its report and its JSONL payload build no SolutionRecord,
-    and a FactorialEquation only for a nontrivial row: the report's, and
-    with --c the filter's before it keeps the row."""
+    and a FactorialEquation only for a nontrivial row with --c: the filter's
+    before it keeps the row, and the report's for its N(c) tallies."""
     from factprod import equations
     from factprod.cli import record_jsonl
 
@@ -838,10 +838,88 @@ def test_the_census_path_builds_equations_only_for_nontrivial_rows(monkeypatch, 
     record_jsonl(result)
     report = census_report(result, c=c)
     assert len(report.nontrivial) == (len(result) if c else nontrivial)
-    assert len(built) == nontrivial + (len(result) if c else 0) and nontrivial > 0
+    assert len(built) == (nontrivial + len(result) if c else 0) and nontrivial > 0
 
 
 def test_census_report_empty():
-    summary = census_report(CensusResult())
+    summary = census_report(CensusResult.from_rows(()))
     assert summary.total == 0 and summary.extremal_n1 is None
     assert summary.nontrivial == []
+
+
+# sha256 of repr(list(zip(lhs, rhs, classification))) and of repr(records), as
+# the CensusResult that held tuples gave them
+ROW_DIGESTS = {
+    "40-8-3": ("4cdc6f55a13d1c6b36cf3aa6e0ca92360077a5d7a52752b41bc525bd9fb43561",
+               "592a4ae08e5f97a9d19f8688affa53699be4625c58b115721f14011f39ad4675"),
+    "100-8-2": ("ee708c31406bfeb2ba873c0ecb403e49216e51f4e64bc0e6cad81e717afd9469",
+                "1355311fd8ae517352cd53a2037fdea96e136a5954dd3632cabe664658838ac3"),
+    "24-6-3-c1": ("bcfeb8e34bf94fa6005c5242d6b7f346411c1b8b5f56d3030c1e2f4c13b3e34d",
+                  "ed016c290e1a47e2d04dad4d1a3fb64daf8108b08362198de0fa4e97fa58d964"),
+    "24-6-3-nontrivial": ("ea94ce6fb81b06493c553b4e215f34eadbd8a52d0b53061bd246ff3eb14c4e9c",
+                          "d12f486c8d0cd48f242fb1a4b424164edf2997a7e95a2cc82c50066b059d5314"),
+    "7876-12-1": ("0aad8e998de5901a6cd04ebd6f82e7bdad208b5452bb7b3e30e0837b8c212ec9",
+                  "78e0e65a73e95666a962d7d76812ff85e9e74bff73110fdef7e5c61fb82f6e69"),
+    "trip-40-8-3": ("1f45cd6feddec2d39400e6f836927ecc805946b499402b02eb5873e6839e2fa1",
+                    "143f7115adad3b04c15ea15c517b5092e5aa5d7e609122da8adbc63659d2f3f8"),
+}
+# rows of every class; the largest n1 is a row that does not hold
+HAND_MADE = (((4, 3), (5,), None), ((3, 2, 2), (4,), TRIVIAL), ((7, 6), (10,), NONTRIVIAL),
+             ((11, 2), (12,), None), ((7, 5, 3), (10,), NONTRIVIAL))
+
+
+def _columnar_case(name):
+    """The census result of a named case, and the c its run filtered on."""
+    if name == "empty":
+        return CensusResult.from_rows(()), None
+    if name == "hand-made":
+        return CensusResult.from_rows(HAND_MADE), None
+    if name == "trip-40-8-3":
+        with pytest.raises(ResourceGuardError) as e:
+            search_factorial_products(SearchSpec(40, 8, 3), guards=SearchGuards(max_nodes=100_000))
+        return e.value.records, None
+    n1, t, s, *flag = name.split("-")
+    c = 1 if flag == ["c1"] else None
+    spec = SearchSpec(int(n1), int(t), int(s), c=c, nontrivial_only=flag == ["nontrivial"])
+    return search_factorial_products(spec), c
+
+
+@pytest.mark.parametrize("name", [*ROW_DIGESTS, "empty", "hand-made"])
+def test_columnar_report_and_payload_equal_the_per_row_oracles(name):
+    """census_report and record_jsonl, computed from the columns, equal their
+    per-row references (counts, extremal n1, the nontrivial list in order and
+    the N(c) tallies; the JSONL bytes), and the tuple views and records built
+    on first read equal, row for row, those the tuple-holding result gave."""
+    import hashlib
+
+    from factprod.cli import record_jsonl
+
+    from oracles import census_report_per_row, record_jsonl_per_row
+
+    result, c = _columnar_case(name)
+    for tally in {c, 2}:
+        assert census_report(result, tally) == census_report_per_row(result, tally)
+    assert record_jsonl(result) == record_jsonl_per_row(result)
+    rows = list(zip(result.lhs, result.rhs, result.classification))
+    if name in ROW_DIGESTS:
+        digests = [hashlib.sha256(repr(x).encode()).hexdigest() for x in (rows, result.records)]
+        assert tuple(digests) == ROW_DIGESTS[name]
+    else:
+        assert rows == list(HAND_MADE if name == "hand-made" else ())
+        assert [(r.eq.lhs, r.eq.rhs, r.classification) for r in result.records] == rows
+    assert result == CensusResult.from_rows(rows)
+    assert result.lhs_cols.dtype.kind == "i" and result.codes.dtype == np.int8
+
+
+def test_census_result_stores_only_columns():
+    """A CensusResult holds its three columns; the tuple views are built on
+    first read, once, and equality compares rows, whatever the padding."""
+    result = CensusResult.from_rows(HAND_MADE)
+    assert set(vars(result)) == {"lhs_cols", "rhs_cols", "codes"}
+    assert result.lhs is result.lhs and "lhs" in vars(result)
+    wide = CensusResult(
+        np.pad(result.lhs_cols, ((0, 0), (0, 2))), np.pad(result.rhs_cols, ((0, 0), (0, 1))),
+        result.codes,
+    )
+    assert wide == result and wide != CensusResult.from_rows(HAND_MADE[:-1])
+    assert wide != CensusResult.from_rows(HAND_MADE[:-1] + (((7, 5, 3), (10,), None),))
