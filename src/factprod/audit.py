@@ -44,7 +44,7 @@ min_margin is read from them.
 The Erdos ratio scan is columnar too: ``audit_erdos_pdelta`` takes, for
 blocks of x at once, the running max of the lpf table along k over each x's
 run of composites, and returns the eligible windows as columns
-(``ErdosScanResult``); its AuditFinding rows are built only when read.
+(``ErdosScanResult``); its AuditFinding rows are built once, when first read.
 
 The abc window scan is columnar: ``abc_scan`` yields ``AbcBlock``s of
 consecutive m1 rows, each from two running minima along k
@@ -56,22 +56,26 @@ explicit-abc test) are read off the triples, and its per-row columns are
 built only when read.  The triples' logs are np.log estimates; the
 explicit-abc test is a float prefilter on 7*log N - 4*log c plus an exact
 c**4 < N**7 on Python ints for every triple near the boundary, so the
-decision is made on integers.  The quality column is math.log, built when
-read; the largest quality is found among the estimates and made exact only
-for the triples within a few _QUALITY_BAND of the estimated maximum.
+decision is made on integers.  The per-row quality column is math.log of
+every triple; the largest quality is found among the estimates and made
+exact only for the triples within a few _QUALITY_BAND of the estimated
+maximum.
+
+Whatever is built on first read (the PrefixAudit columns, the Erdos
+findings, the AbcBlock per-row columns) is a cached_property, built once.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
 from .equations import DeltaForm, delta_form_holds
-from .factorint import is_prime, lpf_table, radical, radical_table, table
+from .factorint import _check_ceiling, is_prime, lpf_table, radical, radical_table, table
 
 THETA_COEFF = 1.00008
 ERDOS_COEFF = 2.0 / 7.0
@@ -264,6 +268,7 @@ def audit_stirling_lower(n_max: int) -> PrefixAudit:
     accumulated as a compensated sum of log i."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    _check_ceiling(n_max)
     a = np.arange(2, n_max + 1, dtype=np.int64)
     af = a.astype(np.float64)
     x = np.log(af)
@@ -339,14 +344,14 @@ def _erdos_bound(k: int) -> float:
     return ERDOS_COEFF * k * math.log(k)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class ErdosScanResult:
     """The eligible windows of an Erdos ratio scan as int64 columns in
     (x, k) order: window [x, x + k) has largest prime factor p_max.  Its
     ratio is p_max / ((2/7) k log k); min_at is the first (x, k) of the
-    least ratio.  ``findings`` builds the AuditFinding rows on each read
-    (lhs the bound, rhs p_max, ok iff p_max exceeds the bound, margin the
-    ratio)."""
+    least ratio.  ``findings`` holds the AuditFinding rows, built on first
+    read (lhs the bound, rhs p_max, ok iff p_max exceeds the bound, margin
+    the ratio)."""
 
     x: np.ndarray
     k: np.ndarray
@@ -364,7 +369,7 @@ class ErdosScanResult:
             np.array_equal(getattr(self, col), getattr(other, col)) for col in ("x", "k", "p_max")
         )
 
-    @property
+    @cached_property
     def findings(self) -> tuple[AuditFinding, ...]:
         bound = {k: _erdos_bound(k) for k in set(self.k.tolist())}  # np.unique imports numpy.ma
         return tuple(
@@ -441,9 +446,13 @@ _EXACT_BAND = 1e-9
 _QUALITY_BAND = 1e-12
 
 
-# The columns of a distinct abc triple, and of an abc window row, in output order.
-_TRIPLE_COLUMNS = ("d", "a", "b", "c", "radical_abc", "quality", "explicit_ok")
-ABC_COLUMNS = ("m1", "k1", "j1", "j2", *_TRIPLE_COLUMNS)
+# The columns of an abc window row, in output order.
+ABC_COLUMNS = ("m1", "k1", "j1", "j2", "d", "a", "b", "c", "radical_abc", "quality", "explicit_ok")
+
+
+def _per_row(name: str) -> cached_property:
+    """The AbcBlock per-row column of triples[name], built on first read."""
+    return cached_property(lambda self: self.triples[name][self._triple_of_row])
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,13 +473,12 @@ class AbcBlock:
 
     Along k the pair, and with it the triple, changes only when a new term
     enters the two smallest, so each distinct triple is held once:
-    ``triples`` maps each name of _TRIPLE_COLUMNS to one entry per triple,
-    and triple t covers the rows first[t] to first[t + 1] - 1.  j1 and j2 are
-    held per row; the per-row columns m1, k1 and those of ``triples`` are
-    built on first read, and so is triples["quality"].  ``_estimate`` holds
-    the np.log quality of each triple, within a relative _QUALITY_BAND of
-    its quality: max_quality reads it, and takes math.log only of the
-    triples near its maximum.
+    ``triples`` maps d, a, b, c, radical_abc and explicit_ok to one entry
+    per triple, and triple t covers the rows first[t] to first[t + 1] - 1.
+    j1 and j2 are held per row; the other nine per-row columns are built on
+    first read.  ``_estimate`` holds the np.log quality of each triple,
+    within a relative _QUALITY_BAND of its quality: max_quality reads it,
+    and takes math.log only of the triples near its maximum.
     """
 
     starts: np.ndarray
@@ -484,19 +492,25 @@ class AbcBlock:
     def __len__(self) -> int:
         return len(self.j1)
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # called only for names not set yet: build a per-row column once
-        if name in _TRIPLE_COLUMNS:
-            runs = np.diff(self.first, append=len(self))
-            col = self.triples[name][np.repeat(np.arange(len(self.first)), runs)]
-        elif name in ("m1", "k1"):
-            n_k = len(self) // len(self.starts)
-            k1 = np.arange(self.k1_min, self.k1_min + n_k, dtype=np.int64)
-            col = np.repeat(self.starts, n_k) if name == "m1" else np.tile(k1, len(self.starts))
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = col
-        return col
+    @cached_property
+    def m1(self) -> np.ndarray:
+        return np.repeat(self.starts, len(self) // len(self.starts))
+
+    @cached_property
+    def k1(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.int64) % (len(self) // len(self.starts)) + self.k1_min
+
+    @cached_property
+    def _triple_of_row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.first)), np.diff(self.first, append=len(self)))
+
+    d, a, b, c, radical_abc, explicit_ok = map(
+        _per_row, ("d", "a", "b", "c", "radical_abc", "explicit_ok")
+    )
+
+    @cached_property
+    def quality(self) -> np.ndarray:
+        return _quality(self.triples["c"], self.triples["radical_abc"])[self._triple_of_row]
 
     def _windows(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """(m1, k1) of each of the given row indices."""
@@ -580,16 +594,6 @@ def _quality(c: np.ndarray, n: np.ndarray) -> np.ndarray:
     return _log(c) / _log(n)
 
 
-class _Triples(dict):
-    """The columns of an AbcBlock's triples; "quality" is built on first read."""
-
-    def __missing__(self, name: str) -> np.ndarray:
-        if name != "quality":
-            raise KeyError(name)
-        self[name] = q = _quality(self["c"], self["radical_abc"])
-        return q
-
-
 def _abc_decision(c: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The quality estimate log(c) / log(n) and the explicit-abc test
     c < n^(7/4) per entry, from np.log of the float64 values of c and n
@@ -624,7 +628,7 @@ def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of) -> AbcBlock
     a, b, c = lo // d, diff // d, (lo + diff) // d
     radical_abc = rad_of(a) * rad_of(b) * rad_of(c)
     estimate, explicit_ok = _abc_decision(c, radical_abc)
-    triples = _Triples(d=d, a=a, b=b, c=c, radical_abc=radical_abc, explicit_ok=explicit_ok)
+    triples = dict(d=d, a=a, b=b, c=c, radical_abc=radical_abc, explicit_ok=explicit_ok)
     return AbcBlock(m1, k1_min, j1, j2, first, triples, estimate)
 
 
@@ -635,15 +639,6 @@ def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
         + k1 * math.log(k1)
     )
     return _upper("chain_ineq4", {"m1": m1, "k1": k1, "a2": a2}, k1 * math.log(m1), rhs)
-
-
-class _Radicals(dict):
-    """rad[n] by factoring n on first use: one window needs k1 + 3 radicals,
-    not a table up to m1 + k1."""
-
-    def __missing__(self, n: int) -> int:
-        self[n] = r = radical(n)
-        return r
 
 
 def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleReport:
@@ -661,8 +656,10 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         raise ValueError("k1 must be >= 3 so two distinct minimal-radical terms exist")
     if a2 is not None and a2 < 2:
         raise ValueError("a2 must be >= 2")
-    rad = _Radicals()
-    window = [rad[m1 + j] for j in range(k1)]
+    # one window needs k1 + 3 radicals, not a table up to m1 + k1; each
+    # term is factored once, though a and c are window terms when d = 1
+    rad = cache(radical)
+    window = [rad(m1 + j) for j in range(k1)]
     # the selection reads only the order of the radicals: their ranks keep
     # the selection keys small however large the radicals are
     ranks = np.unique(window, return_inverse=True)[1]
@@ -670,14 +667,14 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         np.array([m1], dtype=np.int64),
         ranks.reshape(1, k1),
         k1,
-        lambda xs: np.array([rad[x] for x in xs.tolist()], dtype=object),
+        lambda xs: np.array([rad(x) for x in xs.tolist()], dtype=object),
     )
-    rep = AbcTripleReport(*(getattr(block, name).tolist()[0] for name in ABC_COLUMNS))
+    row = {name: getattr(block, name).tolist()[0] for name in ABC_COLUMNS}
     # selection invariant: the chosen radicals are <= every other in the window
-    others = [r for j, r in enumerate(window) if j not in (rep.j1, rep.j2)]
-    assert max(window[rep.j1], window[rep.j2]) <= min(others)
+    j1, j2 = row["j1"], row["j2"]
+    assert max(window[j1], window[j2]) <= min(r for j, r in enumerate(window) if j not in (j1, j2))
     if a2 is None:
-        return rep
+        return AbcTripleReport(**row)
     log_prod = math.fsum(math.log(r) for r in window)
     window_bound = _upper(
         "abc_window_bound",
@@ -685,7 +682,7 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         log_prod,
         THETA_COEFF * a2 + k1 * math.log(k1),
     )
-    return replace(rep, window_bound=window_bound, ineq4=_chain_ineq4(m1, k1, a2))
+    return AbcTripleReport(**row, window_bound=window_bound, ineq4=_chain_ineq4(m1, k1, a2))
 
 
 def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):

@@ -186,13 +186,16 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_density(args) -> int:
+def _parse_pairing(text: str) -> tuple[int, ...]:
+    """A ``--pairing`` value: comma-separated integer indices."""
     try:
-        pairing = tuple(int(v) for v in args.pairing.split(",")) if args.pairing else ()
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise ValueError(
-            f"--pairing must be comma-separated integers, got {args.pairing!r}"
-        ) from None
+        raise ValueError(f"--pairing must be comma-separated integers, got {text!r}") from None
+
+
+def cmd_density(args) -> int:
+    pairing = _parse_pairing(args.pairing) if args.pairing else ()
     spec = RegionSpec(t=args.t, s=args.s, c=args.c, pairing=pairing)
     workers = _workers(args)
     if args.samples < 1:
@@ -216,13 +219,7 @@ def _chain_findings(args):
         raise EquationError("not-a-solution", f"{eq} does not hold")
     if args.pairing:
         try:
-            indices = tuple(int(v) for v in args.pairing.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--pairing must be comma-separated integers, got {args.pairing!r}"
-            ) from None
-        try:
-            df = to_delta_form(eq, Pairing(indices))
+            df = to_delta_form(eq, Pairing(_parse_pairing(args.pairing)))
         except EquationError as exc:
             raise ValueError(f"--pairing must be a valid pairing for {eq}: {exc}") from None
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from typing import Iterator
 
@@ -134,17 +135,13 @@ def residual(eq: FactorialEquation) -> ExpVec:
     return raw_residual(eq.lhs, eq.rhs)
 
 
-_packed_cache: dict[int, int] = {}
-
-
+@cache
 def _packed(n: int) -> int:
     """factorial_expvec(n) as one integer, the exponent of the i-th prime in its
     i-th 64-bit field, memoized.  No field of a sum of fewer than 2^36 of them
     carries: the sieve ceiling keeps every exponent below 2^28."""
-    if n not in _packed_cache:
-        fields = b"".join(e.to_bytes(8, "little") for _, e in factorial_expvec(n).entries)
-        _packed_cache[n] = int.from_bytes(fields, "little")
-    return _packed_cache[n]
+    fields = b"".join(e.to_bytes(8, "little") for _, e in factorial_expvec(n).entries)
+    return int.from_bytes(fields, "little")
 
 
 def _sides_equal(lhs, rhs) -> bool:

@@ -261,6 +261,12 @@ def test_erdos_window_114_13():
     assert res.min_at == (114, 13)
 
 
+def test_erdos_findings_are_built_once():
+    res = audit_erdos_pdelta((2, 600), (5, 40))
+    assert len(res.findings) == len(res) > 0
+    assert res.findings is res.findings
+
+
 def test_erdos_skips_windows_with_primes():
     # 113 is prime, so no window starting at 112 with k >= 2 is eligible
     res = audit_erdos_pdelta((112, 112), (2, 13))
@@ -397,6 +403,21 @@ def test_abc_window_report_builds_no_radical_table(monkeypatch):
     assert rep.explicit_ok
 
 
+def test_abc_window_report_factors_each_term_once(monkeypatch):
+    factored = []
+    factor = audit.radical
+
+    def counting_radical(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(audit, "radical", counting_radical)
+    rep = abc_window_report(10**7, 20, a2=5)
+    # d = 1, so a and c are window terms: only b is factored besides the window
+    assert rep.d == 1
+    assert sorted(factored) == sorted([*range(10**7, 10**7 + 20), rep.b])
+
+
 def test_reyssat_triple_is_pinned():
     """Reyssat's 2 + 3^10 * 109 = 23^5, the abc triple of highest known
     quality, 1.62991..., is the smallest-radical triple of the window
@@ -480,7 +501,7 @@ def test_abc_quality_estimate_stays_inside_its_band(monkeypatch):
     # quality; a libm or numpy build outside it must fail here, not decide
     band = audit._QUALITY_BAND
     for block in abc_scan(10**5, 3, 50):
-        quality = block.triples["quality"]
+        quality = audit._quality(block.triples["c"], block.triples["radical_abc"])
         assert (np.abs(block._estimate - quality) <= band * quality).all()
     # the Python-int radical products of a single window near 10^12
     decide = audit._abc_decision

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -615,11 +616,18 @@ def test_audit_summary_builds_no_rows_without_out(capsys, monkeypatch, argv):
             raise AssertionError(f"a Kahan pass over {len(values)} points without --out")
         return kahan(values)
 
-    def no_rows(self, name):
-        raise AssertionError(f"the per-row column {name} was built without --out")
+    def no_rows(name):
+        def build(self):
+            raise AssertionError(f"the per-row column {name} was built without --out")
+        return property(build)
 
     monkeypatch.setattr(audit, "_prefix_sums", short_kahan)
-    monkeypatch.setattr(audit.AbcBlock, "__getattr__", no_rows)
+    # every AbcBlock column built on first read: the nine per-row columns
+    # and the row-to-triple index they share
+    built = [n for n, v in vars(audit.AbcBlock).items() if isinstance(v, functools.cached_property)]
+    assert set(built) >= set(audit.ABC_COLUMNS) - {"j1", "j2"}
+    for name in built:
+        monkeypatch.setattr(audit.AbcBlock, name, no_rows(name))
     code, out, err = run_cli(capsys, "audit", *argv)
     assert code == 0, err
     _, result = parse_doc(out)
@@ -753,6 +761,16 @@ def test_sieve_ceiling_is_a_resource_guard(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "audit", "--check", "window", "--m1-max", "2000", "--k1", "3:5")
     assert code == 3
     assert err.strip() == "resource guard: sieve limit 2005 exceeds ceiling 1000"
+
+
+def test_stirling_n_max_above_the_ceiling_is_a_resource_guard(capsys, monkeypatch):
+    # refused before its columns are allocated, like theta at the same bound
+    monkeypatch.setattr(factorint, "SIEVE_CEILING", 1000)
+    code, out, err = run_cli(capsys, "audit", "--check", "stirling", "--n-max", "1001")
+    assert code == 3 and out == ""
+    assert err.strip() == "resource guard: sieve limit 1001 exceeds ceiling 1000"
+    code, out, _ = run_cli(capsys, "audit", "--check", "stirling", "--n-max", "1000")
+    assert code == 0 and parse_doc(out)[1]["checked"] == 999
 
 
 # ---------------------------------------------------------------- abc

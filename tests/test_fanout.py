@@ -132,6 +132,21 @@ def test_only_fanout_starts_processes():
     assert calls == {"fanout": {"get_context", "Process"}}
 
 
+def test_no_class_builds_on_a_missing_name():
+    """One way to build on first read: cached_property or functools.cache,
+    never a class hook for names or keys not set yet."""
+    hooks = {"__getattr__", "__missing__"}
+    found = []
+    for path in sorted(Path(fanout.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.stem}.{node.name}.{f.name}" for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name in hooks
+                ]
+    assert found == []
+
+
 def test_search_and_density_fork_at_most_usable_cpus(three_cpus, capsys, tmp_path):
     payloads = []
     for workers in ("1", "10000"):
