@@ -39,21 +39,26 @@ _LOG_BAND of math.log (a test guards it); so each point's estimated margin
 lies in a known band around the column's.  A point whose band leaves out
 -SLACK and cannot hold the least margin is decided from the estimates; the
 columns are computed exactly up to the last point that is not, and
-min_margin is read from them.
+min_margin is read from them.  The estimates are made in chunks of _CHUNK
+points, with the running sum carried from chunk to chunk, so no array
+they make is as long as the columns.
 
 The Erdos ratio scan is columnar too: ``audit_erdos_pdelta`` takes, for
 blocks of x at once, the running max of the lpf table along k over each x's
-run of composites, and returns the eligible windows as columns
-(``ErdosScanResult``); its AuditFinding rows are built once, when first read.
+run of composites, k-major like the abc kernel (``_running_max``), and
+returns the eligible windows as columns (``ErdosScanResult``); its
+AuditFinding rows are built once, when first read.
 
 The abc window scan is columnar: ``abc_scan`` yields ``AbcBlock``s of
 consecutive m1 rows, each from two running minima along k
-(``_smallest_pairs``) over (radical, offset) keys for every row at once,
-and ``abc_window_report`` is the one-row view of the same code.  A block
-holds each distinct triple once with the run of rows it covers; its
-summaries (the first row of the largest quality, the rows failing the
-explicit-abc test) are read off the triples, and its per-row columns are
-built only when read.  The triples' logs are np.log estimates; the
+(``_smallest_pairs``) over (radical, offset) keys, int32 where they fit.
+The kernel runs k-major: one step per k over every window start of the
+block, so no array it makes holds more than one entry per start, besides
+the triples it returns.  ``abc_window_report`` is the one-row view of the
+same code.  A block holds each distinct triple once with the run of rows
+it covers; its summaries (the first row of the largest quality, the rows
+failing the explicit-abc test) are read off the triples, and its per-row
+columns are built only when read.  The triples' logs are np.log estimates; the
 explicit-abc test is a float prefilter on 7*log N - 4*log c plus an exact
 c**4 < N**7 on Python ints for every triple near the boundary, so the
 decision is made on integers.  The per-row quality column is math.log of
@@ -75,7 +80,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .equations import DeltaForm, delta_form_holds
-from .factorint import _check_ceiling, is_prime, lpf_table, radical, radical_table, table
+from .factorint import (
+    _CHUNK, _MR_LIMIT, _check_ceiling, is_prime, lpf_table, radical, radical_table, table,
+)
 
 THETA_COEFF = 1.00008
 ERDOS_COEFF = 2.0 / 7.0
@@ -139,17 +146,37 @@ _U = 2.0**-53  # unit roundoff of float64
 _LOG_BAND = 1e-14
 
 
-def _sum_band(sums: np.ndarray) -> np.ndarray:
-    """Bound on |np.cumsum(x) - _prefix_sums(x)| at every prefix of
-    nonnegative summands x, given sums = np.cumsum(x).
+def _sum_band(sums: np.ndarray, lo: int) -> np.ndarray:
+    """Bound on |np.cumsum(x) - _prefix_sums(x)| at the prefixes lo,
+    lo + 1, ... of nonnegative summands x, given their sums = np.cumsum(x).
 
     With T_k the exact sum of the first k summands, recursive summation errs
     by at most gamma_{k-1} T_k and compensated summation by
     (2u + O(k u^2)) T_k (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 4), and T_k <= sums_k / (1 - gamma_{k-1}).  Twice
     gamma_{k+2} = 2 (k+2) u / (1 - (k+2) u) covers the lot while k u is small."""
-    ku = np.arange(3, len(sums) + 3) * _U
-    return 2 * ku / (1 - ku) * sums
+    # 2 * ku / (1 - ku) * sums, in place
+    ku = np.arange(lo + 3, lo + len(sums) + 3, dtype=np.float64)
+    ku *= _U
+    one_less = 1 - ku
+    ku *= 2
+    ku /= one_less
+    ku *= sums
+    return ku
+
+
+def _chunks(size: int):
+    """(lo, hi) of the consecutive slices of at most _CHUNK points that
+    cover range(size)."""
+    return ((lo, min(lo + _CHUNK, size)) for lo in range(0, size, _CHUNK))
+
+
+def _cumsum(x: np.ndarray, carry: float) -> np.ndarray:
+    """The running sums of x after summands of total carry: with the carry
+    prepended, each equals the whole array's np.cumsum bit for bit."""
+    sums = np.concatenate(([carry], x))
+    np.cumsum(sums, out=sums)
+    return sums[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,64 +230,101 @@ def _primes(nu_max: float) -> np.ndarray:
     return table(int(nu_max) + 1).primes_upto(nu_max)
 
 
-def _prefix_audit(check_id: str, param: str, build, lhs, rhs, err) -> PrefixAudit:
-    """The PrefixAudit of build (see PrefixAudit), with violations and
-    min_margin decided from estimates lhs and rhs of its columns at every
-    point, where err bounds |lhs - column lhs| + |rhs - column rhs|.
+def _margin_band(lhs: np.ndarray, rhs: np.ndarray, err: np.ndarray):
+    """The estimated margin rhs - lhs of a chunk of points, from estimates
+    lhs and rhs of the columns with err bounding |lhs - column lhs| +
+    |rhs - column rhs|, and a bound on its distance to the column's margin:
+    err widened by 4u (|lhs| + |rhs| + |SLACK|), which covers the rounding
+    of both margins and of rhs + SLACK."""
+    wide = np.abs(lhs)  # err + 4 * _U * (|lhs| + |rhs| + |SLACK|), in place
+    wide += np.abs(rhs)
+    wide += abs(SLACK)
+    wide *= 4 * _U
+    wide += err
+    return rhs - lhs, wide
 
-    Widened by 4u (|lhs| + |rhs| + |SLACK|), err also covers the rounding of
-    both margins and of rhs + SLACK, so it bounds the distance from the
-    estimated margin to the column's.  A point is decided when that band
-    leaves out -SLACK and the point cannot hold the least margin; build runs
-    up to the last point that is not, and the points after it are read off
-    the estimates."""
-    if not len(lhs):
+
+def _prefix_audit(check_id: str, param: str, build, size: int, estimates) -> PrefixAudit:
+    """The PrefixAudit of build (see PrefixAudit) at ``size`` points, with
+    violations and min_margin decided from estimates: it yields, chunk by
+    chunk in point order, the _margin_band of each point's margin and a bound
+    err on its distance to the column's.
+
+    A point is decided when its band margin +- err leaves out -SLACK and the
+    point cannot hold the least margin; build runs up to the last point that is
+    not, and the points after it are read off the estimates.  The least
+    margin + err is known only after the last chunk: each chunk keeps its
+    points whose margin - err is at most the least so far, a superset of
+    those at most the final least, which then filters them."""
+    if not size:
         return PrefixAudit(check_id, param, 0, 0, None, build)
-    margin = rhs - lhs
-    err = err + 4 * _U * (np.abs(lhs) + np.abs(rhs) + abs(SLACK))
-    undecided = (np.abs(margin + SLACK) <= err) | (margin - err <= (margin + err).min())
-    m = int(np.flatnonzero(undecided)[-1]) + 1
+    least = np.inf  # of margin + err
+    m = 0  # one past the last point whose band holds -SLACK
+    kept, below = [], []  # (points, margin - err) that may be undecided; margins below -SLACK
+    lo = 0
+    for margin, err in estimates:
+        band = np.flatnonzero(np.abs(margin + SLACK) <= err)
+        if len(band):
+            m = lo + int(band[-1]) + 1
+        least = min(least, float((margin + err).min()))
+        low = np.subtract(margin, err, out=err)
+        near = np.flatnonzero(low <= least)
+        kept.append((near + lo, low[near]))
+        below.append(np.flatnonzero(margin < -SLACK) + lo)
+        lo += len(margin)
+    at, low = (np.concatenate(col) for col in zip(*kept))
+    m = max(m, int(at[low <= least][-1]) + 1)
     ok, exact = _bound(*build(m)[1:])
-    violations = m - int(np.count_nonzero(ok)) + int(np.count_nonzero(margin[m:] < -SLACK))
-    return PrefixAudit(check_id, param, len(lhs), violations, float(exact.min()), build)
+    below = np.concatenate(below)
+    violations = m - int(np.count_nonzero(ok)) + int(np.count_nonzero(below >= m))
+    return PrefixAudit(check_id, param, size, violations, float(exact.min()), build)
 
 
 def audit_theta(nu_max: float) -> PrefixAudit:
     """Check theta(nu) < 1.00008 * nu at every prime <= nu_max (the only
     points where the left side jumps)."""
     ps = _primes(nu_max)
-    x = np.log(ps.astype(np.float64))
-    rhs = THETA_COEFF * ps
 
     def build(m):
-        return ps[:m], _prefix_sums(x[:m]), rhs[:m]
+        return ps[:m], _prefix_sums(np.log(ps[:m].astype(np.float64))), THETA_COEFF * ps[:m]
 
-    lhs = np.cumsum(x)
-    return _prefix_audit("theta_upper", "nu", build, lhs, rhs, _sum_band(lhs))
+    def estimates():
+        lhs = np.zeros(1)
+        for lo, hi in _chunks(len(ps)):
+            lhs = _cumsum(np.log(ps[lo:hi].astype(np.float64)), lhs[-1])
+            yield _margin_band(lhs, THETA_COEFF * ps[lo:hi], _sum_band(lhs, lo))
+
+    return _prefix_audit("theta_upper", "nu", build, len(ps), estimates())
 
 
 def audit_mertens(nu_max: float) -> PrefixAudit:
     """Check sum of (log p)/p < log(nu) at every prime <= nu_max and at
     nu = nu_max itself."""
     ps = _primes(nu_max)
-    arr = ps.astype(np.float64)
-    log_p = np.log(arr)
-    x = log_p / arr
+    end = len(ps) > 0 and float(nu_max) > float(ps[-1])  # the float end point
 
     def build(m):
-        points, lhs, rhs = ps[:m], _prefix_sums(x[:m]), _log(ps[:m])
-        if m > len(ps):  # the float end point
+        arr = ps[:m].astype(np.float64)
+        points, lhs, rhs = ps[:m], _prefix_sums(np.log(arr) / arr), _log(ps[:m])
+        if m > len(ps):
             points = np.array([*ps.tolist(), float(nu_max)], dtype=object)
             lhs = np.append(lhs, lhs[-1])
             rhs = np.append(rhs, math.log(nu_max))
         return points, lhs, rhs
 
-    lhs = np.cumsum(x)
-    err = _sum_band(lhs) + _LOG_BAND * log_p
-    if len(ps) and float(nu_max) > float(ps[-1]):
-        lhs, err = np.append(lhs, lhs[-1]), np.append(err, err[-1])
-        log_p = np.append(log_p, math.log(nu_max))
-    return _prefix_audit("mertens_upper", "nu", build, lhs, log_p, err)
+    def estimates():
+        lhs = np.zeros(1)
+        for lo, hi in _chunks(len(ps)):
+            arr = ps[lo:hi].astype(np.float64)
+            log_p = np.log(arr)
+            lhs = _cumsum(np.divide(log_p, arr, out=arr), lhs[-1])
+            err = _sum_band(lhs, lo)
+            err += _LOG_BAND * log_p
+            yield _margin_band(lhs, log_p, err)
+        if end:
+            yield _margin_band(lhs[-1:], np.array([math.log(nu_max)]), err[-1:])
+
+    return _prefix_audit("mertens_upper", "nu", build, len(ps) + end, estimates())
 
 
 def audit_stirling_lower(n_max: int) -> PrefixAudit:
@@ -269,19 +333,26 @@ def audit_stirling_lower(n_max: int) -> PrefixAudit:
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     _check_ceiling(n_max)
-    a = np.arange(2, n_max + 1, dtype=np.int64)
-    af = a.astype(np.float64)
-    x = np.log(af)
 
     def build(m):
-        return a[:m], af[:m] * _log(a[:m]) - af[:m], _prefix_sums(x[:m])
+        a = np.arange(2, m + 2, dtype=np.int64)
+        af = a.astype(np.float64)
+        return a, af * _log(a) - af, _prefix_sums(np.log(af))
 
-    # a*log(a) - a from np.log errs by _LOG_BAND a log(a), plus the rounding
-    # of the product and the difference on either side
-    a_log_a = af * x
-    rhs = np.cumsum(x)
-    err = _sum_band(rhs) + (_LOG_BAND + 5 * _U) * a_log_a
-    return _prefix_audit("stirling_lower", "a", build, a_log_a - af, rhs, err)
+    def estimates():
+        rhs = np.zeros(1)
+        for lo, hi in _chunks(n_max - 1):
+            af = np.arange(lo + 2, hi + 2, dtype=np.float64)
+            x = np.log(af)
+            rhs = _cumsum(x, rhs[-1])
+            # a*log(a) - a from np.log errs by _LOG_BAND a log(a), plus the
+            # rounding of the product and the difference on either side
+            a_log_a = np.multiply(af, x, out=x)
+            err = _sum_band(rhs, lo)
+            err += (_LOG_BAND + 5 * _U) * a_log_a
+            yield _margin_band(np.subtract(a_log_a, af, out=af), rhs, err)
+
+    return _prefix_audit("stirling_lower", "a", build, n_max - 1, estimates())
 
 
 def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
@@ -335,8 +406,11 @@ def audit_solution_window(df: DeltaForm) -> list[AuditFinding]:
     return findings
 
 
-# Cells of the (x, k) or (m1, k1) grid per block of the columnar Erdos and
-# abc window scans: bounds their memory, whatever the k range.
+# Windows per block of the columnar Erdos and abc window scans, whatever the
+# k range.  Both kernels run k-major over a block's rows, so their per-k
+# arrays hold one entry per row, not per window; an abc block keeps its
+# per-triple columns, about 8,000 int64 entries each at 2^16 windows, within
+# factorint's _CHUNK.  Larger blocks cut the per-k numpy calls but cross it.
 _BLOCK_WINDOWS = 1 << 16
 
 
@@ -388,11 +462,11 @@ def audit_erdos_pdelta(
 
     Only windows whose k terms are all composite are eligible: x must start
     a run of at least k_lo composites, and k runs up to that run's length
-    (at most k_hi).  Columnar, in blocks of at most _BLOCK_WINDOWS cells:
-    each block gathers the lpf windows of its eligible x, takes the running
-    max along k and keeps the cells with k inside the run.  The ratios are
-    informational: there is no hard pass/fail because the proven threshold
-    kappa is not quantified.
+    (at most k_hi).  Columnar, in blocks of consecutive eligible x that hold
+    at most _BLOCK_WINDOWS windows (or one x): each block takes the running
+    max of the lpf table along k over exactly its windows (_running_max).
+    The ratios are informational: there is no hard pass/fail because the
+    proven threshold kappa is not quantified.
     """
     x_lo, x_hi = x_range
     k_lo, k_hi = k_range
@@ -412,26 +486,45 @@ def audit_erdos_pdelta(
     if not len(xs):
         empty = np.zeros(0, dtype=np.int64)
         return ErdosScanResult(empty, empty, empty, None, None)
-    width = int(run.max())
-    bound = np.array([_erdos_bound(k) for k in range(k_lo, width + 1)])
-    ks = np.arange(k_lo, width + 1, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(lpf, width)
-    cols: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    bound = np.array([_erdos_bound(k) for k in range(k_lo, int(run.max()) + 1)])
+    windows = run - (k_lo - 1)  # of each x
+    ends = np.cumsum(windows)
+    x, k, p_max = (np.empty(int(ends[-1]), dtype=np.int64) for _ in range(3))
     min_ratio = None
     min_at = None
-    rows = max(1, _BLOCK_WINDOWS // width)
-    for lo in range(0, len(xs), rows):
-        x, r = xs[lo : lo + rows], run[lo : lo + rows]
-        p = np.maximum.accumulate(windows[x], axis=1)[:, k_lo - 1 :]
-        inside = ks <= r[:, None]
-        ratio = (p / bound)[inside]
-        x, k, p = np.repeat(x, r - k_lo + 1), np.broadcast_to(ks, p.shape)[inside], p[inside]
-        cols.append((x, k, p))
+    lo = 0
+    while lo < len(xs):
+        a = int(ends[lo] - windows[lo])  # the block's first window
+        hi = max(lo + 1, int(np.searchsorted(ends, a + _BLOCK_WINDOWS, side="right")))
+        b, n = int(ends[hi - 1]), windows[lo:hi]
+        first = ends[lo:hi] - n - a  # of each x's windows, in the block
+        x[a:b] = np.repeat(xs[lo:hi], n)
+        k[a:b] = np.arange(k_lo, b - a + k_lo) - np.repeat(first, n)
+        _running_max(lpf, xs[lo:hi], run[lo:hi], first, k_lo, p_max[a:b])
+        ratio = p_max[a:b] / bound[k[a:b] - k_lo]
         i = int(ratio.argmin())  # the first cell of the block's minimum
         if min_ratio is None or ratio[i] < min_ratio:
-            min_ratio, min_at = float(ratio[i]), (int(x[i]), int(k[i]))
-    x, k, p_max = (np.concatenate(c) for c in zip(*cols))
+            min_ratio, min_at = float(ratio[i]), (int(x[a + i]), int(k[a + i]))
+        lo = hi
     return ErdosScanResult(x, k, p_max, min_ratio, min_at)
+
+
+def _running_max(lpf, x: np.ndarray, run: np.ndarray, first: np.ndarray, k_lo: int, out):
+    """Write the largest lpf in each window [x, x + k), for each x and
+    k_lo <= k <= its run, to out[first + k - k_lo], where first holds each
+    x's first place; k_lo >= 2.
+
+    k-major, like the abc pair kernel: with the rows sorted by run, longest
+    first, the windows still growing at each k are a prefix of them, so each
+    k is one np.maximum over that prefix."""
+    order = np.argsort(-run, kind="stable")
+    x, run, first = x[order], run[order], first[order]
+    p = lpf[x]
+    growing = np.searchsorted(-run, -np.arange(2, int(run[0]) + 1), side="right")
+    for k, n in enumerate(growing.tolist(), 2):
+        np.maximum(p[:n], lpf[x[:n] + (k - 1)], out=p[:n])
+        if k >= k_lo:
+            out[first[:n] + (k - k_lo)] = p[:n]
 
 
 # Radical products below this fit int64.
@@ -459,11 +552,11 @@ def _per_row(name: str) -> cached_property:
 class AbcBlock:
     """Smallest-radical abc triples of consecutive windows, as columns in
     (m1, k1) order: one row per window start in ``starts`` and per
-    k1_min <= k1 < k1_min + len(self) / len(starts).  Row i is the window
-    [m1, m1 + k1): with terms u = m1 + j1 and v = m1 + j2 of the two
-    smallest radicals (ties broken by smaller offset) and d = gcd(u, v), c is
-    the larger of u/d, v/d, a the smaller and b = |j1 - j2| / d, so a + b = c
-    with a, b, c pairwise coprime.
+    k1_min <= k1 <= k1_max.  Row i is the window [m1, m1 + k1): with terms
+    u = m1 + j1 and v = m1 + j2 of the two smallest radicals (ties broken by
+    smaller offset) and d = gcd(u, v), c is the larger of u/d, v/d, a the
+    smaller and b = |j1 - j2| / d, so a + b = c with a, b, c pairwise
+    coprime.
 
     quality = math.log(c) / math.log(N(abc)); explicit_ok records
     c < N(abc)^(7/4).  radical_abc is int64, or an object array of Python
@@ -473,39 +566,42 @@ class AbcBlock:
 
     Along k the pair, and with it the triple, changes only when a new term
     enters the two smallest, so each distinct triple is held once:
-    ``triples`` maps d, a, b, c, radical_abc and explicit_ok to one entry
-    per triple, and triple t covers the rows first[t] to first[t + 1] - 1.
-    j1 and j2 are held per row; the other nine per-row columns are built on
-    first read.  ``_estimate`` holds the np.log quality of each triple,
-    within a relative _QUALITY_BAND of its quality: max_quality reads it,
-    and takes math.log only of the triples near its maximum.
+    ``triples`` maps j1, j2, d, a, b, c, radical_abc and explicit_ok to one
+    entry per triple, and triple t covers the rows first[t] to
+    first[t + 1] - 1.  All 11 per-row columns are built on first read.
+    ``_estimate`` holds the np.log quality of each triple, within a relative
+    _QUALITY_BAND of its quality: max_quality reads it, and takes math.log
+    only of the triples near its maximum.
     """
 
     starts: np.ndarray
     k1_min: int
-    j1: np.ndarray
-    j2: np.ndarray
+    k1_max: int
     first: np.ndarray
     triples: dict[str, np.ndarray] = field(repr=False)
     _estimate: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.j1)
+        return len(self.starts) * self._n_k
+
+    @property
+    def _n_k(self) -> int:
+        return self.k1_max - self.k1_min + 1
 
     @cached_property
     def m1(self) -> np.ndarray:
-        return np.repeat(self.starts, len(self) // len(self.starts))
+        return np.repeat(self.starts, self._n_k)
 
     @cached_property
     def k1(self) -> np.ndarray:
-        return np.arange(len(self), dtype=np.int64) % (len(self) // len(self.starts)) + self.k1_min
+        return np.arange(len(self), dtype=np.int64) % self._n_k + self.k1_min
 
     @cached_property
     def _triple_of_row(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.first)), np.diff(self.first, append=len(self)))
 
-    d, a, b, c, radical_abc, explicit_ok = map(
-        _per_row, ("d", "a", "b", "c", "radical_abc", "explicit_ok")
+    j1, j2, d, a, b, c, radical_abc, explicit_ok = map(
+        _per_row, ("j1", "j2", "d", "a", "b", "c", "radical_abc", "explicit_ok")
     )
 
     @cached_property
@@ -514,7 +610,7 @@ class AbcBlock:
 
     def _windows(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """(m1, k1) of each of the given row indices."""
-        n_k = len(self) // len(self.starts)
+        n_k = self._n_k
         return list(zip(self.starts[rows // n_k].tolist(), (rows % n_k + self.k1_min).tolist()))
 
     def max_quality(self) -> tuple[float, tuple[int, int]]:
@@ -566,27 +662,62 @@ class AbcTripleReport:
     ineq4: AuditFinding | None = None
 
 
-def _smallest_pairs(win: np.ndarray, k1_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets (j1, j2) of the two lexicographically smallest (radical,
-    offset) pairs among the first k terms of every row of ``win`` (radicals
-    of the terms m1, m1 + 1, ...), for k1_min <= k <= win.shape[1] and
-    k1_min >= 2; each result has one row per window row and one column per k.
+# Window keys are int32 while (largest radical + 1) << bits stays below this,
+# int64 beyond: the int32 steps move half the bytes.
+_INT32_BOUND = 2**31
 
-    Each pair is one int64 key (radical << bits) | offset, so the smallest
-    among the first k is a running minimum s1, and the second smallest is the
-    least over 0 < j < k of max(s1 at j - 1, key j).  The keys must stay
-    below 2^63: the scan's radicals and offsets are below the sieve ceiling,
-    2^28, and abc_window_report passes ranks."""
-    k1_max = win.shape[1]
+
+def _keys(rad: np.ndarray, bits: int) -> np.ndarray:
+    """rad << bits, in the narrowest of int32 and int64 that holds every key
+    (rad << bits) | offset with offset < 2^bits strictly below its largest
+    value, the kernel's sentinel."""
+    dtype = np.int32 if (int(rad.max()) + 1) << bits < _INT32_BOUND else np.int64
+    return rad.astype(dtype) << bits
+
+
+def _smallest_pairs(rad: np.ndarray, k1_min: int, k1_max: int):
+    """The runs of windows over which the two smallest radicals stay the
+    same, for the windows [i, i + k) of the radicals ``rad`` of consecutive
+    terms, every start i < len(rad) - k1_max + 1 and k1_min <= k <= k1_max,
+    k1_min >= 2; rows are in (i, k) order, k1_max - k1_min + 1 per start.
+
+    Returns (first, j1, j2), one entry per run: the run's first row, and
+    the offsets of the lexicographically smallest and second smallest
+    (radical, offset) pairs in its windows.  Each pair is one key
+    (radical << bits) | offset, so the smallest among the first k terms is
+    a running minimum s1, and the second smallest s2 is the least of
+    max(s1 before, key) over the keys since.  The kernel runs k-major: each
+    k is one np.maximum and two np.minimum over every start, and a new key
+    below s2 starts a run.  The keys must stay below 2^63: the scan's
+    radicals are below the sieve ceiling, 2^28, and abc_window_report
+    passes ranks."""
+    rows = len(rad) - k1_max + 1
+    n_k = k1_max - k1_min + 1
     bits = (k1_max - 1).bit_length()
-    key = (win << bits) | np.arange(k1_max)
-    s1 = np.minimum.accumulate(key, axis=1)
-    below = np.empty_like(s1)  # s1 one column back; nothing below offset 0
-    below[:, 0] = np.iinfo(np.int64).max
-    below[:, 1:] = s1[:, :-1]
-    s2 = np.minimum.accumulate(np.maximum(below, key), axis=1)
+    keys = _keys(rad, bits)
+    s1 = keys[:rows].copy()
+    s2 = np.full(rows, np.iinfo(keys.dtype).max, dtype=keys.dtype)
+    key, t = np.empty_like(s1), np.empty_like(s1)
+    new = np.ones(rows, dtype=bool)  # every row starts a run at k = k1_min
+    runs = []
+    for j in range(1, k1_max):  # the windows grow to k = j + 1 terms
+        np.bitwise_or(keys[j : j + rows], j, out=key)
+        if j >= k1_min:
+            np.less(key, s2, out=new)
+        np.maximum(s1, key, out=t)
+        np.minimum(s2, t, out=s2)
+        np.minimum(s1, key, out=s1)
+        if j >= k1_min - 1:
+            at = new.nonzero()[0]
+            runs.append((at, s1[at], s2[at]))
+    at, s1, s2 = (np.concatenate(col) for col in zip(*runs))
+    k = np.repeat(np.arange(n_k), [len(r[0]) for r in runs])
+    # k-major to row order: within each k the starts ascend, so a stable
+    # sort by start (a radix sort while starts fit 16 bits) leaves each
+    # start's runs in k order
+    order = np.argsort(at.astype(np.min_scalar_type(rows - 1)), kind="stable")
     offset = (1 << bits) - 1
-    return s1[:, k1_min - 1 :] & offset, s2[:, k1_min - 1 :] & offset
+    return (at * n_k + k)[order], s1[order] & offset, s2[order] & offset
 
 
 def _quality(c: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -613,23 +744,23 @@ def _abc_decision(c: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return log_c / log_n, ok
 
 
-def _abc_block(m1: np.ndarray, win: np.ndarray, k1_min: int, rad_of) -> AbcBlock:
-    """The AbcBlock of windows starting at each m1 (int64) with
-    k1_min <= k1 <= win.shape[1]; win[i, j] is the radical of m1[i] + j and
-    rad_of maps an int64 array to its radicals (int64 or Python ints)."""
-    j1, j2 = _smallest_pairs(win, k1_min)
-    new = np.ones(j1.shape, dtype=bool)  # the first row of each triple's run
-    new[:, 1:] = (j1[:, 1:] != j1[:, :-1]) | (j2[:, 1:] != j2[:, :-1])
-    n_k = j1.shape[1]
-    j1, j2 = j1.ravel(), j2.ravel()
-    first = np.flatnonzero(new)
-    lo, diff = m1[first // n_k] + np.minimum(j1[first], j2[first]), np.abs(j1[first] - j2[first])
+def _abc_block(m1: np.ndarray, rad: np.ndarray, k1_min: int, k1_max: int, rad_of) -> AbcBlock:
+    """The AbcBlock of windows starting at each m1 (int64, or Python ints)
+    with k1_min <= k1 <= k1_max.  rad[j] is the radical of m1[0] + j, for
+    j < len(m1) + k1_max - 1, or its rank among them (only their order is
+    read); rad_of maps an array of terms to their radicals (int64 or Python
+    ints)."""
+    first, j1, j2 = _smallest_pairs(rad, k1_min, k1_max)
+    lo = m1[first // (k1_max - k1_min + 1)] + np.minimum(j1, j2)
+    diff = np.abs(j1 - j2)
     d = np.gcd(lo, diff)  # gcd(u, v) = gcd(lo, hi - lo)
     a, b, c = lo // d, diff // d, (lo + diff) // d
     radical_abc = rad_of(a) * rad_of(b) * rad_of(c)
     estimate, explicit_ok = _abc_decision(c, radical_abc)
-    triples = dict(d=d, a=a, b=b, c=c, radical_abc=radical_abc, explicit_ok=explicit_ok)
-    return AbcBlock(m1, k1_min, j1, j2, first, triples, estimate)
+    triples = dict(
+        j1=j1, j2=j2, d=d, a=a, b=b, c=c, radical_abc=radical_abc, explicit_ok=explicit_ok
+    )
+    return AbcBlock(m1, k1_min, k1_max, first, triples, estimate)
 
 
 def _chain_ineq4(m1: int, k1: int, a2: int) -> AuditFinding:
@@ -654,6 +785,8 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
         raise ValueError("m1 must be >= 1")
     if k1 < 3:
         raise ValueError("k1 must be >= 3 so two distinct minimal-radical terms exist")
+    if m1 > _MR_LIMIT - k1:  # factorize takes every term below _MR_LIMIT
+        raise ValueError(f"m1 must be <= {_MR_LIMIT - k1}, got {m1}")
     if a2 is not None and a2 < 2:
         raise ValueError("a2 must be >= 2")
     # one window needs k1 + 3 radicals, not a table up to m1 + k1; each
@@ -664,8 +797,9 @@ def abc_window_report(m1: int, k1: int, a2: int | None = None) -> AbcTripleRepor
     # the selection keys small however large the radicals are
     ranks = np.unique(window, return_inverse=True)[1]
     block = _abc_block(
-        np.array([m1], dtype=np.int64),
-        ranks.reshape(1, k1),
+        np.array([m1], dtype=object),  # m1 may pass 2^63: factorize reaches 3.3e24
+        ranks,
+        k1,
         k1,
         lambda xs: np.array([rad(x) for x in xs.tolist()], dtype=object),
     )
@@ -706,8 +840,8 @@ def abc_scan(m1_max: int, k1_min: int = 3, k1_max: int = 50):
     rows = max(1, _BLOCK_WINDOWS // (k1_max - k1_min + 1))
     for lo in range(1, m1_max + 1, rows):
         hi = min(lo + rows, m1_max + 1)
-        win = np.lib.stride_tricks.sliding_window_view(rad[lo : hi + k1_max - 1], k1_max)
-        yield _abc_block(np.arange(lo, hi, dtype=np.int64), win, k1_min, rad_of)
+        m1 = np.arange(lo, hi, dtype=np.int64)
+        yield _abc_block(m1, rad[lo : hi + k1_max - 1], k1_min, k1_max, rad_of)
 
 
 def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFinding]:

@@ -41,6 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fanout
+from .factorint import _CHUNK
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PHI = 0x9E3779B97F4A7C15
@@ -50,15 +51,13 @@ _ROUNDS = (
     (np.uint64(31), None),
 )
 _INV53 = 1.0 / (1 << 53)
-# The survivor kernel works on one chunk of _CHUNK rows at a time: no array it
-# makes holds more than _CHUNK 8-byte keys (96 KiB), below glibc's 128 KiB
-# mmap threshold, so its speed does not depend on where earlier frees have
-# moved that threshold (measured: 16K-row chunks ran slower than 12K with the
-# threshold held at 128 KiB, and mixing into preallocated buffers gained
-# nothing).  The one exception is its pool of the rows that pass the y
-# ordering, about count / t! row offsets, made once per call.  mc_density
-# counts whole blocks of _BATCH samples.
-_CHUNK = 12 * 1024
+# The survivor kernel works on one chunk of _CHUNK rows at a time (see
+# factorint): no array it makes holds more than _CHUNK 8-byte keys (measured:
+# 16K-row chunks ran slower than 12K with the mmap threshold held at 128 KiB,
+# and mixing into preallocated buffers gained nothing).  The one exception is
+# its pool of the rows that pass the y ordering, about count / t! row
+# offsets, made once per call.  mc_density counts whole blocks of _BATCH
+# samples.
 _BATCH = 1 << 17
 
 

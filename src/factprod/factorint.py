@@ -37,6 +37,12 @@ def _check_ceiling(limit: int) -> None:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# Chunked numpy kernels (density's Monte Carlo survivors, audit's prefix
+# estimates) make no array of more than _CHUNK 8-byte entries (96 KiB), below
+# glibc's 128 KiB mmap threshold, so their speed does not depend on where
+# earlier frees have moved that threshold.
+_CHUNK = 12 * 1024
+
 
 def _sieve_flags(limit: int) -> np.ndarray:
     flags = np.ones(limit + 1, dtype=bool)
@@ -45,6 +51,12 @@ def _sieve_flags(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return flags
+
+
+# factorize divides out the primes below _TRIAL_BOUND and splits the
+# cofactor by Pollard-Brent.
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = np.flatnonzero(_sieve_flags(_TRIAL_BOUND - 1)).tolist()
 
 
 class PrimeTable:
@@ -129,30 +141,77 @@ def is_prime(n: int) -> bool:
     return table().is_prime(n)
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 by trial division over sieved primes."""
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
+def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
+    """(prime, exponent) pairs of n over the primes below _TRIAL_BOUND,
+    stopping once p^2 exceeds what is left, and the cofactor left: 1, a
+    prime, or a number with no prime factor below _TRIAL_BOUND."""
     out: list[tuple[int, int]] = []
-    m = n
-    if m == 1:
-        return out
-    tbl = table()
-    root = math.isqrt(m)
-    if root > tbl.limit:
-        tbl = table(root)
-    for p in tbl.primes:
-        p = int(p)
-        if p * p > m:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
             break
-        if m % p == 0:
+        if n % p == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while n % p == 0:
+                n //= p
                 e += 1
             out.append((p, e))
-    if m > 1:
-        out.append((m, 1))
+    return out, n
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n: Brent's cycle search on
+    x^2 + c mod n, its gcds batched over 128 steps, for c = 1, 2, ... until
+    one splits n.  Deterministic."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of 1 <= n < _MR_LIMIT, primes increasing.
+
+    Trial division by the primes below _TRIAL_BOUND, then Pollard-Brent
+    splits the cofactor, every factor confirmed prime by Miller-Rabin and
+    the product checked against n.  No sieve is built or grown.  Below
+    _TRIAL_BOUND^2 this is plain trial division: the cofactor is 1 or a
+    prime."""
+    if n < 1:
+        raise ValueError("factorize requires n >= 1")
+    if n >= _MR_LIMIT:
+        raise ValueError(f"factorize requires n below {_MR_LIMIT}, got {n}")
+    out, rest = _trial_division(n)
+    large: dict[int, int] = {}
+    stack = [rest] if rest > 1 else []
+    while stack:
+        m = stack.pop()
+        if _miller_rabin(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            stack += [d, m // d]
+    out += sorted(large.items())
+    assert math.prod(p**e for p, e in out) == n
     return out
 
 

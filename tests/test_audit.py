@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -177,6 +178,45 @@ def test_mertens_minimum_at_the_float_end_point(monkeypatch):
     res = audit_mertens(nu)
     assert int(res.margin.argmin()) == len(res) - 1 and calls[0] == len(res)
     assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+@pytest.mark.parametrize("name,x", [("theta", 30000), ("mertens", 30000.5), ("stirling", 3000)])
+def test_prefix_summary_is_the_same_in_any_chunking(monkeypatch, name, x):
+    # the estimates run in chunks of _CHUNK points with the running sums
+    # carried across: small odd chunks must decide exactly as one chunk
+    whole = _run_prefix(name, x)
+    monkeypatch.setattr(audit, "_CHUNK", 7)
+    res = _run_prefix(name, x)
+    assert (res.violations, res.min_margin) == (whole.violations, whole.min_margin)
+    assert (res.violations, res.min_margin) == _from_columns(res)
+
+
+def test_chunked_running_sums_are_the_whole_cumsum():
+    x = np.log(table(10**5).primes_upto(10**5).astype(np.float64))
+    sums = np.zeros(1)
+    chunks = []
+    for lo in range(0, len(x), 1000):
+        sums = audit._cumsum(x[lo : lo + 1000], sums[-1])
+        chunks.append(sums)
+    assert np.concatenate(chunks).tobytes() == np.cumsum(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: audit_theta(1e6), lambda: audit_mertens(1e6), lambda: next(abc_scan(1365, 3, 50))],
+    ids=["theta 1e6", "mertens 1e6", "one 65,536-window abc block"],
+)
+def test_scan_kernels_hold_no_full_length_temporaries(run):
+    # numpy reports its buffers to tracemalloc: one float64 per prime to
+    # 10^6 is 628 KB, and one int64 per window of a block 512 KB
+    run()  # builds the shared prime table outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_np_log_stays_inside_the_prefilter_band():
@@ -472,7 +512,9 @@ def test_abc_scan_python_int_products_match_python_walk(monkeypatch):
     assert list(_block_rows(blocks, *audit.ABC_COLUMNS)) == abc_scan_rows(300, 3, 30)
 
 
-@pytest.mark.parametrize("m1,k1", [(10**12, 5), (8, 3), (100, 20), (10**7, 20), (1, 3)])
+@pytest.mark.parametrize(
+    "m1,k1", [(10**12, 5), (8, 3), (100, 20), (10**7, 20), (1, 3), (10**20, 5)]
+)
 def test_abc_window_report_matches_python_walk(m1, k1):
     rep = abc_window_report(m1, k1)
     assert tuple(getattr(rep, name) for name in audit.ABC_COLUMNS) == abc_window_row(m1, k1)
@@ -577,13 +619,43 @@ def test_abc_max_quality_tie_goes_to_the_first_row(monkeypatch, capsys):
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
 def test_smallest_pairs_break_ties_by_the_smaller_offset(width):
-    # widths 2^m and 2^m + 1 bracket a change in the offset's bit width
-    win = np.random.default_rng(width).integers(1, 4, size=(100, width))
-    j1, j2 = audit._smallest_pairs(win, 2)
-    for row, o1, o2 in zip(win.tolist(), j1.tolist(), j2.tolist()):
-        for k in range(2, width + 1):
-            first, second = sorted((r, j) for j, r in enumerate(row[:k]))[:2]
-            assert (o1[k - 2], o2[k - 2]) == (first[1], second[1])
+    # widths 2^m and 2^m + 1 bracket a change in the offset's bit width, and
+    # largest radicals 2^(31 - bits) - 2 and 2^(31 - bits) - 1 the switch
+    # from int32 to int64 keys
+    bits = (width - 1).bit_length()
+    small = np.random.default_rng(width).integers(1, 4, size=100 + width - 1)
+    for top, dtype in ((None, np.int32), (-2, np.int32), (-1, np.int64)):
+        rad = small if top is None else small + (1 << (31 - bits)) + top - 3
+        assert top is None or rad.max() == (1 << (31 - bits)) + top
+        assert audit._keys(rad, bits).dtype == dtype
+        first, j1, j2 = audit._smallest_pairs(rad, 2, width)
+        n_k = width - 1
+        run_of_row = np.repeat(np.arange(len(first)), np.diff(first, append=100 * n_k))
+        for i in range(100):
+            row = rad[i : i + width].tolist()
+            for k in range(2, width + 1):
+                least, second = sorted((r, j) for j, r in enumerate(row[:k]))[:2]
+                t = run_of_row[i * n_k + k - 2]
+                assert (j1[t], j2[t]) == (least[1], second[1])
+
+
+def test_abc_scan_int64_keys_match_python_walk(monkeypatch):
+    # one 65,536-window block with its keys forced onto int64, as for
+    # radicals too large for int32 keys
+    monkeypatch.setattr(audit, "_INT32_BOUND", 0)
+    keys = audit._keys
+    dtypes = set()
+
+    def spy(rad, bits):
+        out = keys(rad, bits)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(audit, "_keys", spy)
+    blocks = list(abc_scan(1365, 3, 50))
+    assert len(blocks) == 1 and len(blocks[0]) == 65520
+    assert dtypes == {np.dtype(np.int64)}
+    assert list(_block_rows(blocks, *audit.ABC_COLUMNS)) == abc_scan_rows(1365, 3, 50)
 
 
 def test_explicit_abc_boundary_decided_on_integers():

@@ -622,10 +622,10 @@ def test_audit_summary_builds_no_rows_without_out(capsys, monkeypatch, argv):
         return property(build)
 
     monkeypatch.setattr(audit, "_prefix_sums", short_kahan)
-    # every AbcBlock column built on first read: the nine per-row columns
+    # every AbcBlock column built on first read: the 11 per-row columns
     # and the row-to-triple index they share
     built = [n for n, v in vars(audit.AbcBlock).items() if isinstance(v, functools.cached_property)]
-    assert set(built) >= set(audit.ABC_COLUMNS) - {"j1", "j2"}
+    assert set(built) >= set(audit.ABC_COLUMNS)
     for name in built:
         monkeypatch.setattr(audit.AbcBlock, name, no_rows(name))
     code, out, err = run_cli(capsys, "audit", *argv)
@@ -754,9 +754,12 @@ def test_audit_window_scan_at_scale(capsys):
 
 
 def test_sieve_ceiling_is_a_resource_guard(capsys, monkeypatch):
-    code, _, err = run_cli(capsys, "abc", "--m1", str(10**18), "--k1", "20")
+    # abc --m1 no longer sieves (test_abc_far_above_the_sieve); the window
+    # scan's radical table still meets the ceiling
+    argv = ("audit", "--check", "window", "--m1-max", str(3 * 10**8), "--k1", "3:50")
+    code, _, err = run_cli(capsys, *argv)
     assert code == 3
-    assert err.strip() == "resource guard: sieve limit 1000000000 exceeds ceiling 200000000"
+    assert err.strip() == "resource guard: sieve limit 300000050 exceeds ceiling 200000000"
     monkeypatch.setattr(factorint, "SIEVE_CEILING", 1000)
     code, _, err = run_cli(capsys, "audit", "--check", "window", "--m1-max", "2000", "--k1", "3:5")
     assert code == 3
@@ -794,3 +797,18 @@ def test_abc_2_4(capsys):
     _, result = parse_doc(out)
     assert (result["a"], result["b"], result["c"]) == (1, 1, 2)
     assert result["quality"] == pytest.approx(1.0)
+
+
+def test_abc_far_above_the_sieve(capsys):
+    # near 10^16 the terms are factored without a sieve to 10^8; past 2^63
+    # the window still reports, and past the Miller-Rabin bound it is refused
+    code, out, _ = run_cli(capsys, "abc", "--m1", str(10**16), "--k1", "20")
+    assert code == 0
+    _, result = parse_doc(out)
+    assert (result["j1"], result["j2"], result["c"]) == (0, 17, 10**16 + 17)
+    for m1 in (10**18, 10**20):
+        code, out, _ = run_cli(capsys, "abc", "--m1", str(m1), "--k1", "5")
+        assert code == 0 and parse_doc(out)[1]["m1"] == m1
+    code, _, err = run_cli(capsys, "abc", "--m1", str(10**25), "--k1", "5")
+    assert code == 2
+    assert err.strip() == "error: --m1 must be <= 3317044064679887385961976, got 10000000000000000000000000"

@@ -135,6 +135,44 @@ def test_factorize_matches_literal():
         assert dict(factorize(n)) == factor_literal(n)
 
 
+def test_factorize_matches_the_lpf_table():
+    # below 1000^2 factorize is trial division alone; 1009^2 is the first
+    # composite left for Pollard-Brent
+    top = 1009**2 + 10
+    lpf = lpf_table(top)
+    for n in list(range(1, 5000)) + list(range(1009**2 - 10, top + 1)):
+        want, m = {}, n
+        while m > 1:
+            p = int(lpf[m])
+            want[p] = want.get(p, 0) + 1
+            m //= p
+        assert factorize(n) == sorted(want.items())
+
+
+def test_factorize_above_the_table_does_not_grow_it():
+    limit = factorint.table().limit
+    assert math.isqrt(10**16 + 1) > limit
+    assert factorize(10**16 + 1) == [(353, 1), (449, 1), (641, 1), (1409, 1), (69857, 1)]
+    assert factorint.table().limit == limit
+
+
+def test_factorize_splits_semiprimes_near_1e16():
+    p, q = 99999989, 100000007  # the primes either side of 10^8
+    limit = factorint.table().limit
+    cases = {
+        p * q: [(p, 1), (q, 1)],
+        p * p: [(p, 2)],
+        8 * 3 * 999999999989: [(2, 3), (3, 1), (999999999989, 1)],
+        1009 * 1013 * 1019 * 10007: [(1009, 1), (1013, 1), (1019, 1), (10007, 1)],
+    }
+    for n, factors in cases.items():
+        got = factorize(n)
+        assert got == factors
+        assert math.prod(f**e for f, e in got) == n
+        assert all(factorint.is_prime(f) for f, _ in got)
+    assert factorint.table().limit == limit
+
+
 def test_tables_match_pointwise():
     rad = radical_table(500)
     lpf = lpf_table(500)
