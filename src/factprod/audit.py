@@ -227,7 +227,7 @@ def _primes(nu_max: float) -> np.ndarray:
         raise ValueError("nu_max must be nonnegative")
     if nu_max < 2:
         return np.zeros(0, dtype=np.int64)
-    return table(int(nu_max) + 1).primes_upto(nu_max)
+    return table(int(nu_max)).primes_upto(nu_max)
 
 
 def _margin_band(lhs: np.ndarray, rhs: np.ndarray, err: np.ndarray):

@@ -5,11 +5,11 @@ identity holds), 1 completed with a negative result (identity fails, or an
 audit found violations), 2 usage / validation error, 3 resource guard.
 
 Every run prints a JSON document with a ``meta`` block (schema, version,
-config echo, timestamp; for ``search`` also ``stats``: nodes, units, records,
-children forked and seconds per phase) and a ``result`` block; the result
-payload is a pure function of flags and seed, so reruns are byte-identical
-once the metadata timestamp and phase seconds are excluded.  File outputs
-carry the same metadata as a header line.
+config echo, timestamp; for ``search`` also ``stats``: nodes, units, batches,
+records, the pool workers that ran a share and seconds per phase) and a
+``result`` block; the result payload is a pure function of flags and seed, so
+reruns are byte-identical once the metadata timestamp and phase seconds are
+excluded.  File outputs carry the same metadata as a header line.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ Three routes to its volume:
   constraint before it, and every constraint is decided on the sampler's
   53-bit integer keys, with doubles made only for the gap-ratio test: the
   hits equal those of the indicator on the doubles key * 2^-53.  Fixed
-  sample blocks are dealt out by ``fanout.deal``, so the estimate is
-  identical for any worker count.
+  sample blocks are dealt out by ``fanout.deal`` to ``_hits``, a pure
+  function of its pickled arguments, on the pool's warm workers, so the
+  estimate is identical for any worker count.
 * quadrature_density    -- nested integration on a cone: every constraint is
   homogeneous and every coordinate is at most x_1, so the volume is that of
   the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
@@ -271,12 +272,19 @@ def _analytic_density(spec: RegionSpec) -> Fraction | None:
     return None
 
 
+def _hits(spec: RegionSpec, seed: int, samples: int, batch: int, blocks) -> int:
+    """The hits of the blocks of ``batch`` samples starting at each of ``blocks``
+    (the last one cut at ``samples``): a ``fanout.deal`` job, so the caller's
+    _BATCH comes as ``batch``."""
+    return sum(_survivor_hits(spec, seed, pos, min(batch, samples - pos)) for pos in blocks)
+
+
 def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -> DensityEstimate:
     """Monte Carlo estimate of the region's volume.
 
     The sample indices are cut into blocks of _BATCH and dealt round-robin
-    to ``workers`` by ``fanout.deal``, which decides how many forked
-    processes share them or whether they run in-process.  Each block is
+    to ``workers`` by ``fanout.deal``, which decides how many of its pool's
+    forked workers share them or whether they run in-process.  Each block is
     counted by the survivor kernel, which draws a coordinate only for the
     samples that passed every earlier constraint.
     Every coordinate is a pure function of (seed, sample index, dimension)
@@ -285,13 +293,8 @@ def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-
-    def hits(blocks: range) -> int:
-        return sum(
-            _survivor_hits(spec, seed, pos, min(_BATCH, samples - pos)) for pos in blocks
-        )
-
-    total = sum(fanout.deal(hits, range(0, samples, _BATCH), workers))
+    blocks = range(0, samples, _BATCH)
+    total = sum(fanout.deal(_hits, (spec, seed, samples, _BATCH), blocks, workers))
     mean = total / samples
     stderr = math.sqrt(mean * (1.0 - mean) / samples)
     return DensityEstimate(None, mean, stderr, samples, seed, None)

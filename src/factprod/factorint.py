@@ -3,8 +3,8 @@
 Prime sieves, Legendre exponents of factorials, radicals and largest prime
 factors, products of consecutive integers, and the Chebyshev/Mertens prefix
 sums used by the inequality audits.  Everything here is pure and immutable
-after construction, so values can be shared freely; the census's forked
-worker processes inherit them.
+after construction, so values can be shared freely; a forked pool worker
+inherits those built before it was forked and grows its own copies after.
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ class PrimeTable:
         return _miller_rabin(int(n))
 
     def primes_upto(self, x: float) -> np.ndarray:
-        """Increasing array of all primes <= x (requires x <= limit)."""
-        if x > self.limit:
+        """Increasing array of all primes <= x (requires floor(x) <= limit)."""
+        top = math.floor(x)
+        if top > self.limit:
             raise ValueError(f"primes_upto({x}) beyond table limit {self.limit}")
-        hi = int(np.searchsorted(self.primes, math.floor(x), side="right"))
+        hi = int(np.searchsorted(self.primes, top, side="right"))
         return self.primes[:hi]
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -126,14 +127,19 @@ _shared_table: PrimeTable | None = None
 
 
 def table(min_limit: int = 0) -> PrimeTable:
-    """Shared prime table, grown on demand (a new table replaces the old)."""
+    """Shared prime table, grown on demand: a new table replaces the old, to
+    max(min_limit, 2 * old limit) but no further than SIEVE_CEILING, so that a
+    run of ascending limits re-sieves only a few times."""
     global _shared_table
     t = _shared_table
     if t is not None and t.limit >= min_limit:
         return t
     with _table_lock:
-        if _shared_table is None or _shared_table.limit < min_limit:
+        t = _shared_table
+        if t is None:
             _shared_table = PrimeTable(max(min_limit, DEFAULT_SIEVE_LIMIT))
+        elif t.limit < min_limit:
+            _shared_table = PrimeTable(max(min_limit, min(2 * t.limit, SIEVE_CEILING)))
         return _shared_table
 
 
@@ -387,7 +393,7 @@ def theta(nu: float) -> float:
         raise ValueError("theta requires nu >= 1")
     if nu < 2:
         return 0.0
-    ps = table(int(nu) + 1).primes_upto(nu)
+    ps = table(int(nu)).primes_upto(nu)
     return float(math.fsum(np.log(ps.astype(np.float64))))
 
 
@@ -397,7 +403,7 @@ def mertens_log_sum(nu: float) -> float:
         raise ValueError("mertens_log_sum requires nu >= 1")
     if nu < 2:
         return 0.0
-    ps = table(int(nu) + 1).primes_upto(nu).astype(np.float64)
+    ps = table(int(nu)).primes_upto(nu).astype(np.float64)
     return float(math.fsum(np.log(ps) / ps))
 
 

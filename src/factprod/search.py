@@ -19,8 +19,11 @@ The residual is a dense row of exponents over the primes up to n_max, and
 of units at a time (_UNIT_BATCH at first, then twice as many each time, up
 to _UNIT_BATCH_MAX), depth first over chunks of at most _CELLS cells.  The
 units are the rows of one zero-padded int array, s ints each, and
-``fanout.deal`` shares out their indices over forked processes that share
-one node counter, or runs them in-process.
+``fanout.deal`` shares them out to ``_share`` on its pool of forked workers,
+which share one node counter, or runs them in-process.  A share is a pure
+function of its pickled arguments (the spec, the guards, an absolute
+deadline, its unit rows and the chunk and batch sizes of the calling
+moment), and builds its own tables where it runs.
 Left sides leave the descent as zero-padded columns, the census checks a
 batch of them at once with ``verify_rows`` on the equations' own exponent
 vectors, and the columns are merged by one lexsort on a canonical key
@@ -32,10 +35,9 @@ are built only when they are read.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb, inf, isqrt, lgamma
 
 import numpy as np
@@ -157,18 +159,18 @@ class _GuardTrip(Exception):
 
 
 class _Budget:
-    """Node/time budget polled by the descent in batches.  ``shared`` is a
-    multiprocessing integer Value when more than one worker may draw on the
-    budget, and None for a plain counter that takes no lock; ``nodes`` counts
-    this worker's own nodes either way."""
+    """Node/time budget polled by the descent in batches.  ``deadline`` is the
+    time.monotonic() reading at which ``guards.max_seconds`` runs out, read
+    once by the caller so that every worker stops at the same time, or None.
+    ``shared`` is the pool's node counter (fanout.shared_counter) when the
+    share runs in a pool worker, and None for a plain counter that takes no
+    lock; ``nodes`` counts this share's own nodes either way."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "shared", "reason")
 
-    def __init__(self, guards: SearchGuards, shared=None) -> None:
+    def __init__(self, guards: SearchGuards, deadline: float | None = None, shared=None) -> None:
         self.max_nodes = guards.max_nodes
-        self.deadline = (
-            None if guards.max_seconds is None else time.monotonic() + guards.max_seconds
-        )
+        self.deadline = deadline
         self.nodes = 0
         self.shared = shared
         self.reason = ""
@@ -190,9 +192,6 @@ class _Budget:
         else:
             return
         raise _GuardTrip()
-
-    def spent(self) -> int:
-        return self.nodes if self.shared is None else self.shared.value
 
 
 # Slack on the size cap log(a!) <= log R, whose two sides are sums of float
@@ -264,8 +263,27 @@ class _Chunk:
         self.ends, self.start = np.cumsum(count), 0
 
 
+def _refuse(n_max: int, units: int = 0) -> None:
+    """Raise ResourceGuardError, before anything is built, when the tables up to
+    n_max! hold more than _TABLE_PAIRS (rank, exponent) pairs, or ``units`` (from
+    _unit_count) work units exceed _UNIT_BUDGET."""
+    pairs = _table_pairs(n_max)
+    if pairs > _TABLE_PAIRS:
+        raise ResourceGuardError(
+            f"factorial tables up to {n_max}! need {pairs} (rank, exponent) pairs, "
+            f"above the budget of {_TABLE_PAIRS}",
+            [],
+        )
+    if units > _UNIT_BUDGET:
+        raise ResourceGuardError(
+            f"the search has at least {units} work units, "
+            f"above the budget of {_UNIT_BUDGET}",
+            [],
+        )
+
+
 class _Tables:
-    """Dense factorial tables, built once per search, and the descent.
+    """Dense factorial tables, built once per search share, and the descent.
 
     ``fact[a]`` is the Legendre row of a!: its exponent of each prime up to
     ``n_max``, by rank, for every a <= n_max (the entries the descent can
@@ -273,26 +291,16 @@ class _Tables:
     log(a!).  ``most[off[r] + e]`` is the largest a with v_p(a!) <= e for
     the prime p of rank r.  A target divides ``terms`` factorials and a
     residual is never negative, so the dtype holds ``terms`` times the
-    exponent of 2 in n_max!.  Tables over the _TABLE_PAIRS budget, or for a
-    search of ``units`` work units (from _unit_count) over _UNIT_BUDGET,
-    raise ResourceGuardError before anything is built."""
+    exponent of 2 in n_max!.  The descent's chunks hold at most ``cells``
+    cells (default _CELLS).  Tables over the _TABLE_PAIRS budget raise
+    ResourceGuardError before anything is built."""
 
-    __slots__ = ("primes", "fact", "logfact", "top", "off", "most", "below", "lpf", "t_max")
+    __slots__ = (
+        "primes", "fact", "logfact", "top", "off", "most", "below", "lpf", "t_max", "cells"
+    )
 
-    def __init__(self, n_max: int, t_max: int, units: int = 0, terms: int = 1) -> None:
-        pairs = _table_pairs(n_max)
-        if pairs > _TABLE_PAIRS:
-            raise ResourceGuardError(
-                f"factorial tables up to {n_max}! need {pairs} (rank, exponent) pairs, "
-                f"above the budget of {_TABLE_PAIRS}",
-                [],
-            )
-        if units > _UNIT_BUDGET:
-            raise ResourceGuardError(
-                f"the search has at least {units} work units, "
-                f"above the budget of {_UNIT_BUDGET}",
-                [],
-            )
+    def __init__(self, n_max: int, t_max: int, terms: int = 1, cells: int | None = None) -> None:
+        _refuse(n_max)
         primes = self.primes = table(n_max).primes_upto(n_max)
         # 2 has the largest exponent in any factorial; the guards keep it < 2^31
         dtype = np.int16 if (terms * _legendre(n_max, 2)).bit_length() < 16 else np.int32
@@ -312,6 +320,7 @@ class _Tables:
         n = np.arange(len(lpf))
         self.below = np.maximum.accumulate(np.where(lpf == n, n, 0))  # largest prime <= n
         self.t_max = t_max
+        self.cells = _CELLS if cells is None else cells
 
     def columns(self, width: int) -> np.ndarray:
         """``fact`` with at least ``width`` columns: a level reads only those up to
@@ -394,7 +403,7 @@ class _Tables:
 
     def _walk(self, unit, budget: _Budget, root, rhs=None):
         """Run the descent from ``root()`` depth first over chunks: the top chunk charges
-        its next states, as many as have children fitting in _CELLS cells, then builds
+        its next states, as many as have children fitting in ``cells`` cells, then builds
         those; a zero row is a left side.  Returns the left sides, their units and their
         entries zero-padded to t_max columns, and the set of units with a state on the
         stack or charged last, empty unless the budget tripped."""
@@ -409,7 +418,7 @@ class _Tables:
             while stack:
                 par = stack[-1]
                 s0 = par.start
-                limit = (par.ends[s0 - 1] if s0 else 0) + _CELLS // max(par.width, 1)
+                limit = (par.ends[s0 - 1] if s0 else 0) + self.cells // max(par.width, 1)
                 par.start = max(s0 + 1, int(np.searchsorted(par.ends, limit, "right")))
                 if par.start == len(par.ends):
                     stack.pop()
@@ -578,58 +587,70 @@ def _tuples(m: np.ndarray) -> tuple:
     return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _run_units(units, descend, finish, collect, workers, guards, stats=None, start=None):
+def _share(plan, guards, deadline, sizes, units):
+    """One share of a search's work units, the rows of ``units``, run wherever
+    ``fanout.deal`` puts it, so it reads nothing but its arguments:
+    ``plan(cells)`` builds the share's tables here and gives its (descend,
+    finish) (see _run_units), and ``sizes`` holds the caller's (_CELLS,
+    _UNIT_BATCH, _UNIT_BATCH_MAX).  The units run in batches of _UNIT_BATCH
+    and then twice as many each time, up to _UNIT_BATCH_MAX.  Returns the
+    positions in ``units`` of each batch's completed units, their result
+    columns, the trip reason ("" if none) and the nodes spent."""
+    cells, size, most = sizes
+    descend, finish = plan(cells)
+    budget = _Budget(guards, deadline, fanout.shared_counter())
+    done, parts, k = [], [], 0
+    while k < len(units) and not budget.reason:
+        batch = np.arange(k, min(k + size, len(units)))
+        k, size = k + size, min(2 * size, most)
+        keys = units[batch]
+        unit, lhs, left = descend(keys, budget)
+        finished = np.ones(len(batch), bool)
+        finished[list(left)] = False  # not np.isin: it imports numpy.ma
+        keep = finished[unit]
+        parts.append(finish(keys[unit[keep]], lhs[keep]))
+        done.append(batch[finished])
+    return done, parts, budget.reason, budget.nodes
+
+
+def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
     """Run independent work units, the rows of ``units`` (at least one), under one
-    node/time budget, in batches of _UNIT_BATCH units and then twice as many each
-    time, up to _UNIT_BATCH_MAX.  ``descend(keys, budget)`` gives the left sides of
-    the batch of units ``keys`` as (their units, rows zero-padded to t_max, the units
-    a trip left unfinished), and ``finish(keys, lhs)`` their result columns, the first
-    two the sort key.  Returns ``collect`` of the columns merged in key order (every
-    entry is >= 1, so the padding sorts as tuples do); a tripped guard raises
-    ResourceGuardError carrying ``collect`` of the completed units' columns.
-    ``stats``, if given, is filled (on a trip too) with the nodes spent, the units
-    and those completed, the records, the children forked and the seconds of each
-    phase: from ``start`` (a perf_counter reading) to the descent, the descent and
-    the merge.
+    node/time budget.  ``plan(cells)``, a picklable callable, builds the tables
+    where a share runs and gives two functions: ``descend(keys, budget)``, the left
+    sides of the batch of units ``keys`` as (their units, rows zero-padded to t_max,
+    the units a trip left unfinished), and ``finish(keys, lhs)``, their result
+    columns, the first two the sort key.  Returns ``collect`` of the columns merged
+    in key order (every entry is >= 1, so the padding sorts as tuples do); a tripped
+    guard raises ResourceGuardError carrying ``collect`` of the completed units'
+    columns.  ``stats``, if given, is filled (on a trip too) with the nodes spent,
+    the units and those completed, the descent batches, the records, the pool
+    workers that ran a share (0 in-process) and the seconds of each phase: from
+    ``start`` (a perf_counter reading) to the descent, the descent (each share
+    builds its tables first) and the merge.
 
     ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
-    to forked children, which inherit the tables, run the descent and ``finish`` and
-    draw on one shared node counter, or runs them in-process, where the counter is a
-    plain integer that takes no lock.  Each worker returns the nodes it spent with
-    its columns."""
-    budget = _Budget(guards, multiprocessing.Value("q", 0) if workers > 1 else None)
-
-    def run(share):
-        share = np.arange(share.start, share.stop, share.step)
-        done, parts, k, size = [], [], 0, _UNIT_BATCH
-        while k < len(share):
-            batch = share[k : k + size]
-            k, size = k + size, min(2 * size, _UNIT_BATCH_MAX)
-            keys = units[batch]
-            unit, lhs, left = descend(keys, budget)
-            finished = np.ones(len(batch), bool)
-            finished[list(left)] = False  # not np.isin: it imports numpy.ma in each child
-            keep = finished[unit]
-            parts.append(finish(keys[unit[keep]], lhs[keep]))
-            done.append(batch[finished])
-            if left:
-                return done, parts, budget.reason, budget.nodes
-        return done, parts, "", budget.nodes
-
+    to _share on the pool's workers, which draw on the pool's one node counter, or
+    runs them in-process, where the counter is a plain integer that takes no lock.
+    Each share returns the nodes it spent with its columns."""
+    deadline = None if guards.max_seconds is None else time.monotonic() + guards.max_seconds
+    sizes = (_CELLS, _UNIT_BATCH, _UNIT_BATCH_MAX)
     dealt = time.perf_counter()
-    results = fanout.deal(run, range(len(units)), workers)
+    results = fanout.deal(_share, (plan, guards, deadline, sizes), units, workers)
     merged = time.perf_counter()
     keys, lhs, *more = map(np.concatenate, zip(*(p for _, ps, _, _ in results for p in ps)))
     order = np.lexsort(np.column_stack((keys, lhs)).T[::-1])
     out = collect(keys[order], lhs[order], *(c[order] for c in more))
-    done = [i for d, _, _, _ in results for i in d]
+    n = len(results)
+    done = [np.arange(k, len(units), n)[i] for k, (d, _, _, _) in enumerate(results) for i in d]
+    nodes = sum(r[3] for r in results)
     if stats is not None:
         stats.update(
-            nodes=sum(r[3] for r in results),
+            nodes=nodes,
             units=len(units),
             units_completed=sum(map(len, done)),
+            batches=len(done),
             records=len(out),
-            children=len(results) if len(results) > 1 else 0,
+            children=n if n > 1 else 0,
             seconds={
                 "tables": round(dealt - start, 6),
                 "descent": round(merged - dealt, 6),
@@ -639,8 +660,24 @@ def _run_units(units, descend, finish, collect, workers, guards, stats=None, sta
     reason = next((r for _, _, r, _ in results if r), "")
     if reason:
         done = np.sort(np.concatenate(done))
-        raise ResourceGuardError(reason, out, _tuples(units[done]), len(units), budget.spent())
+        raise ResourceGuardError(reason, out, _tuples(units[done]), len(units), nodes)
     return out
+
+
+def _census_plan(spec: SearchSpec, cells: int):
+    """The census share's descent and result columns (see _run_units)."""
+    tables = _Tables(spec.n1_max, spec.t_max, spec.s_max, cells)
+
+    def finish(rhs, lhs):
+        cls = verify_rows(lhs, rhs)
+        least = CLASSES.index(NONTRIVIAL) if spec.nontrivial_only or spec.c is not None else 0
+        keep = cls >= least
+        for i in np.flatnonzero(keep).tolist() if spec.c is not None else ():
+            eq = FactorialEquation(*(np.trim_zeros(m[i], "b").tolist() for m in (lhs, rhs)))
+            keep[i] = any(nc_pairings(eq, spec.c))
+        return rhs[keep], lhs[keep], cls[keep]
+
+    return tables.census, finish
 
 
 def search_factorial_products(
@@ -652,7 +689,7 @@ def search_factorial_products(
 ) -> CensusResult:
     """All identities within the requested bounds, canonically ordered.  ``stats``,
     if given, is filled with the run's counters and phase seconds (see _run_units;
-    "tables" covers the tables and the work units).
+    "tables" covers the guards and the work units).
 
     Raises ResourceGuardError when the tables or the work units exceed their
     budget (before any work) or a guard ceiling is exceeded (with partial
@@ -661,27 +698,31 @@ def search_factorial_products(
     start = time.perf_counter()
     guards = guards or SearchGuards()
     shape = (spec.n1_max, 2, 1, spec.s_max)
-    tables = _Tables(spec.n1_max, spec.t_max, _unit_count(*shape), spec.s_max)
-
-    def finish(rhs, lhs):
-        cls = verify_rows(lhs, rhs)
-        least = CLASSES.index(NONTRIVIAL) if spec.nontrivial_only or spec.c is not None else 0
-        keep = cls >= least
-        for i in np.flatnonzero(keep).tolist() if spec.c is not None else ():
-            eq = FactorialEquation(*(np.trim_zeros(m[i], "b").tolist() for m in (lhs, rhs)))
-            keep[i] = any(nc_pairings(eq, spec.c))
-        return rhs[keep], lhs[keep], cls[keep]
-
+    _refuse(spec.n1_max, _unit_count(*shape))
     return _run_units(
         _units(*shape),
-        tables.census,
-        finish,
+        partial(_census_plan, spec),
         lambda rhs, lhs, cls: CensusResult(lhs, rhs, cls),
         workers,
         guards,
         stats,
         start,
     )
+
+
+def _delta_plan(spec: DeltaSearchSpec, top: int, cells: int):
+    """The fixed-gap share's descent and result columns (see _run_units), on
+    tables up to ``top``; a unit whose block ends past ``top`` has no state."""
+    tables = _Tables(top, spec.t_max, len(spec.k_list), cells)
+
+    def descend(xs, budget: _Budget):
+        ends = xs + np.array(spec.k_list) - 1
+        unit = np.flatnonzero(ends.max(1) <= top)
+        xs, ends = xs[unit], ends[unit]
+        target = [(n, 1) for n in ends.T] + [(x - 1, -1) for x in xs.T]
+        return tables.left_sides(target, xs[:, 0] - 1, budget, unit)
+
+    return descend, lambda xs, lhs: (xs, lhs)
 
 
 def search_delta(
@@ -705,19 +746,10 @@ def search_delta(
     end = min(spec.x_max + max(spec.k_list) - 1, sieve.limit)
     while top < end and not sieve.is_prime(top + 1):
         top += 1
-    tables = _Tables(top, spec.t_max, _unit_count(*shape), len(spec.k_list))
-
-    def descend(xs, budget: _Budget):
-        ends = xs + np.array(spec.k_list) - 1
-        unit = np.flatnonzero(ends.max(1) <= top)  # the others have no state
-        xs, ends = xs[unit], ends[unit]
-        target = [(n, 1) for n in ends.T] + [(x - 1, -1) for x in xs.T]
-        return tables.left_sides(target, xs[:, 0] - 1, budget, unit)
-
+    _refuse(top, _unit_count(*shape))
     return _run_units(
         _units(*shape),
-        descend,
-        lambda xs, lhs: (xs, lhs),
+        partial(_delta_plan, spec, top),
         lambda xs, lhs: [DeltaSolution(*row) for row in zip(_tuples(xs), _tuples(lhs))],
         workers,
         guards,

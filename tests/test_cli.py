@@ -249,7 +249,9 @@ def test_search_reports_its_stats_in_meta_only(capsys, tmp_path, shape, workers)
 
 
 @pytest.mark.parametrize("flags", [(), ("--c", "1", "--nontrivial-only"), ("--c", "2")])
-def test_search_builds_no_delta_form_and_pickles_no_record(capsys, monkeypatch, tmp_path, flags):
+def test_search_builds_no_delta_form_and_pickles_no_record(
+    capsys, monkeypatch, tmp_path, flags, fresh_pool
+):
     from factprod import equations, search
 
     def boom(*args, **kwargs):

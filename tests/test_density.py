@@ -1,5 +1,5 @@
 import math
-import multiprocessing
+import os
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -252,18 +252,19 @@ def test_mc_density_single_block_runs_in_process(monkeypatch):
     def no_fork(*args):
         raise AssertionError("a single block was sent to a forked worker")
 
-    monkeypatch.setattr(fanout.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(fanout, "_fork_worker", no_fork)
+    monkeypatch.setattr(fanout, "_pool", [])
     spec = RegionSpec(t=3, s=2, c=2)
     est = mc_density(spec, density._BATCH, seed=3, workers=2)
     assert est.mc_mean == mc_density(spec, density._BATCH, seed=3, workers=1).mc_mean
 
 
 @pytest.mark.skipif(
-    fanout.usable_cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    fanout.usable_cpus() < 2 or not hasattr(os, "fork"),
     reason="needs fork and two usable CPUs",
 )
-def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch):
-    # block 0 fails in the first child while the second is still counting
+def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch, fresh_pool):
+    # block 0 fails in the first worker while the second is still counting
     sampler = density.sample_block
 
     def failing(seed, start, *args, **kwargs):
@@ -274,7 +275,11 @@ def test_mc_density_failing_worker_raises_and_leaves_no_process(monkeypatch):
     monkeypatch.setattr(density, "sample_block", failing)
     with pytest.raises(RuntimeError, match="ZeroDivisionError: sampler failed at block 0"):
         mc_density(RegionSpec(t=3, s=2, c=2), 4 * density._BATCH, seed=1, workers=2)
-    assert multiprocessing.active_children() == []
+    # the pool was killed and every worker reaped: none is left, not even a zombie
+    assert len(fresh_pool) == 2 and fanout._pool == []
+    for pid in fresh_pool:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 # mc_mean and mc_stderr of the three benchmark density shapes at seed 0 and

@@ -173,6 +173,53 @@ def test_factorize_splits_semiprimes_near_1e16():
     assert factorint.table().limit == limit
 
 
+def test_ascending_limits_grow_the_shared_sieve_by_doubling(monkeypatch):
+    """Four ascending limits just above the shared sieve build one new table,
+    at twice the old limit; a single request from the default table past
+    twice its limit builds exactly that limit; growth stops at the ceiling."""
+    built = []
+
+    class Counted(factorint.PrimeTable):
+        def __init__(self, limit):
+            built.append(limit)
+            super().__init__(limit)
+
+    base = factorint.DEFAULT_SIEVE_LIMIT
+    monkeypatch.setattr(factorint, "PrimeTable", Counted)
+    monkeypatch.setattr(factorint, "_shared_table", None)
+    assert factorint.table().limit == base
+    for k in range(1, 5):
+        assert factorint.table(base + k).limit == 2 * base
+    assert built == [base, 2 * base]
+    assert factorint.table(2 * base).primes_upto(2 * base)[-1] == 1999993
+
+    monkeypatch.setattr(factorint, "_shared_table", None)
+    factorint.table()
+    assert factorint.table(5 * base + 3).limit == 5 * base + 3
+    assert built[2:] == [base, 5 * base + 3]
+
+    monkeypatch.setattr(factorint, "SIEVE_CEILING", 6 * base)
+    assert factorint.table(5 * base + 4).limit == 6 * base
+    with pytest.raises(factorint.SieveCeilingError):
+        factorint.table(6 * base + 1)
+    assert built[4] == 6 * base and factorint.table().limit == 6 * base
+
+
+def test_primes_up_to_the_sieve_limit_build_no_new_table():
+    """The primes <= nu need the sieve only up to floor(nu): theta, Mertens'
+    sum and the prefix audits' primes at nu = the shared limit, or half above
+    it, read the shared table as it is."""
+    from factprod import audit
+
+    tbl = factorint.table()
+    assert len(tbl.primes_upto(tbl.limit + 0.5)) == len(tbl.primes)
+    for nu in (tbl.limit, tbl.limit + 0.5):
+        factorint.theta(nu)
+        factorint.mertens_log_sum(nu)
+        assert len(audit._primes(nu)) == len(tbl.primes)
+        assert factorint.table() is tbl
+
+
 def test_tables_match_pointwise():
     rad = radical_table(500)
     lpf = lpf_table(500)

@@ -655,12 +655,16 @@ def test_batches_double_from_the_first_up_to_the_cap():
 
     units = np.zeros((30_000, 2), np.intp)
     units[:, 0] = np.arange(1, 30_001)
-    search._run_units(units, descend, lambda k, lhs: (k, lhs), lambda k, lhs: k, 1, SearchGuards())
+
+    def plan(cells):
+        return descend, lambda k, lhs: (k, lhs)
+
+    search._run_units(units, plan, lambda k, lhs: k, 1, SearchGuards())
     assert [len(b) for b in batches] == [512, 1024, 2048, 4096, 8192, 8192, 5936]
     assert sum(batches, []) == list(range(1, 30_001))
 
 
-def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch):
+def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch, fresh_pool):
     """The exact check does not read the engine's tables: with the Legendre
     row of 5! replaced by that of 6!, the engine proposes left sides that do
     not hold, and the census keeps them as non-solution rows (class None,
