@@ -28,7 +28,8 @@ chain_ineq5.
 
 The prefix audits return a ``PrefixAudit``: its violations and min_margin,
 and columns built only when read, from which AuditFinding rows are built
-only on request.  The columns sum with ``_prefix_sums`` (Kahan) and take
+only on request; its CSV text, like the Erdos scan's and an AbcBlock's, is
+formatted from the columns a slice at a time (``_csv_rows``).  The columns sum with ``_prefix_sums`` (Kahan) and take
 logs with math.log, one Python call per point; the summary needs neither
 over every point.  It is a float prefilter plus an exact fallback, like the
 abc decision below.  With T_k the exact sum of the first k summands, all
@@ -73,9 +74,10 @@ findings, the AbcBlock per-row columns) is a cached_property, built once.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -171,6 +173,16 @@ def _chunks(size: int):
     return ((lo, min(lo + _CHUNK, size)) for lo in range(0, size, _CHUNK))
 
 
+def _csv_rows(line: str, size: int, columns) -> Iterator[str]:
+    """The text of ``size`` CSV rows, one slice of _chunks at a time: the
+    %-format ``line`` of one row, filled for the slice at once from the
+    column slices ``columns(lo, hi)`` (a bool column as true/false), so no
+    list or text holds every row."""
+    for lo, hi in _chunks(size):
+        cols = [np.where(c, "true", "false") if c.dtype == bool else c for c in columns(lo, hi)]
+        yield line * (hi - lo) % tuple(chain.from_iterable(zip(*(c.tolist() for c in cols))))
+
+
 def _cumsum(x: np.ndarray, carry: float) -> np.ndarray:
     """The running sums of x after summands of total carry: with the carry
     prepended, each equals the whole array's np.cumsum bit for bit."""
@@ -208,6 +220,18 @@ class PrefixAudit:
     rhs = property(lambda self: self._columns[2])
     ok = property(lambda self: self._columns[3])
     margin = property(lambda self: self._columns[4])
+
+    def csv(self, violations_only: bool = False) -> Iterator[str]:
+        """findings_csv of findings(violations_only), formatted from the
+        columns a slice at a time (see _csv_rows)."""
+        cols = (self.points, self.lhs, self.rhs, self.margin, self.ok)
+        if violations_only:
+            cols = [c[~self.ok] for c in cols]
+        size = len(cols[0])
+        keys = [self.param] if size else []
+        yield ",".join(["check_id", *keys, "lhs", "rhs", "margin", "ok"]) + "\n"
+        yield from _csv_rows(self.check_id + ",%s,%r,%r,%r,%s\n", size,
+                             lambda lo, hi: [c[lo:hi] for c in cols])
 
     def findings(self, violations_only: bool = False) -> list[AuditFinding]:
         """The rows as AuditFindings (all, or only those not ok)."""
@@ -443,6 +467,20 @@ class ErdosScanResult:
             np.array_equal(getattr(self, col), getattr(other, col)) for col in ("x", "k", "p_max")
         )
 
+    def csv(self) -> Iterator[str]:
+        """findings_csv of ``findings``, formatted from the columns a slice at
+        a time (see _csv_rows)."""
+        bound = np.array([0.0, 0.0, *map(_erdos_bound, range(2, int(self.k.max(initial=1)) + 1))])
+
+        def columns(lo, hi):
+            p = self.p_max[lo:hi]
+            lhs = bound[self.k[lo:hi]]
+            return self.x[lo:hi], self.k[lo:hi], p, lhs, p.astype(np.float64), p / lhs, p > lhs
+
+        keys = ["x", "k", "p_max"] if len(self) else []
+        yield ",".join(["check_id", *keys, "lhs", "rhs", "margin", "ok"]) + "\n"
+        yield from _csv_rows("erdos_ratio,%d,%d,%d,%r,%r,%r,%s\n", len(self), columns)
+
     @cached_property
     def findings(self) -> tuple[AuditFinding, ...]:
         bound = {k: _erdos_bound(k) for k in set(self.k.tolist())}  # np.unique imports numpy.ma
@@ -607,6 +645,12 @@ class AbcBlock:
     @cached_property
     def quality(self) -> np.ndarray:
         return _quality(self.triples["c"], self.triples["radical_abc"])[self._triple_of_row]
+
+    def csv(self) -> Iterator[str]:
+        """The rows as CSV text in ABC_COLUMNS order, a slice at a time (see
+        _csv_rows)."""
+        cols = [getattr(self, name) for name in ABC_COLUMNS]
+        return _csv_rows("%d," * 9 + "%r,%s\n", len(self), lambda lo, hi: [c[lo:hi] for c in cols])
 
     def _windows(self, rows: np.ndarray) -> list[tuple[int, int]]:
         """(m1, k1) of each of the given row indices."""
@@ -911,13 +955,10 @@ def audit_proof_chain(df: DeltaForm, c: int, kappa: int = 2) -> list[AuditFindin
     return findings
 
 
-def findings_csv(findings, meta: dict | None = None) -> str:
+def findings_csv(findings) -> str:
     """Render findings as CSV: check_id, flattened parameters, lhs, rhs,
-    margin, ok.  Deterministic for identical inputs; an optional run-metadata
-    header goes into a leading comment line."""
+    margin, ok.  Deterministic for identical inputs."""
     lines = []
-    if meta:
-        lines.append("# " + " ".join(f"{k}={meta[k]}" for k in sorted(meta)))
     findings = list(findings)
     keys: list[str] = []
     for f in findings:

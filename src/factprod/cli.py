@@ -15,6 +15,7 @@ excluded.  File outputs carry the same metadata as a header line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -230,11 +231,24 @@ def _chain_findings(args):
     return audit_proof_chain(df, args.ratio_c, args.kappa)
 
 
+def _out_file(path, meta: dict):
+    """``path`` opened for writing, the run metadata already written as its
+    leading comment line; a null context when no path is given."""
+    if not path:
+        return contextlib.nullcontext()
+    fh = open(path, "w")
+    fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
+    return fh
+
+
 def cmd_audit(args) -> int:
     check = args.check
     meta_cfg: dict = {"check": check}
+    meta = _meta("audit", meta_cfg)
     result: dict
-    findings_text = None
+    # the --out text, formatted as it is written: the window scan writes each
+    # block as it is scanned, every other check leaves its pieces in rows
+    rows = None
     violations = 0
     if check in ("theta", "mertens", "stirling"):
         if check == "stirling":
@@ -254,8 +268,7 @@ def cmd_audit(args) -> int:
             "violations": violations,
             "min_margin": prefix.min_margin,
         }
-        if args.out:
-            findings_text = findings_csv(prefix.findings(args.violations_only), None)
+        rows = prefix.csv(args.violations_only)
     elif check == "erdos":
         scan = audit_erdos_pdelta(_parse_range("--x", args.x, 2), _parse_range("--k", args.k, 2))
         meta_cfg.update({"x": args.x, "k": args.k})
@@ -264,8 +277,7 @@ def cmd_audit(args) -> int:
             "min_ratio": scan.min_ratio,
             "min_at": list(scan.min_at) if scan.min_at else None,
         }
-        if args.out:
-            findings_text = findings_csv(scan.findings, None)
+        rows = scan.csv()
     elif check == "chain":
         findings = _chain_findings(args)
         meta_cfg.update(
@@ -286,8 +298,7 @@ def cmd_audit(args) -> int:
             ],
             "violations": violations,
         }
-        if args.out:
-            findings_text = findings_csv(findings, None)
+        rows = [findings_csv(findings)]
     elif check == "window":
         if args.m1_max is None or args.m1_max < 1:
             raise ValueError("--m1-max must be >= 1")
@@ -297,18 +308,20 @@ def cmd_audit(args) -> int:
         explicit_failures = []
         best_quality = 0.0
         best_at = None
-        rows = [",".join(ABC_COLUMNS)]
-        keep_rows = args.out is not None
-        for block in abc_scan(args.m1_max, k_lo, k_hi):
-            count += len(block)
-            quality, at = block.max_quality()
-            if quality > best_quality:
-                best_quality, best_at = quality, at
-            explicit_failures.extend(block.explicit_failures())
-            if keep_rows:
-                cols = [getattr(block, name).tolist() for name in ABC_COLUMNS]
-                cols[-1] = ["true" if ok else "false" for ok in cols[-1]]
-                rows.extend(",".join(map(str, row)) for row in zip(*cols))
+        blocks = abc_scan(args.m1_max, k_lo, k_hi)
+        block = next(blocks)  # before --out is opened: a sieve-ceiling refusal leaves no file
+        with _out_file(args.out, meta) as fh:
+            if fh:
+                fh.write(",".join(ABC_COLUMNS) + "\n")
+            while block is not None:
+                count += len(block)
+                quality, at = block.max_quality()
+                if quality > best_quality:
+                    best_quality, best_at = quality, at
+                explicit_failures.extend(block.explicit_failures())
+                if fh:
+                    fh.writelines(block.csv())
+                block = next(blocks, None)
         violations = len(explicit_failures)
         if violations:
             print(
@@ -322,15 +335,11 @@ def cmd_audit(args) -> int:
             "max_quality": best_quality,
             "max_quality_at": list(best_at) if best_at else None,
         }
-        if keep_rows:
-            findings_text = "\n".join(rows) + "\n"
     else:  # pragma: no cover
         raise ValueError(f"unknown check {check!r}")
-    meta = _meta("audit", meta_cfg)
-    if args.out and findings_text is not None:
-        with open(args.out, "w") as fh:
-            fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
-            fh.write(findings_text)
+    if args.out and rows is not None:
+        with _out_file(args.out, meta) as fh:
+            fh.writelines(rows)
     _print_doc(meta, result)
     return EXIT_NEGATIVE if violations else EXIT_OK
 

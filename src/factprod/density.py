@@ -15,10 +15,10 @@ Three routes to its volume:
   samples.  Each coordinate is drawn only for the samples that passed every
   constraint before it, and every constraint is decided on the sampler's
   53-bit integer keys, with doubles made only for the gap-ratio test: the
-  hits equal those of the indicator on the doubles key * 2^-53.  Fixed
-  sample blocks are dealt out by ``fanout.deal`` to ``_hits``, a pure
-  function of its pickled arguments, on the pool's warm workers, so the
-  estimate is identical for any worker count.
+  hits equal those of the indicator on the doubles key * 2^-53.  Sample
+  blocks, each dealt as its (start, count), are counted by ``_hits`` on
+  the pool's warm workers, so the estimate is identical for any worker
+  count or block size.
 * quadrature_density    -- nested integration on a cone: every constraint is
   homogeneous and every coordinate is at most x_1, so the volume is that of
   the slice x_1 = 1 divided by s + t.  On the slice the unpaired y
@@ -272,29 +272,28 @@ def _analytic_density(spec: RegionSpec) -> Fraction | None:
     return None
 
 
-def _hits(spec: RegionSpec, seed: int, samples: int, batch: int, blocks) -> int:
-    """The hits of the blocks of ``batch`` samples starting at each of ``blocks``
-    (the last one cut at ``samples``): a ``fanout.deal`` job, so the caller's
-    _BATCH comes as ``batch``."""
-    return sum(_survivor_hits(spec, seed, pos, min(batch, samples - pos)) for pos in blocks)
+def _hits(spec: RegionSpec, seed: int, blocks) -> int:
+    """The hits of the (start, count) sample blocks of ``blocks``."""
+    return sum(_survivor_hits(spec, seed, start, count) for start, count in blocks)
 
 
 def mc_density(spec: RegionSpec, samples: int, seed: int, *, workers: int = 1) -> DensityEstimate:
     """Monte Carlo estimate of the region's volume.
 
-    The sample indices are cut into blocks of _BATCH and dealt round-robin
-    to ``workers`` by ``fanout.deal``, which decides how many of its pool's
-    forked workers share them or whether they run in-process.  Each block is
-    counted by the survivor kernel, which draws a coordinate only for the
-    samples that passed every earlier constraint.
+    The sample indices are cut into blocks of _BATCH, each dealt as its
+    (start, count) round-robin to ``workers`` by ``fanout.deal``, which
+    decides how many of its pool's forked workers share them or whether they
+    run in-process.  Each block is counted by the survivor kernel, which
+    draws a coordinate only for the samples that passed every earlier
+    constraint.
     Every coordinate is a pure function of (seed, sample index, dimension)
     and the hits are an exact integer sum, so the mean is identical for any
     worker count or block size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    blocks = range(0, samples, _BATCH)
-    total = sum(fanout.deal(_hits, (spec, seed, samples, _BATCH), blocks, workers))
+    blocks = [(pos, min(_BATCH, samples - pos)) for pos in range(0, samples, _BATCH)]
+    total = sum(fanout.deal(_hits, (spec, seed), blocks, workers))
     mean = total / samples
     stderr = math.sqrt(mean * (1.0 - mean) / samples)
     return DensityEstimate(None, mean, stderr, samples, seed, None)

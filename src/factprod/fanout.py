@@ -5,15 +5,15 @@ share it (no more than the workers asked for, the items to share or the
 usable CPUs) and whether it leaves the process at all.  Workers are forked
 on first need and reused by every later ``deal`` of the process, so a call
 pays neither a fork nor the copy-on-write faults that follow one.  Each
-worker reads pickled ``(job, args, share)`` messages from its own pipe and
-writes back ``("ok", result)`` or ``("error", traceback)``.  So a job is a
-module-level function whose result is a pure function of its pickled
-arguments: a worker reads no module state that the parent changed after
-forking it (``stop`` ends the pool, and the next ``deal`` forks a fresh one
-from the parent as it is then).  With one share, inside a worker, or where
-the platform has no fork, the job runs in-process.  The pool serves one
-caller at a time: ``deal`` is not for concurrent use from several threads.
-"""
+worker reads pickled ``(job, args, share)`` messages from its one duplex
+connection to the parent and answers on it with ``("ok", result)`` or
+``("error", traceback)``.  So a job is a module-level function of its
+pickled arguments, and a worker runs the module state it was forked with:
+a test that patches code or constants the workers read stops the pool
+(``stop``), and the next ``deal`` forks a fresh one from the parent as it
+is then.  With one share, inside a worker, or where the platform has no
+fork, the job runs in-process.  The pool serves one caller at a time:
+``deal`` is not for concurrent use from several threads."""
 
 from __future__ import annotations
 
@@ -24,10 +24,9 @@ import pickle
 import signal
 import traceback
 
-# The pool: (pid, command pipe, result pipe) of each worker, worker k taking
-# share k; the node counter every worker inherits (a SemLock cannot be
-# pickled, so it is made before the first fork); and whether this process is
-# a pool worker.
+# The pool: (pid, connection) of each worker, worker k taking share k; the
+# node counter every worker inherits (a SemLock cannot be pickled, so it is
+# made before the first fork); and whether this process is a pool worker.
 _pool: list[tuple] = []
 _counter = None
 _in_worker = False
@@ -49,69 +48,62 @@ def shared_counter():
     return _counter if _in_worker else None
 
 
-def _serve(cmd, res) -> None:
-    """A worker's loop: run each job message from ``cmd`` and send its reply
-    on ``res``, until EOF on ``cmd`` (the parent closed it, or is gone)."""
+def _serve(conn) -> None:
+    """A worker's loop: run each job message from ``conn`` and send its reply
+    back on it, until EOF (the parent closed its end, or is gone)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides
     while True:
         try:
-            message = cmd.recv_bytes()
+            message = conn.recv_bytes()
         except (EOFError, OSError):
             return
         try:
             job, args, share = pickle.loads(message)
-            res.send(("ok", job(*args, share)))
+            conn.send(("ok", job(*args, share)))
         except Exception:
-            res.send(("error", traceback.format_exc()))
+            conn.send(("error", traceback.format_exc()))
 
 
 def _fork_worker() -> tuple:
-    """Fork one worker and return its (pid, command pipe, result pipe)."""
+    """Fork one worker and return its (pid, connection)."""
     global _counter, _in_worker
-    cmd_r, cmd_w = multiprocessing.Pipe(duplex=False)
-    res_r, res_w = multiprocessing.Pipe(duplex=False)
+    conn, theirs = multiprocessing.Pipe()
     counter = _counter
     pid = os.fork()
     if pid == 0:  # _forget has dropped the parent's pool and counter
         try:
             _counter, _in_worker = counter, True
-            cmd_w.close()
-            res_r.close()
-            _serve(cmd_r, res_w)
+            conn.close()
+            _serve(theirs)
         finally:
             os._exit(0)  # a worker never returns into its parent's code or exit hooks
-    cmd_r.close()
-    res_w.close()
-    return pid, cmd_w, res_r
+    theirs.close()
+    return pid, conn
 
 
 def _forget() -> None:
     """In a forked child: drop the parent's pool and counter, closing the
-    child's copies of the parent's pipe ends, so that no worker is kept from
-    seeing EOF by a sibling and a ``deal`` here never writes to them."""
+    child's copies of the parent's connections, so that no worker is kept
+    from seeing EOF by a sibling and a ``deal`` here never writes to them."""
     global _counter
-    for _, cmd, res in _pool:
-        cmd.close()
-        res.close()
+    for _, conn in _pool:
+        conn.close()
     _pool.clear()
     _counter = None
 
 
 def stop() -> None:
     """Kill and reap every pool worker.  The next ``deal`` forks a fresh pool,
-    which inherits the parent's module state as it is then; a test that
-    patches code the workers run calls this after patching and again after
-    undoing it."""
+    which inherits the parent's module state as it is then."""
     pool = list(_pool)
     _pool.clear()
-    for pid, cmd, res in pool:
-        cmd.close()
-        res.close()
+    for pid, conn in pool:
+        conn.close()
         try:
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-    for pid, _, _ in pool:
+    for pid, _ in pool:
         try:
             os.waitpid(pid, 0)
         except ChildProcessError:
@@ -144,12 +136,12 @@ def deal(job, args: tuple, items, workers: int) -> list:
         while len(_pool) < n:
             _pool.append(_fork_worker())
         _counter.value = 0
-        for k, (_, cmd, _) in enumerate(_pool[:n]):
-            cmd.send((job, args, items[k::n]))
+        for k, (_, conn) in enumerate(_pool[:n]):
+            conn.send((job, args, items[k::n]))
         results = []
-        for _, _, res in _pool[:n]:
+        for _, conn in _pool[:n]:
             try:
-                status, payload = res.recv()
+                status, payload = conn.recv()
             except EOFError:
                 raise RuntimeError("a pool worker exited without a result") from None
             if status != "ok":

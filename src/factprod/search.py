@@ -20,10 +20,11 @@ of units at a time (_UNIT_BATCH at first, then twice as many each time, up
 to _UNIT_BATCH_MAX), depth first over chunks of at most _CELLS cells.  The
 units are the rows of one zero-padded int array, s ints each, and
 ``fanout.deal`` shares them out to ``_share`` on its pool of forked workers,
-which share one node counter, or runs them in-process.  A share is a pure
-function of its pickled arguments (the spec, the guards, an absolute
-deadline, its unit rows and the chunk and batch sizes of the calling
-moment), and builds its own tables where it runs.
+which share one node counter, or runs them in-process.  A share takes only
+its work (the spec, the guards, an absolute deadline and its unit rows),
+builds its own tables where it runs, and reads the chunk and batch sizes
+there: the rows of ``_units`` do not depend on _CELLS, so the caller and
+the share never need to agree on one.
 Left sides leave the descent as zero-padded columns, the census checks a
 batch of them at once with ``verify_rows`` on the equations' own exponent
 vectors, and the columns are merged by one lexsort on a canonical key
@@ -291,15 +292,12 @@ class _Tables:
     log(a!).  ``most[off[r] + e]`` is the largest a with v_p(a!) <= e for
     the prime p of rank r.  A target divides ``terms`` factorials and a
     residual is never negative, so the dtype holds ``terms`` times the
-    exponent of 2 in n_max!.  The descent's chunks hold at most ``cells``
-    cells (default _CELLS).  Tables over the _TABLE_PAIRS budget raise
+    exponent of 2 in n_max!.  Tables over the _TABLE_PAIRS budget raise
     ResourceGuardError before anything is built."""
 
-    __slots__ = (
-        "primes", "fact", "logfact", "top", "off", "most", "below", "lpf", "t_max", "cells"
-    )
+    __slots__ = ("primes", "fact", "logfact", "top", "off", "most", "below", "lpf", "t_max")
 
-    def __init__(self, n_max: int, t_max: int, terms: int = 1, cells: int | None = None) -> None:
+    def __init__(self, n_max: int, t_max: int, terms: int = 1) -> None:
         _refuse(n_max)
         primes = self.primes = table(n_max).primes_upto(n_max)
         # 2 has the largest exponent in any factorial; the guards keep it < 2^31
@@ -320,7 +318,6 @@ class _Tables:
         n = np.arange(len(lpf))
         self.below = np.maximum.accumulate(np.where(lpf == n, n, 0))  # largest prime <= n
         self.t_max = t_max
-        self.cells = _CELLS if cells is None else cells
 
     def columns(self, width: int) -> np.ndarray:
         """``fact`` with at least ``width`` columns: a level reads only those up to
@@ -403,7 +400,7 @@ class _Tables:
 
     def _walk(self, unit, budget: _Budget, root, rhs=None):
         """Run the descent from ``root()`` depth first over chunks: the top chunk charges
-        its next states, as many as have children fitting in ``cells`` cells, then builds
+        its next states, as many as have children fitting in _CELLS cells, then builds
         those; a zero row is a left side.  Returns the left sides, their units and their
         entries zero-padded to t_max columns, and the set of units with a state on the
         stack or charged last, empty unless the budget tripped."""
@@ -418,7 +415,7 @@ class _Tables:
             while stack:
                 par = stack[-1]
                 s0 = par.start
-                limit = (par.ends[s0 - 1] if s0 else 0) + self.cells // max(par.width, 1)
+                limit = (par.ends[s0 - 1] if s0 else 0) + _CELLS // max(par.width, 1)
                 par.start = max(s0 + 1, int(np.searchsorted(par.ends, limit, "right")))
                 if par.start == len(par.ends):
                     stack.pop()
@@ -587,22 +584,19 @@ def _tuples(m: np.ndarray) -> tuple:
     return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _share(plan, guards, deadline, sizes, units):
+def _share(plan, guards, deadline, units):
     """One share of a search's work units, the rows of ``units``, run wherever
-    ``fanout.deal`` puts it, so it reads nothing but its arguments:
-    ``plan(cells)`` builds the share's tables here and gives its (descend,
-    finish) (see _run_units), and ``sizes`` holds the caller's (_CELLS,
-    _UNIT_BATCH, _UNIT_BATCH_MAX).  The units run in batches of _UNIT_BATCH
-    and then twice as many each time, up to _UNIT_BATCH_MAX.  Returns the
-    positions in ``units`` of each batch's completed units, their result
-    columns, the trip reason ("" if none) and the nodes spent."""
-    cells, size, most = sizes
-    descend, finish = plan(cells)
+    ``fanout.deal`` puts it: ``plan()`` builds the share's tables there and
+    gives its (descend, finish) (see _run_units).  The units run in batches
+    of _UNIT_BATCH and then twice as many each time, up to _UNIT_BATCH_MAX.
+    Returns the positions in ``units`` of each batch's completed units, their
+    result columns, the trip reason ("" if none) and the nodes spent."""
+    descend, finish = plan()
     budget = _Budget(guards, deadline, fanout.shared_counter())
-    done, parts, k = [], [], 0
+    done, parts, k, size = [], [], 0, _UNIT_BATCH
     while k < len(units) and not budget.reason:
         batch = np.arange(k, min(k + size, len(units)))
-        k, size = k + size, min(2 * size, most)
+        k, size = k + size, min(2 * size, _UNIT_BATCH_MAX)
         keys = units[batch]
         unit, lhs, left = descend(keys, budget)
         finished = np.ones(len(batch), bool)
@@ -615,7 +609,7 @@ def _share(plan, guards, deadline, sizes, units):
 
 def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
     """Run independent work units, the rows of ``units`` (at least one), under one
-    node/time budget.  ``plan(cells)``, a picklable callable, builds the tables
+    node/time budget.  ``plan()``, a picklable callable, builds the tables
     where a share runs and gives two functions: ``descend(keys, budget)``, the left
     sides of the batch of units ``keys`` as (their units, rows zero-padded to t_max,
     the units a trip left unfinished), and ``finish(keys, lhs)``, their result
@@ -633,9 +627,8 @@ def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
     runs them in-process, where the counter is a plain integer that takes no lock.
     Each share returns the nodes it spent with its columns."""
     deadline = None if guards.max_seconds is None else time.monotonic() + guards.max_seconds
-    sizes = (_CELLS, _UNIT_BATCH, _UNIT_BATCH_MAX)
     dealt = time.perf_counter()
-    results = fanout.deal(_share, (plan, guards, deadline, sizes), units, workers)
+    results = fanout.deal(_share, (plan, guards, deadline), units, workers)
     merged = time.perf_counter()
     keys, lhs, *more = map(np.concatenate, zip(*(p for _, ps, _, _ in results for p in ps)))
     order = np.lexsort(np.column_stack((keys, lhs)).T[::-1])
@@ -664,9 +657,9 @@ def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
     return out
 
 
-def _census_plan(spec: SearchSpec, cells: int):
+def _census_plan(spec: SearchSpec):
     """The census share's descent and result columns (see _run_units)."""
-    tables = _Tables(spec.n1_max, spec.t_max, spec.s_max, cells)
+    tables = _Tables(spec.n1_max, spec.t_max, spec.s_max)
 
     def finish(rhs, lhs):
         cls = verify_rows(lhs, rhs)
@@ -710,10 +703,10 @@ def search_factorial_products(
     )
 
 
-def _delta_plan(spec: DeltaSearchSpec, top: int, cells: int):
+def _delta_plan(spec: DeltaSearchSpec, top: int):
     """The fixed-gap share's descent and result columns (see _run_units), on
     tables up to ``top``; a unit whose block ends past ``top`` has no state."""
-    tables = _Tables(top, spec.t_max, len(spec.k_list), cells)
+    tables = _Tables(top, spec.t_max, len(spec.k_list))
 
     def descend(xs, budget: _Budget):
         ends = xs + np.array(spec.k_list) - 1

@@ -721,9 +721,8 @@ def test_proof_chain_rejects():
 
 def test_findings_csv_shape_and_determinism():
     findings = audit_theta(30).findings()
-    text = findings_csv(findings, {"seed": 0, "range": "2:30"})
+    text = findings_csv(findings)
     lines = text.strip().split("\n")
-    assert lines[0].startswith("# range=2:30 seed=0")
-    assert lines[1] == "check_id,nu,lhs,rhs,margin,ok"
-    assert len(lines) == 2 + len(findings)
-    assert text == findings_csv(audit_theta(30).findings(), {"seed": 0, "range": "2:30"})
+    assert lines[0] == "check_id,nu,lhs,rhs,margin,ok"
+    assert len(lines) == 1 + len(findings)
+    assert text == findings_csv(audit_theta(30).findings())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from factprod import factorint
+from factprod import audit, factorint
 from factprod.cli import _record_obj, main, record_jsonl
 from factprod.equations import NONTRIVIAL, TRIVIAL
 from factprod.search import CensusResult, SearchSpec, search_factorial_products
@@ -574,6 +574,89 @@ def test_audit_erdos_builds_no_rows_without_out(capsys, monkeypatch):
     assert result["eligible_windows"] == 4250
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--check", "erdos"),
+        ("--check", "theta", "--nu-max", "100000"),
+        ("--check", "mertens", "--nu-max", "1000.5", "--violations-only"),
+        ("--check", "stirling", "--n-max", "5000"),
+    ],
+)
+def test_audit_out_builds_no_finding_rows(capsys, monkeypatch, tmp_path, argv):
+    """--out formats the Erdos and prefix-audit rows from their columns."""
+    def row_built(*args, **kwargs):
+        raise AssertionError("a finding row was built for --out")
+
+    monkeypatch.setattr("factprod.audit.AuditFinding", row_built)
+    path = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "audit", *argv, "--out", str(path))
+    assert code == 0, err
+    assert len(path.read_text().splitlines()) > 2 or "--violations-only" in argv
+
+
+def _out_payload(capsys, tmp_path, *argv):
+    """The --out text of ``audit *argv`` below its metadata line."""
+    path = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "audit", *argv, "--out", str(path))
+    assert code in (0, 1), err
+    meta_line, payload = path.read_text().split("\n", 1)
+    assert meta_line.startswith("# {")
+    return payload
+
+
+@pytest.mark.parametrize("violations_only", [False, True])
+@pytest.mark.parametrize(
+    "argv, coefficient, audit_of",
+    [
+        (("--check", "theta", "--nu-max", "30000"), None, lambda: audit.audit_theta(30000)),
+        # 0.95 nu is below theta(nu) from a few thousand on: violations and passes mix
+        (("--check", "theta", "--nu-max", "30000"), 0.95, lambda: audit.audit_theta(30000)),
+        (("--check", "mertens", "--nu-max", "1000.5"), None, lambda: audit.audit_mertens(1000.5)),
+        (("--check", "stirling", "--n-max", "3000"), None, lambda: audit.audit_stirling_lower(3000)),
+        # the Erdos ratios are informational: --violations-only keeps every row
+        (
+            ("--check", "erdos", "--x", "2:5000", "--k", "10:200"), None,
+            lambda: audit.audit_erdos_pdelta((2, 5000), (10, 200)),
+        ),
+    ],
+)
+def test_audit_out_is_findings_csv_of_the_row_views(
+    capsys, tmp_path, monkeypatch, argv, coefficient, audit_of, violations_only
+):
+    """The --out text, formatted a slice of columns at a time (slices of
+    1000 rows here), equals findings_csv of the row views, the empty header
+    of a check with no violations included."""
+    monkeypatch.setattr(audit, "_CHUNK", 1000)
+    if coefficient is not None:
+        monkeypatch.setattr(audit, "THETA_COEFF", coefficient)
+    flags = ("--violations-only",) if violations_only else ()
+    payload = _out_payload(capsys, tmp_path, *argv, *flags)
+    result = audit_of()
+    if isinstance(result, audit.ErdosScanResult):
+        findings = result.findings
+    else:
+        findings = result.findings(violations_only)
+        assert (0 < result.violations < len(result)) == (coefficient is not None)
+    # as lines: a failing comparison then names the first line that differs
+    assert payload.splitlines(True) == audit.findings_csv(findings).splitlines(True)
+
+
+def test_audit_window_out_is_the_block_columns(capsys, tmp_path, monkeypatch):
+    """The window --out text, written a block at a time, equals the rows
+    joined from the block columns (two blocks, slices of 1000 rows)."""
+    monkeypatch.setattr(audit, "_CHUNK", 1000)
+    payload = _out_payload(capsys, tmp_path, "--check", "window", "--m1-max", "3000", "--k1", "3:40")
+    rows = [",".join(audit.ABC_COLUMNS) + "\n"]
+    blocks = list(audit.abc_scan(3000, 3, 40))
+    for block in blocks:
+        cols = [getattr(block, name).tolist() for name in audit.ABC_COLUMNS]
+        cols[-1] = ["true" if ok else "false" for ok in cols[-1]]
+        rows.extend(",".join(map(str, row)) + "\n" for row in zip(*cols))
+    assert len(blocks) == 2 and len(rows) == 1 + 3000 * 38
+    assert payload.splitlines(True) == rows
+
+
 def test_audit_and_abc_commands_leave_numpy_ma_unloaded(tmp_path):
     # the plain np.unique and np.isin import numpy.ma on first use: 10-16 ms per process
     script = (
@@ -755,7 +838,7 @@ def test_audit_window_scan_at_scale(capsys):
     assert result["max_quality_at"] == [4353, 23]
 
 
-def test_sieve_ceiling_is_a_resource_guard(capsys, monkeypatch):
+def test_sieve_ceiling_is_a_resource_guard(capsys, monkeypatch, tmp_path):
     # abc --m1 no longer sieves (test_abc_far_above_the_sieve); the window
     # scan's radical table still meets the ceiling
     argv = ("audit", "--check", "window", "--m1-max", str(3 * 10**8), "--k1", "3:50")
@@ -763,8 +846,10 @@ def test_sieve_ceiling_is_a_resource_guard(capsys, monkeypatch):
     assert code == 3
     assert err.strip() == "resource guard: sieve limit 300000050 exceeds ceiling 200000000"
     monkeypatch.setattr(factorint, "SIEVE_CEILING", 1000)
-    code, _, err = run_cli(capsys, "audit", "--check", "window", "--m1-max", "2000", "--k1", "3:5")
-    assert code == 3
+    path = tmp_path / "windows.csv"
+    argv = ("audit", "--check", "window", "--m1-max", "2000", "--k1", "3:5", "--out", str(path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and not path.exists()  # refused before --out is opened
     assert err.strip() == "resource guard: sieve limit 2005 exceeds ceiling 1000"
 
 

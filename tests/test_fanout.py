@@ -21,6 +21,8 @@ from factprod.cli import main
 from factprod.density import RegionSpec, mc_density
 from factprod.search import SearchGuards, SearchSpec, search_factorial_products
 
+from conftest import patched_pool
+
 
 def _share_and_pid(share):
     return list(share), os.getpid()
@@ -196,24 +198,24 @@ def test_results_are_identical_at_any_worker_count_on_a_warm_pool(three_cpus, ca
 
 
 def test_sizes_patched_after_the_pool_started_reach_the_workers(three_cpus, monkeypatch):
-    """A job takes _CELLS, _UNIT_BATCH, _UNIT_BATCH_MAX and density._BATCH as
-    arguments at each call, so a worker forked before they were patched uses
-    the patched values: one unit a batch gives one batch a unit, and blocks of
-    1000 samples count each sample once (blocks of the worker's own 2^17 at
-    the parent's offsets would count most of them many times)."""
+    """mc_density deals each block as its (start, count), so density._BATCH
+    patched on the warm pool is exact: blocks of 1000 samples count each
+    sample once.  A search share reads _CELLS, _UNIT_BATCH and
+    _UNIT_BATCH_MAX where it runs, so patched_pool forks workers that carry
+    the patched sizes: one unit a batch gives one batch a unit."""
     spec, region = SearchSpec(24, 6, 3), RegionSpec(t=3, s=2, c=2)
     base = mc_density(region, 123_457, seed=5, workers=1).mc_mean
     stats = {}
     want = search_factorial_products(spec, workers=3, stats=stats)
     assert len(three_cpus) == 3 and stats["batches"] < stats["units"] // 100
-    monkeypatch.setattr(search, "_CELLS", 7)
-    monkeypatch.setattr(search, "_UNIT_BATCH", 1)
-    monkeypatch.setattr(search, "_UNIT_BATCH_MAX", 1)
-    assert search_factorial_products(spec, workers=3, stats=stats) == want
-    assert stats["batches"] == stats["units"] > 3
     monkeypatch.setattr(density, "_BATCH", 1000)
     assert mc_density(region, 123_457, seed=5, workers=3).mc_mean == base
     assert len(three_cpus) == 3
+    sizes = ((search, "_CELLS", 7), (search, "_UNIT_BATCH", 1), (search, "_UNIT_BATCH_MAX", 1))
+    with patched_pool(*sizes):
+        assert search_factorial_products(spec, workers=3, stats=stats) == want
+        assert stats["batches"] == stats["units"] > 3
+    assert len(three_cpus) == 6 and fanout._pool == []
 
 
 _CHILD = """
@@ -223,7 +225,7 @@ from factprod import fanout
 from factprod.cli import main
 main(["search", "--n1-max", "16", "--t-max", "5", "--s-max", "2", "--workers", "2"])
 main(["density", "--t", "3", "--s", "2", "--c", "2", "--samples", "300000", "--workers", "2"])
-sys.stderr.write(json.dumps([pid for pid, _, _ in fanout._pool]))
+sys.stderr.write(json.dumps([pid for pid, _ in fanout._pool]))
 sys.stderr.flush()
 """
 

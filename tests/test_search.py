@@ -18,6 +18,7 @@ from factprod.search import (
     search_factorial_products,
 )
 
+from conftest import patched_pool
 from oracles import (
     brute_census,
     brute_delta_search,
@@ -656,7 +657,7 @@ def test_batches_double_from_the_first_up_to_the_cap():
     units = np.zeros((30_000, 2), np.intp)
     units[:, 0] = np.arange(1, 30_001)
 
-    def plan(cells):
+    def plan():
         return descend, lambda k, lhs: (k, lhs)
 
     search._run_units(units, plan, lambda k, lhs: k, 1, SearchGuards())
@@ -705,7 +706,8 @@ def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch,
 def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_max, cells, batch):
     """Records and node totals equal the full-vector descent's at workers
     1, 2 and 4, with chunks of a few cells and batches of a few units, so
-    that chunk and batch boundaries fall everywhere."""
+    that chunk and batch boundaries fall everywhere; the pool is forked with
+    those sizes (patched_pool), since a worker reads its own."""
     from factprod import search
 
     census = SearchSpec(n1_max, t_max, s_max)
@@ -716,9 +718,7 @@ def test_engine_matches_the_full_vector_oracles(n1_max, t_max, s_max, k_list, x_
         (lambda g, w: search_delta(delta, guards=g, workers=w),
          lambda r: [(d.x, d.a) for d in r], full_vector_delta(k_list, x_max, t_max)),
     )
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_CELLS", cells)
-        m.setattr(search, "_UNIT_BATCH", batch)
+    with patched_pool((search, "_CELLS", cells), (search, "_UNIT_BATCH", batch)):
         for run, pairs, (want, nodes) in cases:
             for workers in (1, 2, 4):
                 assert pairs(run(SearchGuards(max_nodes=max(nodes, 1)), workers)) == want
