@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -79,15 +78,6 @@ def _workers(args) -> int:
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.workers
-    env = os.environ.get("FACTPROD_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"FACTPROD_WORKERS must be an integer, got {env!r}") from None
-        if workers < 1:
-            raise ValueError(f"FACTPROD_WORKERS must be >= 1, got {workers}")
-        return workers
     return fanout.usable_cpus()
 
 
@@ -243,6 +233,10 @@ def _out_file(path, meta: dict):
 
 def cmd_audit(args) -> int:
     check = args.check
+    if args.violations_only and check not in ("theta", "mertens", "stirling"):
+        raise ValueError(
+            f"--violations-only applies to --check theta, mertens and stirling, not {check}"
+        )
     meta_cfg: dict = {"check": check}
     meta = _meta("audit", meta_cfg)
     result: dict
@@ -428,7 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--m1-max", type=int, default=None, dest="m1_max")
     a.add_argument("--k1", default="3:50", help="k1 range lo:hi (window)")
     a.add_argument("--out", help="findings CSV file")
-    a.add_argument("--violations-only", action="store_true", dest="violations_only")
+    a.add_argument(
+        "--violations-only",
+        action="store_true",
+        dest="violations_only",
+        help="--out keeps only the violated rows (theta, mertens, stirling)",
+    )
     a.set_defaults(fn=cmd_audit)
 
     b = sub.add_parser("abc", help="smallest-radical abc triple for one window")

@@ -122,12 +122,7 @@ def raw_residual(lhs, rhs) -> ExpVec:
     Relaxed entry point for ad-hoc queries (ordering/disjointness not
     enforced); entries must still be integers >= 0.
     """
-    acc: dict[int, int] = {}
-    for side, sign in ((rhs, 1), (lhs, -1)):
-        for n in side:
-            for p, e in factorial_expvec(n).entries:
-                acc[p] = acc.get(p, 0) + sign * e
-    return ExpVec(tuple((p, e) for p, e in sorted(acc.items()) if e))
+    return sum(map(factorial_expvec, rhs), ExpVec()) - sum(map(factorial_expvec, lhs), ExpVec())
 
 
 def residual(eq: FactorialEquation) -> ExpVec:

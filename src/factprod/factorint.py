@@ -3,8 +3,10 @@
 Prime sieves, Legendre exponents of factorials, radicals and largest prime
 factors, products of consecutive integers, and the Chebyshev/Mertens prefix
 sums used by the inequality audits.  Everything here is pure and immutable
-after construction, so values can be shared freely; a forked pool worker
-inherits those built before it was forked and grows its own copies after.
+after construction, so values can be shared freely between threads; a forked
+pool worker inherits those built before it was forked and grows its own
+copies after.  The two process-lifetime stores are the shared prime table,
+replaced whole under a lock, and factorial_expvec's functools.cache.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,7 +67,8 @@ class PrimeTable:
     ``is_prime`` above the limit is deterministic Miller-Rabin.
 
     Instances are immutable; ``extended`` returns a new, larger table rather
-    than mutating in place, so a shared table is safe for concurrent readers.
+    than mutating in place, so a shared table is safe for concurrent readers,
+    and ``table()`` swaps in a larger one under a lock.
     """
 
     __slots__ = ("limit", "flags", "primes")
@@ -233,20 +237,22 @@ class ExpVec:
     entries: tuple[tuple[int, int], ...] = ()
 
     @classmethod
+    def _of(cls, pairs) -> "ExpVec":
+        """Canonical form of (prime, exponent) pairs: the exponents of each
+        prime summed, zeros dropped, primes increasing.  No validation."""
+        acc: dict[int, int] = {}
+        for p, e in pairs:
+            acc[p] = acc.get(p, 0) + e
+        return cls(tuple((int(p), int(e)) for p, e in sorted(acc.items()) if e))
+
+    @classmethod
     def from_items(cls, items) -> "ExpVec":
         """Canonicalize arbitrary (prime, exponent) pairs; rejects non-primes."""
-        acc: dict[int, int] = {}
-        for p, e in items:
-            acc[p] = acc.get(p, 0) + e
-        out = []
-        for p in sorted(acc):
-            e = acc[p]
-            if e == 0:
-                continue
-            if not is_prime(int(p)):
+        v = cls._of(items)
+        for p, _ in v.entries:
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            out.append((int(p), int(e)))
-        return cls(tuple(out))
+        return v
 
     @classmethod
     def of_int(cls, n: int) -> "ExpVec":
@@ -276,35 +282,11 @@ class ExpVec:
             raise ValueError("negative exponent: no integer value")
         return math.prod(p**e for p, e in self.entries)
 
-    def _merged(self, other: "ExpVec", sign: int) -> "ExpVec":
-        a, b = self.entries, other.entries
-        out: list[tuple[int, int]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            pa, ea = a[i]
-            pb, eb = b[j]
-            if pa < pb:
-                out.append((pa, ea))
-                i += 1
-            elif pb < pa:
-                out.append((pb, sign * eb))
-                j += 1
-            else:
-                e = ea + sign * eb
-                if e:
-                    out.append((pa, e))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        for p, e in b[j:]:
-            out.append((p, sign * e))
-        return ExpVec(tuple(out))
-
     def __add__(self, other: "ExpVec") -> "ExpVec":
-        return self._merged(other, 1)
+        return ExpVec._of(self.entries + other.entries)
 
     def __sub__(self, other: "ExpVec") -> "ExpVec":
-        return self._merged(other, -1)
+        return self + -other
 
     def __neg__(self) -> "ExpVec":
         return ExpVec(tuple((p, -e) for p, e in self.entries))
@@ -333,24 +315,17 @@ def vp_factorial(n: int, p: int) -> int:
     return _legendre(n, p)
 
 
-_fact_lock = threading.Lock()
-_fact_cache: dict[int, ExpVec] = {0: ExpVec(), 1: ExpVec()}
-
-
+@cache
 def factorial_expvec(n: int) -> ExpVec:
     """Exponent vector of n! over all primes <= n (Legendre's formula),
-    memoized for the lifetime of the process; the census descent reads its
-    own factorial tables instead."""
+    memoized for the lifetime of the process by functools.cache, whose own
+    lock makes it safe for threads: two threads may both compute one n!, and
+    both get equal immutable values.  The census descent reads its own
+    factorial tables instead."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    v = _fact_cache.get(n)
-    if v is not None:
-        return v
     tbl = table(max(n, 2))
-    v = ExpVec(tuple((int(p), _legendre(n, int(p))) for p in tbl.primes_upto(n)))
-    with _fact_lock:
-        _fact_cache[n] = v
-    return v
+    return ExpVec(tuple((int(p), _legendre(n, int(p))) for p in tbl.primes_upto(n)))
 
 
 def radical(a: int) -> int:
@@ -377,14 +352,8 @@ def delta(m: int, k: int) -> tuple[int, ExpVec]:
     """
     if m < 1 or k < 1:
         raise ValueError("delta requires m >= 1 and k >= 1")
-    value = 1
-    acc: dict[int, int] = {}
-    for term in range(m, m + k):
-        value *= term
-        for p, e in factorize(term):
-            acc[p] = acc.get(p, 0) + e
-    vec = ExpVec(tuple((p, acc[p]) for p in sorted(acc)))
-    return value, vec
+    terms = range(m, m + k)
+    return math.prod(terms), ExpVec._of(pe for term in terms for pe in factorize(term))
 
 
 def theta(nu: float) -> float:

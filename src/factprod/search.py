@@ -112,7 +112,10 @@ class SearchGuards:
     """Resource ceilings; exceeding any of them is an explicit error carrying
     the records from completed work units, never a silent truncation.
     ``max_nodes`` bounds the descent values walked, over all workers; the
-    values the size cap skips cost nothing."""
+    values the size cap skips cost nothing.  Whether it trips does not depend
+    on the worker count; where it trips repeats exactly at workers = 1, and
+    can differ from run to run at workers >= 2, whose shares race on the one
+    node counter."""
 
     max_nodes: int = 50_000_000
     max_seconds: float | None = None
@@ -136,7 +139,10 @@ class ResourceGuardError(RuntimeError):
     """A guard tripped.  ``records`` holds the results of the work units in
     ``completed`` (in unit order; a CensusResult for the census), out of
     ``total_units``; ``nodes`` is the number of descent nodes spent.  The
-    message reports them once units ran."""
+    message reports them once units ran.  At workers = 1 all of these repeat
+    exactly from run to run; at workers >= 2 the shares race on the one node
+    counter, so the trip point, the partial records and the message can
+    differ between runs."""
 
     def __init__(
         self, reason: str, records, completed=(), total_units: int = 0, nodes: int = 0

@@ -363,18 +363,10 @@ def test_search_rejects_bad_guard_flags(capsys, flag, value):
 
 
 def test_default_workers_follow_cpu_affinity(capsys, monkeypatch):
-    monkeypatch.delenv("FACTPROD_WORKERS", raising=False)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
     code, out, _ = run_cli(capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1")
     assert code == 0
     assert parse_doc(out)[0]["config"]["workers"] == 1
-
-
-def test_search_rejects_malformed_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("FACTPROD_WORKERS", "abc")
-    code, out, err = run_cli(capsys, "search", "--n1-max", "8", "--t-max", "4", "--s-max", "1")
-    assert code == 2 and out == ""
-    assert "FACTPROD_WORKERS" in err and "abc" in err
 
 
 # ---------------------------------------------------------------- density
@@ -614,7 +606,7 @@ def _out_payload(capsys, tmp_path, *argv):
         (("--check", "theta", "--nu-max", "30000"), 0.95, lambda: audit.audit_theta(30000)),
         (("--check", "mertens", "--nu-max", "1000.5"), None, lambda: audit.audit_mertens(1000.5)),
         (("--check", "stirling", "--n-max", "3000"), None, lambda: audit.audit_stirling_lower(3000)),
-        # the Erdos ratios are informational: --violations-only keeps every row
+        # the Erdos ratios are informational: --violations-only is refused
         (
             ("--check", "erdos", "--x", "2:5000", "--k", "10:200"), None,
             lambda: audit.audit_erdos_pdelta((2, 5000), (10, 200)),
@@ -631,6 +623,12 @@ def test_audit_out_is_findings_csv_of_the_row_views(
     if coefficient is not None:
         monkeypatch.setattr(audit, "THETA_COEFF", coefficient)
     flags = ("--violations-only",) if violations_only else ()
+    if violations_only and argv[1] == "erdos":
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "audit", *argv, *flags, "--out", str(path))
+        assert code == 2 and out == "" and "--violations-only" in err
+        assert not path.exists()
+        return
     payload = _out_payload(capsys, tmp_path, *argv, *flags)
     result = audit_of()
     if isinstance(result, audit.ErdosScanResult):
@@ -640,6 +638,22 @@ def test_audit_out_is_findings_csv_of_the_row_views(
         assert (0 < result.violations < len(result)) == (coefficient is not None)
     # as lines: a failing comparison then names the first line that differs
     assert payload.splitlines(True) == audit.findings_csv(findings).splitlines(True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--check", "chain", "--equation", "14,5,2=16"),
+        ("--check", "window", "--m1-max", "100"),
+    ],
+)
+def test_audit_refuses_violations_only_off_the_prefix_audits(capsys, argv):
+    """As for erdos (test_audit_out_is_findings_csv_of_the_row_views), the
+    flag is refused where it would be ignored."""
+    code, out, err = run_cli(capsys, "audit", *argv, "--violations-only")
+    assert code == 2 and out == ""
+    assert "--violations-only" in err and "theta, mertens and stirling" in err
+    assert f"not {argv[1]}" in err
 
 
 def test_audit_window_out_is_the_block_columns(capsys, tmp_path, monkeypatch):

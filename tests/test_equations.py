@@ -30,7 +30,7 @@ from factprod.equations import (
 from factprod.factorint import ExpVec, factorial_expvec
 from factprod.search import DeltaSolution
 
-from oracles import trivial_family_census
+from oracles import factor_literal, trivial_family_census
 
 
 # ---------------------------------------------------------------- validation
@@ -100,6 +100,11 @@ def test_raw_residual_is_the_termwise_difference(lhs, rhs):
     assert got == acc
     assert all(e for _, e in got.entries)
     assert [p for p, _ in got.entries] == sorted({p for p, _ in got.entries})
+    # both routes share ExpVec's canonical form: check them against the
+    # factored literal products as well
+    num, den = (factor_literal(math.prod(map(math.factorial, side))) for side in (rhs, lhs))
+    want = {p: num.get(p, 0) - den.get(p, 0) for p in num.keys() | den.keys()}
+    assert got.as_dict() == {p: e for p, e in want.items() if e}
 
 
 # ---------------------------------------------------------------- verify / classify

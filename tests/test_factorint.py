@@ -337,3 +337,5 @@ def test_expvec_algebra(a, b, c):
     assert (a - b) + b == a
     assert (a - a).is_zero()
     assert a + ExpVec() == a
+    pa, pb = (ExpVec(tuple((p, abs(e)) for p, e in v.entries)) for v in (a, b))
+    assert (pa + pb).value() == pa.value() * pb.value()

@@ -285,3 +285,30 @@ def test_no_class_builds_on_a_missing_name():
                     if isinstance(f, ast.FunctionDef) and f.name in hooks
                 ]
     assert found == []
+
+
+def test_no_module_keeps_a_dict_memo():
+    """One way to memoize a function: functools.cache, never a module-level
+    dict that the module fills in by key."""
+    found = []
+    for path in sorted(Path(fanout.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        dicts = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+            ):
+                dicts |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            stored = isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            filled = isinstance(node, ast.Attribute) and node.attr in {"setdefault", "update"}
+            if (stored or filled) and getattr(node.value, "id", None) in dicts:
+                found.append(f"{path.stem}.{node.value.id}")
+    assert found == []

@@ -546,14 +546,14 @@ def test_tables_build_factorials_without_factorial_expvec():
     ]
 
 
-def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
-    from factprod import factorint, search
+def test_search_delta_block_ends_stay_out_of_the_factorial_cache():
+    from factprod import search
+    from factprod.factorint import factorial_expvec
 
-    empty = factorint.ExpVec()
-    monkeypatch.setattr(factorint, "_fact_cache", {0: empty, 1: empty})
+    factorial_expvec.cache_clear()
     for k_list, x_max in (((3, 2), 8), ((2000, 3), 12)):  # block ends past x_max
         got = search_delta(DeltaSearchSpec(k_list, x_max, 4))
-        assert set(factorint._fact_cache) == {0, 1}
+        assert factorial_expvec.cache_info().currsize == 0
         assert {(d.x, d.a) for d in got} == brute_delta_search(k_list, x_max, 4)
     # search_delta's tables for x_max = 24 end at 28, below 29, the first
     # prime above x_max; every n! they hold decodes to its literal exponents
@@ -562,7 +562,7 @@ def test_search_delta_block_ends_stay_out_of_the_factorial_cache(monkeypatch):
         R, log_r = t.residual([(n, 1)])
         exps, rest = literal_fields(t, math.factorial(n))
         assert rest == 1 and fields(t, R) == exps and log_r == math.lgamma(n + 1)
-    assert set(factorint._fact_cache) == {0, 1}
+    assert factorial_expvec.cache_info().currsize == 0
 
 
 def test_guard_node_budget_carries_partial():
