@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__, fanout
 from .audit import (
@@ -36,7 +36,6 @@ from .audit import (
     findings_csv,
 )
 from .density import (
-    DensityEstimate,
     QuadratureBudgetError,
     RegionSpec,
     _analytic_density,
@@ -170,8 +169,7 @@ def cmd_search(args) -> int:
             fh.write(json.dumps({"meta": meta}, separators=(",", ":")) + "\n")
             fh.write(payload)
     if args.census_csv:
-        with open(args.census_csv, "w") as fh:
-            fh.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
+        with _out_file(args.census_csv, meta) as fh:
             fh.write(table)
     _print_doc(meta, summary.to_json_obj())
     return EXIT_OK
@@ -194,8 +192,7 @@ def cmd_density(args) -> int:
     # the quadrature refuses what it cannot run before any sampling
     quad = quadrature_density(spec, args.resolution)
     est = mc_density(spec, args.samples, args.seed, workers=workers)
-    analytic = _analytic_density(spec)
-    est = DensityEstimate(analytic, est.mc_mean, est.mc_stderr, est.samples, est.seed, quad)
+    est = replace(est, analytic=_analytic_density(spec), quadrature=quad)
     config = {**asdict(spec), "samples": args.samples, "seed": args.seed, "workers": workers}
     _print_doc(_meta("density", config), est.to_json_obj())
     return EXIT_OK

@@ -2,7 +2,8 @@
 
 Prime sieves, Legendre exponents of factorials, radicals and largest prime
 factors, products of consecutive integers, and the Chebyshev/Mertens prefix
-sums used by the inequality audits.  Everything here is pure and immutable
+sums theta and mertens_log_sum (the inequality audits keep their own running
+columns of the same sums).  Everything here is pure and immutable
 after construction, so values can be shared freely between threads; a forked
 pool worker inherits those built before it was forked and grows its own
 copies after.  The two process-lifetime stores are the shared prime table,
@@ -66,9 +67,9 @@ class PrimeTable:
     """All primes up to ``limit``, from a boolean Eratosthenes sieve;
     ``is_prime`` above the limit is deterministic Miller-Rabin.
 
-    Instances are immutable; ``extended`` returns a new, larger table rather
-    than mutating in place, so a shared table is safe for concurrent readers,
-    and ``table()`` swaps in a larger one under a lock.
+    Instances are immutable, so a shared table is safe for concurrent
+    readers; tables never grow in place: ``table()`` swaps in a new, larger
+    one under a lock.
     """
 
     __slots__ = ("limit", "flags", "primes")
@@ -81,9 +82,6 @@ class PrimeTable:
         self.flags.setflags(write=False)
         self.primes = np.flatnonzero(self.flags).astype(np.int64)
         self.primes.setflags(write=False)
-
-    def extended(self, limit: int) -> "PrimeTable":
-        return self if limit <= self.limit else PrimeTable(limit)
 
     def is_prime(self, n: int) -> bool:
         if n < 2:

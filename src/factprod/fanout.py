@@ -117,9 +117,10 @@ atexit.register(stop)
 
 def deal(job, args: tuple, items, workers: int) -> list:
     """``job(*args, items[k::n])`` for k in range(n), share k on pool worker
-    k, with n = min(workers, len(items), usable CPUs); returns the results in
-    order of k.  The pool grows to n workers if it holds fewer.  With n <= 1,
-    in a pool worker, or where the platform has no fork, returns
+    k, with n = min(workers, len(items), usable CPUs) and ``items`` any
+    sliceable sequence (a range pickles as its three ends); returns the
+    results in order of k.  The pool grows to n workers if it holds fewer.
+    With n <= 1, in a pool worker, or where the platform has no fork, returns
     ``[job(*args, items)]``, run in-process.
 
     A share that raises, or a worker that exits without a result, raises

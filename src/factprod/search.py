@@ -19,12 +19,11 @@ The residual is a dense row of exponents over the primes up to n_max, and
 of units at a time (_UNIT_BATCH at first, then twice as many each time, up
 to _UNIT_BATCH_MAX), depth first over chunks of at most _CELLS cells.  The
 units are the rows of one zero-padded int array, s ints each, and
-``fanout.deal`` shares them out to ``_share`` on its pool of forked workers,
-which share one node counter, or runs them in-process.  A share takes only
-its work (the spec, the guards, an absolute deadline and its unit rows),
-builds its own tables where it runs, and reads the chunk and batch sizes
-there: the rows of ``_units`` do not depend on _CELLS, so the caller and
-the share never need to agree on one.
+``fanout.deal`` shares out their positions, a range, to ``_share`` on its
+pool of forked workers, which share one node counter, or runs them
+in-process.  A share takes only its work (the spec, the guards, an absolute
+deadline, the unit shape and its positions), and builds its unit rows and
+tables and reads the chunk and batch sizes where it runs.
 Left sides leave the descent as zero-padded columns, the census checks a
 batch of them at once with ``verify_rows`` on the equations' own exponent
 vectors, and the columns are merged by one lexsort on a canonical key
@@ -590,32 +589,34 @@ def _tuples(m: np.ndarray) -> tuple:
     return tuple(tuple(r[:n]) for r, n in zip(m.tolist(), np.count_nonzero(m, 1).tolist()))
 
 
-def _share(plan, guards, deadline, units):
-    """One share of a search's work units, the rows of ``units``, run wherever
-    ``fanout.deal`` puts it: ``plan()`` builds the share's tables there and
-    gives its (descend, finish) (see _run_units).  The units run in batches
-    of _UNIT_BATCH and then twice as many each time, up to _UNIT_BATCH_MAX.
-    Returns the positions in ``units`` of each batch's completed units, their
-    result columns, the trip reason ("" if none) and the nodes spent."""
+def _share(plan, guards, deadline, shape, positions):
+    """One share of a search's work units, the rows of ``_units(*shape)`` at
+    ``positions`` (a range), run wherever ``fanout.deal`` puts it: it builds
+    the rows there, and ``plan()`` its tables and (descend, finish) (see
+    _run_units).  The units run in slices of _UNIT_BATCH rows and then twice
+    as many each time, up to _UNIT_BATCH_MAX.  Returns the positions of each
+    batch's completed units, their result columns, the trip reason ("" if
+    none) and the nodes spent."""
     descend, finish = plan()
+    units = _units(*shape)
     budget = _Budget(guards, deadline, fanout.shared_counter())
     done, parts, k, size = [], [], 0, _UNIT_BATCH
-    while k < len(units) and not budget.reason:
-        batch = np.arange(k, min(k + size, len(units)))
+    while k < len(positions) and not budget.reason:
+        batch = positions[k : k + size]
         k, size = k + size, min(2 * size, _UNIT_BATCH_MAX)
-        keys = units[batch]
+        keys = units[batch.start : batch.stop : batch.step]
         unit, lhs, left = descend(keys, budget)
         finished = np.ones(len(batch), bool)
         finished[list(left)] = False  # not np.isin: it imports numpy.ma
         keep = finished[unit]
         parts.append(finish(keys[unit[keep]], lhs[keep]))
-        done.append(batch[finished])
+        done.append(np.arange(batch.start, batch.stop, batch.step)[finished])
     return done, parts, budget.reason, budget.nodes
 
 
-def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
-    """Run independent work units, the rows of ``units`` (at least one), under one
-    node/time budget.  ``plan()``, a picklable callable, builds the tables
+def _run_units(shape, plan, collect, workers, guards, stats=None, start=None):
+    """Run independent work units, the rows of ``_units(*shape)`` (at least one),
+    under one node/time budget.  ``plan()``, a picklable callable, builds the tables
     where a share runs and gives two functions: ``descend(keys, budget)``, the left
     sides of the batch of units ``keys`` as (their units, rows zero-padded to t_max,
     the units a trip left unfinished), and ``finish(keys, lhs)``, their result
@@ -626,26 +627,28 @@ def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
     the units and those completed, the descent batches, the records, the pool
     workers that ran a share (0 in-process) and the seconds of each phase: from
     ``start`` (a perf_counter reading) to the descent, the descent (each share
-    builds its tables first) and the merge.
+    builds its unit rows and tables first) and the merge.
 
-    ``fanout.deal`` deals the units round-robin (unit cost grows with the first entry)
-    to _share on the pool's workers, which draw on the pool's one node counter, or
-    runs them in-process, where the counter is a plain integer that takes no lock.
-    Each share returns the nodes it spent with its columns."""
+    ``fanout.deal`` cuts the unit positions, a range, into shares for _share on
+    the pool's workers, which draw on the pool's one node counter, or runs them
+    in-process, where the counter is a plain integer that takes no lock.  Each
+    share returns its columns, the positions of its completed units and its
+    nodes; the unit rows are built here only to report a trip."""
+    count = _unit_count(*shape)
     deadline = None if guards.max_seconds is None else time.monotonic() + guards.max_seconds
     dealt = time.perf_counter()
-    results = fanout.deal(_share, (plan, guards, deadline), units, workers)
+    results = fanout.deal(_share, (plan, guards, deadline, shape), range(count), workers)
     merged = time.perf_counter()
     keys, lhs, *more = map(np.concatenate, zip(*(p for _, ps, _, _ in results for p in ps)))
     order = np.lexsort(np.column_stack((keys, lhs)).T[::-1])
     out = collect(keys[order], lhs[order], *(c[order] for c in more))
     n = len(results)
-    done = [np.arange(k, len(units), n)[i] for k, (d, _, _, _) in enumerate(results) for i in d]
+    done = [d for r in results for d in r[0]]
     nodes = sum(r[3] for r in results)
     if stats is not None:
         stats.update(
             nodes=nodes,
-            units=len(units),
+            units=count,
             units_completed=sum(map(len, done)),
             batches=len(done),
             records=len(out),
@@ -659,7 +662,7 @@ def _run_units(units, plan, collect, workers, guards, stats=None, start=None):
     reason = next((r for _, _, r, _ in results if r), "")
     if reason:
         done = np.sort(np.concatenate(done))
-        raise ResourceGuardError(reason, out, _tuples(units[done]), len(units), nodes)
+        raise ResourceGuardError(reason, out, _tuples(_units(*shape)[done]), count, nodes)
     return out
 
 
@@ -688,7 +691,7 @@ def search_factorial_products(
 ) -> CensusResult:
     """All identities within the requested bounds, canonically ordered.  ``stats``,
     if given, is filled with the run's counters and phase seconds (see _run_units;
-    "tables" covers the guards and the work units).
+    "tables" covers the guards).
 
     Raises ResourceGuardError when the tables or the work units exceed their
     budget (before any work) or a guard ceiling is exceeded (with partial
@@ -699,7 +702,7 @@ def search_factorial_products(
     shape = (spec.n1_max, 2, 1, spec.s_max)
     _refuse(spec.n1_max, _unit_count(*shape))
     return _run_units(
-        _units(*shape),
+        shape,
         partial(_census_plan, spec),
         lambda rhs, lhs, cls: CensusResult(lhs, rhs, cls),
         workers,
@@ -747,7 +750,7 @@ def search_delta(
         top += 1
     _refuse(top, _unit_count(*shape))
     return _run_units(
-        _units(*shape),
+        shape,
         partial(_delta_plan, spec, top),
         lambda xs, lhs: [DeltaSolution(*row) for row in zip(_tuples(xs), _tuples(lhs))],
         workers,

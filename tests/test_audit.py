@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprod import audit
+from factprod import audit, factorint
 from factprod.cli import main
 from factprod.audit import (
     ERDOS_COEFF,
@@ -67,9 +67,14 @@ def test_theta_mertens_no_violations_to_1e4():
 
 
 def test_kahan_accumulation_matches_fsum():
+    """The audits' running columns end at the sums that factorint.theta and
+    factorint.mertens_log_sum define, each computed by math.fsum."""
     th = audit_theta(10_000)
     exact = math.fsum(math.log(p) for p in th.points.tolist())
     assert th.lhs[-1] == pytest.approx(exact, abs=1e-9)
+    assert th.lhs[-1] == pytest.approx(factorint.theta(10_000), abs=1e-9)
+    me = audit_mertens(10_000)
+    assert me.lhs[-1] == pytest.approx(factorint.mertens_log_sum(10_000), abs=1e-12)
 
 
 def test_prefix_findings_are_the_columns():

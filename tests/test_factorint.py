@@ -41,13 +41,6 @@ def test_prime_table_complete_against_trial_division():
     assert tbl.primes.tolist() == want
 
 
-def test_prime_table_extended_is_new_table():
-    tbl = PrimeTable(100)
-    bigger = tbl.extended(1000)
-    assert bigger is not tbl and bigger.limit == 1000
-    assert tbl.extended(50) is tbl
-
-
 def test_is_prime_beyond_limit_uses_trial_division():
     tbl = PrimeTable(100)
     assert tbl.is_prime(10007)

@@ -605,6 +605,56 @@ def test_guard_node_budget_workers_2_keeps_completed_units():
     assert part == [r for r in full.records if r.eq.rhs in done]
 
 
+def test_trip_reports_hold_under_any_dealing_rule(monkeypatch):
+    """How ``fanout.deal`` cuts the unit positions into shares is its own
+    business: with a dealer that runs contiguous halves in-process, each on
+    its own node counter, the census and the fixed-gap search are the
+    round-robin ones, and a trip's records are exactly the rows of the units
+    it reports completed."""
+    from factprod import fanout
+
+    def halves(job, args, items, workers):
+        half = len(items) // 2
+        return [job(*args, items[:half]), job(*args, items[half:])]
+
+    spec, delta = SearchSpec(n1_max=24, t_max=6, s_max=3), DeltaSearchSpec((2, 3), 60, 5)
+    full, full_delta = search_factorial_products(spec), search_delta(delta)
+    monkeypatch.setattr(fanout, "deal", halves)
+    assert search_factorial_products(spec, workers=2) == full
+    with pytest.raises(ResourceGuardError) as e:
+        search_factorial_products(spec, guards=SearchGuards(max_nodes=15_000), workers=2)
+    err = e.value
+    assert 0 < err.completed_units < err.total_units
+    assert err.records == rows_of(full, set(err.completed))
+    assert search_delta(delta, workers=2) == full_delta
+    with pytest.raises(ResourceGuardError) as e:
+        search_delta(delta, guards=SearchGuards(max_nodes=150), workers=2)
+    done = set(e.value.completed)
+    assert 0 < len(done) < e.value.total_units
+    assert e.value.records == [r for r in full_delta if r.x in done]
+
+
+def test_a_share_message_holds_no_unit_rows(monkeypatch):
+    """Each share of a (100, 8, 2) census is sent as a (job, args, share)
+    message of a few hundred bytes: its unit positions, not its unit rows
+    (about 40 KB a share pickled at this shape)."""
+    import pickle
+
+    from factprod import fanout
+
+    deal, sizes = fanout.deal, []
+
+    def spy(job, args, items, workers):
+        sizes.extend(len(pickle.dumps((job, args, items[k::workers]))) for k in range(workers))
+        return deal(job, args, items, workers)
+
+    spec = SearchSpec(100, 8, 2)
+    full = search_factorial_products(spec)
+    monkeypatch.setattr(fanout, "deal", spy)
+    assert search_factorial_products(spec, workers=2) == full
+    assert len(sizes) == 2 and max(sizes) < 1024
+
+
 @pytest.mark.parametrize("cells, batch", [(1 << 17, 512), (40, 7), (40, 1)])
 def test_guard_trips_keep_exactly_the_completed_units(monkeypatch, cells, batch):
     """At trip points over the whole of a serial run, ``completed`` is in
@@ -654,15 +704,13 @@ def test_batches_double_from_the_first_up_to_the_cap():
         batches.append(keys[:, 0].tolist())
         return np.zeros(0, np.intp), np.zeros((0, 2), np.intp), set()
 
-    units = np.zeros((30_000, 2), np.intp)
-    units[:, 0] = np.arange(1, 30_001)
-
     def plan():
         return descend, lambda k, lhs: (k, lhs)
 
-    search._run_units(units, plan, lambda k, lhs: k, 1, SearchGuards())
+    # the units (3,), (4,), ..., (30_002,)
+    search._run_units((30_002, 2, 1, 1), plan, lambda k, lhs: k, 1, SearchGuards())
     assert [len(b) for b in batches] == [512, 1024, 2048, 4096, 8192, 8192, 5936]
-    assert sum(batches, []) == list(range(1, 30_001))
+    assert sum(batches, []) == list(range(3, 30_003))
 
 
 def test_a_wrong_table_row_gives_non_solutions_not_wrong_identities(monkeypatch, fresh_pool):
